@@ -19,12 +19,7 @@ from . import __version__
 from .calibration import calibrate as run_calibrate
 from .config import ExperimentConfig
 from .core import sweep_channel
-from .crosstalk import (
-    Scenario,
-    check_scenario_c_consistency,
-    crosstalk_matrix,
-    nn_mean_db,
-)
+from .crosstalk import Scenario, crosstalk_matrix, nn_mean_db, predict_scenario_c_db
 from .beams import make_beam_array, site_leakage_report, target_plane_profile
 from .dynamics import Waveform, measure_rise_time, step_response_trace, trace_optical
 from .errors import ConfigError, PicmodError
@@ -333,9 +328,7 @@ def crosstalk(config, out, seed, scenario):
     report.add("nn_mean", nn_mean_db(matrix), "dB")
     if scen is Scenario.C:
         target_c = cfg.data["crosstalk"]["scenario_c_target_db"]
-        predicted = check_scenario_c_consistency(
-            er_mean, cfg.data["crosstalk"]["nn_after_db"], target_c
-        )
+        predicted = predict_scenario_c_db(er_mean, cfg.data["crosstalk"]["nn_after_db"])
         report.add(
             "scenario_c_composed",
             predicted,

@@ -5,6 +5,11 @@ upstream of the victim's modulator (attenuated by the victim's modulator
 state) and power injected downstream of it (always passed). On-chip
 contributions add incoherently; the three standard measurement scenarios
 differ only in the victim's optical input and modulator state.
+
+`crosstalk_matrix` evaluates every aggressor/victim pair at once from the
+closed form (in_v*T_v + lin(before)*T_v + lin(after)) / t_on. The per-pair
+`scenario_states` and `victim_output` spell the same sum out state by state
+and are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -91,6 +96,12 @@ def _lin(db: float) -> float:
     return 0.0 if db == NEG_INF else 10.0 ** (db / 10.0)
 
 
+def _lin_matrix(db: np.ndarray) -> np.ndarray:
+    # Entry by entry: numpy's array power can differ from the scalar one in
+    # the last bit, and the matrix must equal victim_output's per-pair sum.
+    return np.array([_lin(v) for v in db.ravel().tolist()]).reshape(db.shape)
+
+
 def victim_output(
     graph: CrosstalkGraph, states: list[ChannelState], victim: int
 ) -> float:
@@ -143,18 +154,21 @@ def crosstalk_matrix(
     Diagonal entries are 0 dB (the aggressor itself). With a detector the
     measured values are floor-clamped.
     """
-    n = graph.n_channels
-    out = np.zeros((n, n))
-    for i in range(n):
-        ref = 1.0 * t_on
-        for j in range(n):
-            if i == j:
-                continue
-            states = scenario_states(scenario, i, j, n, t_on, t_off)
-            rel = victim_output(graph, states, j) / ref
-            if detector is not None:
-                rel = detector.measure(rel)
-            out[i, j] = NEG_INF if rel == 0.0 else 10.0 * math.log10(rel)
+    # Every pair sees the same aggressor and victim states; only their
+    # positions differ, and the other channels are dark.
+    aggressor, victim = scenario_states(scenario, 0, 1, 2, t_on, t_off)
+    t_v = victim.modulator_transmission
+    lin_before = _lin_matrix(graph.coupling_before_db)
+    lin_after = _lin_matrix(graph.coupling_after_db)
+    leak = lin_before * t_v + lin_after
+    out_v = victim.optical_input * t_v + aggressor.optical_input * leak
+    rel = out_v / (aggressor.optical_input * aggressor.modulator_transmission)
+    if detector is not None:
+        rel = detector.measure(rel)
+    out = np.array(
+        [NEG_INF if r == 0.0 else 10.0 * math.log10(r) for r in rel.ravel().tolist()]
+    ).reshape(rel.shape)
+    np.fill_diagonal(out, 0.0)
     return out
 
 

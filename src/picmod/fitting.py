@@ -2,8 +2,12 @@
 
 Fits T(V) = A*sin^2(pi*V/(2*v_pi) + theta0) + floor to transmission-vs-
 voltage data. For a fixed v_pi the model is linear in the equivalent basis
-[1, cos(wV), sin(wV)] with w = pi/v_pi, so the fit reduces to a bounded
-1-D search over v_pi with an exact linear least-squares solve inside.
+[1, cos(wV), sin(wV)] with w = pi/v_pi, so the fit reduces to a 1-D search
+over w with an exact linear least-squares solve inside. The search runs in
+two steps: one batched scan of the residual over a geometric grid of w
+(`_scan_sse`, Gram-Schmidt vectorised over the grid), then a bounded
+refinement around the best grid point with `_linear_solve`, which also
+gives the returned coefficients.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import FitError, InsufficientFringeError
+
+# Grid rows times samples per block of the scan: temporaries of 64 KiB each.
+_SCAN_BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,42 @@ def _linear_solve(volts: np.ndarray, trans: np.ndarray, omega: float):
     coef, _, _, _ = np.linalg.lstsq(basis, trans, rcond=None)
     resid = trans - basis @ coef
     return coef, float(np.sum(resid**2))
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, as a column."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
+
+
+def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of `_linear_solve` at every omega, batched.
+
+    Equal to `_linear_solve(volts, trans, w)[1]` for each w up to rounding.
+    The residual is centred (projects out the constant column), then the
+    centred cos and sin rows are orthonormalised and projected out in turn.
+    A column whose remaining norm is below eps*N*sqrt(N) is rank-deficient,
+    as lstsq's default cutoff would treat it, and is dropped: this happens at
+    the Nyquist end of the grid, where sin(wV) vanishes on every sample.
+    """
+    n = volts.size
+    tol = np.finfo(float).eps * n * math.sqrt(n)
+    centred = trans - trans.mean()
+    rows = max(1, _SCAN_BLOCK_ELEMENTS // n)
+    sses = np.empty(omegas.size)
+    for start in range(0, omegas.size, rows):
+        phase = np.outer(omegas[start : start + rows], volts)
+        resid = np.broadcast_to(centred, phase.shape)
+        basis = []
+        for col in (np.cos(phase), np.sin(phase, out=phase)):
+            col -= col.mean(axis=1, keepdims=True)
+            for q in basis:
+                col -= _row_dot(q, col) * q
+            norm = np.sqrt(_row_dot(col, col))
+            col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > tol)
+            resid = resid - _row_dot(col, resid) * col
+            basis.append(col)
+        sses[start : start + rows] = _row_dot(resid, resid)[:, 0]
+    return sses
 
 
 def fit_v_pi(voltages, transmissions) -> VpiFit:
@@ -60,7 +103,7 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
 
     # Coarse scan, then local refinement of the fringe frequency.
     grid = np.geomspace(omega_lo, omega_hi, 512)
-    sses = np.array([_linear_solve(volts, trans, w)[1] for w in grid])
+    sses = _scan_sse(volts, trans, grid)
     best = int(np.argmin(sses))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]

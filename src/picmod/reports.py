@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import PicmodError
-from .serialize import json_canonical, _jsonable, write_json
-
-import json
+from .serialize import write_json
 
 
 @dataclass(frozen=True)

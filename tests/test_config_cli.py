@@ -20,6 +20,8 @@ from picmod.serialize import (
     write_waveform_bin,
 )
 
+from conftest import CONFIG_DIR
+
 
 @pytest.fixture()
 def base_data(config_795):
@@ -217,3 +219,33 @@ class TestCli:
         assert strip_wall_time(out1 / "sweep_report.json") == strip_wall_time(
             out2 / "sweep_report.json"
         )
+
+
+# (subcommand args, report name). At 1013 nm the channel's own 61.5 dB ER
+# composes scenario C to -61.36 dB, outside 3 dB of the -68 dB target.
+STATIC_COMMANDS = [
+    (("calibrate",), "calibrate"),
+    (("sweep",), "sweep"),
+    (("crosstalk", "--scenario", "A"), "crosstalk_A"),
+    (("crosstalk", "--scenario", "B"), "crosstalk_B"),
+    (("crosstalk", "--scenario", "C"), "crosstalk_C"),
+]
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    @pytest.mark.parametrize("args, name", STATIC_COMMANDS, ids=[n for _, n in STATIC_COMMANDS])
+    def test_static_commands(self, nm, args, name, tmp_path):
+        config = str(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        res = run_cli(*args, "--config", config, "--out", str(tmp_path))
+        expect_fail = nm == 1013 and name == "crosstalk_C"
+        assert res.exit_code == (1 if expect_fail else 0), res.output
+        report = json.loads((tmp_path / f"{name}_report.json").read_text())
+        assert report["passed"] is not expect_fail
+        if name.startswith("crosstalk"):
+            assert (tmp_path / f"{name}.csv").exists()
+        if name == "crosstalk_C":
+            composed = next(m for m in report["metrics"] if m["name"] == "scenario_c_composed")
+            assert composed["passed"] is not expect_fail
+            if expect_fail:
+                assert composed["value"] == pytest.approx(-61.36, abs=0.01)

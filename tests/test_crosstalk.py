@@ -91,6 +91,52 @@ class TestCrosstalkMatrix:
         assert nn_mean_db(m) == pytest.approx(-45.3, abs=0.01)
 
 
+def per_pair_matrix(graph, scenario, t_on, t_off, detector=None):
+    """Reference: one scenario_states list and victim_output call per pair."""
+    n = graph.n_channels
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            states = scenario_states(scenario, i, j, n, t_on, t_off)
+            rel = victim_output(graph, states, j) / (1.0 * t_on)
+            if detector is not None:
+                rel = detector.measure(rel)
+            out[i, j] = -math.inf if rel == 0.0 else 10.0 * math.log10(rel)
+    return out
+
+
+def random_graph(n, seed):
+    """Asymmetric couplings at every distance, some pairs uncoupled."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(2):
+        m = rng.uniform(-110.0, -20.0, (n, n))
+        m[rng.random((n, n)) < 0.2] = -math.inf
+        np.fill_diagonal(m, -math.inf)
+        mats.append(m)
+    return CrosstalkGraph(n, *mats)
+
+
+class TestClosedFormMatchesPerPairSum:
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("floor", [None, 1e-8])
+    @pytest.mark.parametrize("t_off", [T_OFF, 0.0])
+    @pytest.mark.parametrize("which", ["nn8", "random16"])
+    def test_bit_identical(self, graph, scenario, floor, t_off, which):
+        g = graph if which == "nn8" else random_graph(16, seed=7)
+        det = None if floor is None else DetectorModel(relative_floor=floor)
+        fast = crosstalk_matrix(g, scenario, T_ON, t_off, detector=det)
+        assert np.array_equal(fast, per_pair_matrix(g, scenario, T_ON, t_off, det))
+
+    @pytest.mark.parametrize("t_on, t_off", [(T_ON, 1.5), (1.5, T_OFF), (T_ON, -0.1)])
+    def test_out_of_range_transmission_rejected(self, graph, t_on, t_off):
+        for scenario in Scenario:
+            with pytest.raises(PicmodError):
+                crosstalk_matrix(graph, scenario, t_on, t_off)
+
+
 class TestGraphValidation:
     def test_diagonal_must_be_neg_inf(self):
         before = np.zeros((3, 3))

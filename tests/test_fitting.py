@@ -1,12 +1,17 @@
 """Half-wave-voltage fit: recovery, noise robustness, degenerate inputs."""
 
+import math
+
 import numpy as np
 import pytest
 
+from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
 from picmod.errors import FitError, InsufficientFringeError
-from picmod.fitting import fit_v_pi
+from picmod.fitting import _linear_solve, _scan_sse, fit_v_pi
 from picmod.rng import derive_rng
+
+from conftest import CONFIG_DIR
 
 
 def sin2(volts, v_pi, theta0=0.0, amp=1.0, floor=0.0):
@@ -84,3 +89,75 @@ class TestDegenerateInputs:
     def test_shape_mismatch(self):
         with pytest.raises(FitError):
             fit_v_pi(np.arange(10), np.arange(9))
+
+
+def scan_grid(volts):
+    """fit_v_pi's coarse grid: half a fringe over the span up to Nyquist."""
+    span = float(np.ptp(volts))
+    dv = float(np.median(np.diff(np.sort(volts))))
+    return np.geomspace(0.5 * math.pi / span, math.pi / dv, 512)
+
+
+def basis(volts, omega):
+    return np.column_stack([np.ones_like(volts), np.cos(omega * volts), np.sin(omega * volts)])
+
+
+def shipped_sweeps():
+    """The fringes fit_v_pi sees from every shipped channel, with and
+    without the sweep detector (calibrate, and the sweep subcommand)."""
+    cases = []
+    for nm in (420, 795, 1013):
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        v_pi = cfg.data["chip"]["v_pi_volts"]
+        for det in (None, cfg.sweep_detector()):
+            for ch in cfg.channels():
+                res = sweep_channel(ch, 0.0, 2 * v_pi, 241, detector=det, fit=False)
+                cases.append((res.voltages, res.transmissions ** (1.0 / ch.n_stages)))
+    return cases
+
+
+def noisy_sweeps(n_seeds=10):
+    volts = np.linspace(0, 160, 161)
+    clean = sin2(volts, 74.7)
+    cases = []
+    for seed in range(n_seeds):
+        rng = derive_rng(seed, "scan-oracle-test")
+        noisy = clean * (1 + 0.01 * rng.standard_normal(volts.size))
+        cases.append((volts, np.clip(noisy, 0, None)))
+    return cases
+
+
+class TestBatchedScan:
+    """The batched scan against one lstsq solve per grid point."""
+
+    @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps())
+    def test_matches_per_point_solve(self, volts, trans):
+        grid = scan_grid(volts)
+        # Every sweep starts at 0 V, so at the Nyquist end sin(wV) vanishes on
+        # every sample to rounding: the basis there is numerically singular.
+        assert np.linalg.cond(basis(volts, grid[-1])) > 1e11
+        fast = _scan_sse(volts, trans, grid)
+        slow = np.array([_linear_solve(volts, trans, w)[1] for w in grid])
+        assert np.argmin(fast) == np.argmin(slow)
+        assert np.max(np.abs(fast - slow)) <= 1e-9 * np.dot(trans, trans)
+
+    def test_ill_conditioned_nyquist_end_keeps_argmin(self):
+        # Off zero, cos(wV) and sin(wV) become nearly parallel at Nyquist,
+        # so the residual there depends on rounding in either solver; the
+        # comparison holds on the rest of the grid.
+        volts = np.linspace(-100, 260, 301)
+        trans = sin2(volts, 123.4, theta0=0.3, amp=0.8, floor=0.05)
+        grid = scan_grid(volts)
+        fast = _scan_sse(volts, trans, grid)
+        slow = np.array([_linear_solve(volts, trans, w)[1] for w in grid])
+        assert np.argmin(fast) == np.argmin(slow)
+        ok = np.array([np.linalg.cond(basis(volts, w)) < 1e6 for w in grid])
+        assert not ok[-1] and ok[:-1].all()
+        assert np.max(np.abs(fast - slow)[ok]) <= 1e-9 * np.dot(trans, trans)
+
+    def test_block_boundaries_do_not_matter(self, monkeypatch):
+        volts, trans = noisy_sweeps(1)[0]
+        grid = scan_grid(volts)
+        whole = _scan_sse(volts, trans, grid)
+        monkeypatch.setattr("picmod.fitting._SCAN_BLOCK_ELEMENTS", 7 * volts.size)
+        assert np.array_equal(_scan_sse(volts, trans, grid), whole)
