@@ -6,6 +6,13 @@ transmitted power through the detector, forms a discrete gradient
 estimate, and applies a PI correction. Runs are event-driven at the
 update cadence, so a 20-hour run costs only its update count in wall
 time; reported times are physical seconds.
+
+Only the dither/PI recurrence runs once per update, as a scalar loop that
+yields the correction trajectory. The off-state powers, the ER samples,
+the mean leakage and the final error are then computed in one go over
+that trajectory; a disengaged run has zero correction and runs no loop.
+The dither measurements and the ER samples draw their detector noise
+from separate labelled streams, so neither depends on the other.
 """
 
 from __future__ import annotations
@@ -39,12 +46,24 @@ def _stage_terms(channel: ModulatorChannel) -> list[tuple[float, float, float]]:
     return terms
 
 
+def _stage_coeffs(terms) -> list[tuple[float, float]]:
+    """(a^2+b^2, sign*2ab) per stage: monitored power c0 + c1*cos(phi)."""
+    return [(a * a + b * b, sign * 2.0 * a * b) for a, b, sign in terms]
+
+
 def transmission_at_phase(terms, phase):
     """Cascade transmission for a common differential phase per stage."""
+    *head, (c0, c1) = _stage_coeffs(terms)
+    c = np.cos(phase)
     out = 1.0
-    for a, b, sign in terms:
-        out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phase))
-    return out
+    for h0, h1 in head:
+        out = out * (h0 + h1 * c)
+    # The last stage's factor is formed in the cos array itself, so no more
+    # arrays are alive at once than with one np.cos per stage.
+    c *= c1
+    c += c0
+    c *= out
+    return c
 
 
 @dataclass(frozen=True)
@@ -80,6 +99,63 @@ class LockRunResult:
     final_error_rad: float = 0.0  # residual bias error at the last update
 
 
+def _correction_path(terms, drift, peak, controller, detector, rng) -> np.ndarray:
+    """Bias correction after each update: the dither/PI recurrence.
+
+    Each update measures the cascade at eps +/- dither (one math.cos per
+    point, the detector applied inline) and steps the PI controller.
+    Raises LockDivergedError at the first update whose correction leaves
+    [-pi, pi].
+    """
+    coeffs = _stage_coeffs(terms)
+    d = controller.dither_amplitude
+    gain_p, gain_i = controller.gain_p, controller.gain_i
+    i_lim, s_lim = controller.integrator_limit, controller.max_step
+    floor, clamp = detector.relative_floor, detector.clamp
+    sigma = detector.additive_noise_sigma
+    noisy = sigma > 0
+    if noisy:  # one draw per dither point, in measurement order
+        draws = iter(memoryview(rng.normal(0.0, sigma, size=2 * drift.size)))
+    cos = math.cos
+
+    correction = 0.0
+    integ = 0.0
+    path = np.empty(drift.size)
+    # memoryviews read and write plain floats without a list of the run.
+    out = memoryview(path)
+    for k, drift_k in enumerate(memoryview(drift)):
+        eps = drift_k + correction
+        c_plus = cos(eps + d)
+        c_minus = cos(eps - d)
+        t_plus = t_minus = 1.0
+        for c0, c1 in coeffs:
+            t_plus = t_plus * (c0 + c1 * c_plus)
+            t_minus = t_minus * (c0 + c1 * c_minus)
+        p_plus = t_plus / peak
+        p_minus = t_minus / peak
+        if clamp:
+            if not p_plus > floor:
+                p_plus = floor
+            if not p_minus > floor:
+                p_minus = floor
+        if noisy:
+            p_plus = max(p_plus + next(draws), 0.0)
+            p_minus = max(p_minus + next(draws), 0.0)
+        grad = (p_plus - p_minus) / (2.0 * d)
+        integ += gain_i * grad
+        integ = min(max(integ, -i_lim), i_lim)
+        step = gain_p * grad + integ
+        step = min(max(step, -s_lim), s_lim)
+        correction -= step
+        if abs(correction) > math.pi:
+            raise LockDivergedError(
+                f"bias correction diverged to {correction:.3f} rad at update {k} "
+                f"(unstable gains?)"
+            )
+        out[k] = correction
+    return path
+
+
 def run_lock(
     channel: ModulatorChannel,
     noise: NoiseModel,
@@ -101,75 +177,51 @@ def run_lock(
     n_updates = int(round(duration * controller.update_rate))
     if n_updates < 1:
         raise PicmodError("duration shorter than one controller update")
+    if er_sample_every < 1:
+        raise PicmodError("er_sample_every must be >= 1")
     drift_rng = derive_rng(noise.seed, "lock", "bias-drift")
-    meas_rng = derive_rng(noise.seed, "lock", "detector")
+    dither_rng = derive_rng(noise.seed, "lock", "dither-detector")
+    er_rng = derive_rng(noise.seed, "lock", "er-detector")
     drift = sample_ou_path(
         noise.bias_drift.sigma,
         noise.bias_drift.correlation_time,
         duration,
         dt,
         rng=drift_rng,
-    ) + initial_offset
+    )[:n_updates] + initial_offset
 
     terms = _stage_terms(channel)
-    peak = transmission_at_phase(terms, math.pi)
-    floor = detector.relative_floor
-    noisy = detector.additive_noise_sigma > 0
-    d = controller.dither_amplitude
+    peak = float(transmission_at_phase(terms, math.pi))
+    on_static = detector.measure(1.0, rng=dither_rng)
+    off_static = detector.measure(transmission_at_phase(terms, 0.0) / peak, rng=dither_rng)
+    er_static = 10.0 * math.log10(on_static / off_static)
+    correction = (
+        _correction_path(terms, drift, peak, controller, detector, dither_rng)
+        if engaged
+        else 0.0
+    )
 
-    def meas(power):
-        if noisy:
-            return detector.measure(power, rng=meas_rng)
-        return power if power > floor or not detector.clamp else floor
-
-    correction = 0.0
-    integ = 0.0
-    times = []
-    ers = []
-    leak_sum = 0.0
-    on_static = meas(1.0)
-    er_static = 10.0 * math.log10(on_static / meas(transmission_at_phase(terms, 0.0) / peak))
-    for k in range(n_updates):
-        eps = drift[k] + correction
-        if engaged:
-            p_plus = meas(transmission_at_phase(terms, eps + d) / peak)
-            p_minus = meas(transmission_at_phase(terms, eps - d) / peak)
-            grad = (p_plus - p_minus) / (2.0 * d)
-            integ += controller.gain_i * grad
-            integ = min(max(integ, -controller.integrator_limit), controller.integrator_limit)
-            step = controller.gain_p * grad + integ
-            step = min(max(step, -controller.max_step), controller.max_step)
-            correction -= step
-            if abs(correction) > math.pi:
-                raise LockDivergedError(
-                    f"bias correction diverged to {correction:.3f} rad at update {k} "
-                    f"(unstable gains?)"
-                )
-        eps = drift[k] + correction
-        p_off = transmission_at_phase(terms, eps) / peak
-        leak_sum += p_off
-        if k % er_sample_every == 0:
-            p_off_meas = detector.measure(p_off, rng=meas_rng if noisy else None)
-            p_on_meas = detector.measure(
-                transmission_at_phase(terms, math.pi + eps) / peak,
-                rng=meas_rng if noisy else None,
-            )
-            times.append(k * dt)
-            ers.append(10.0 * math.log10(p_on_meas / p_off_meas))
-
-    times = np.asarray(times)
-    ers = np.asarray(ers)
+    # Everything else is a function of the bias error after each update.
+    eps = drift + correction
+    p_off = transmission_at_phase(terms, eps) / peak
+    leak_sum = np.cumsum(p_off)[-1]  # sequential, like a running +=
+    ks = np.arange(0, n_updates, er_sample_every)
+    sampled = np.stack([p_off[ks], transmission_at_phase(terms, math.pi + eps[ks]) / peak], axis=1)
+    # Row-major draws: OFF then ON at each sample, as the samples are taken.
+    off_meas, on_meas = detector.measure(sampled, rng=er_rng).T
+    # Scalar log10: numpy's array log10 differs from it in the last bit.
+    ers = np.array([10.0 * math.log10(r) for r in (on_meas / off_meas).tolist()])
     locked_fraction = float(np.mean(ers >= er_static - locked_margin_db))
-    mean_leak = detector.measure(leak_sum / n_updates, rng=meas_rng if noisy else None)
+    mean_leak = detector.measure(leak_sum / n_updates, rng=er_rng)
     return LockRunResult(
-        times=times,
+        times=ks * dt,
         er_db=ers,
         locked_fraction=locked_fraction,
         er_mean_db=float(np.mean(ers)),
         er_std_db=float(np.std(ers)),
         er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
         engaged=engaged,
-        final_error_rad=float(drift[n_updates - 1] + correction),
+        final_error_rad=float(eps[-1]),
     )
 
 

@@ -31,10 +31,13 @@ def write_csv(path, header: list[str], columns: list) -> None:
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise PicmodError("CSV columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(fmt(c[i]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # Format from plain Python values: one tolist() per column, not one
+    # numpy scalar per cell. Lines are written as they are formatted, so
+    # the text is never held whole, which pays for the tolist() values.
+    rows = zip(*(c.tolist() for c in columns))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def json_canonical(obj) -> str:

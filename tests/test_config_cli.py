@@ -15,6 +15,7 @@ from picmod.dynamics import Waveform
 from picmod.errors import ConfigError, PicmodError
 from picmod.serialize import (
     config_hash,
+    fmt,
     read_waveform_bin,
     write_csv,
     write_waveform_bin,
@@ -110,6 +111,22 @@ class TestSerialize:
     def test_csv_columns_equal_length(self, tmp_path):
         with pytest.raises(PicmodError):
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+
+    def test_csv_bytes_match_per_cell_formatting(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [
+            np.concatenate([rng.standard_normal(200) * 1e-9, [0.0, -0.0, 1e300, 5e-324]]),
+            rng.standard_normal(204).astype(np.float32),
+            rng.integers(-(2**62), 2**62, 204, dtype=np.int64),
+            rng.random(204) < 0.5,
+        ]
+        header = ["f64", "f32", "i64", "bool"]
+        write_csv(tmp_path / "x.csv", header, columns)
+        # Oracle: one numpy scalar per cell.
+        lines = [",".join(header)]
+        for i in range(204):
+            lines.append(",".join(fmt(c[i]) for c in columns))
+        assert (tmp_path / "x.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_config_hash_stable_across_key_order(self):
         a = {"x": 1, "y": {"a": 2, "b": 3}}
@@ -249,3 +266,19 @@ class TestShippedConfigs:
             assert composed["passed"] is not expect_fail
             if expect_fail:
                 assert composed["value"] == pytest.approx(-61.36, abs=0.01)
+
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_stability(self, nm, tmp_path):
+        # The >= 20 dB lock_degradation margin at 1013 nm depends on the
+        # seed, so only the exit code's agreement with the report is fixed.
+        config = str(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            res = run_cli("stability", "--config", config, "--out", str(out), "--seed", "42")
+            for name in ("lock_er_timeseries.csv", "pulse_area_histogram.csv",
+                         "stability_report.json"):
+                assert (out / name).exists(), name
+            report = json.loads((out / "stability_report.json").read_text())
+            assert res.exit_code == (0 if report["passed"] else 1), res.output
+        name = "lock_er_timeseries.csv"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -1,21 +1,130 @@
 """Bias-lock controller and long-run pulse stability experiments."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
 from picmod.errors import LockDivergedError, PicmodError
 from picmod.lock import (
     LockController,
+    LockRunResult,
     _stage_terms,
     noisy_pulse_experiment,
     run_lock,
     transmission_at_phase,
 )
-from picmod.noise import DetectorModel, NoiseModel, OuParams
+from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
+from picmod.rng import derive_rng
 from picmod.waveforms import PulseSpec
 
+from conftest import CONFIG_DIR
+
 DET = DetectorModel(relative_floor=1e-8)
+
+
+def per_stage_transmission(terms, phase):
+    """Oracle: one cos per stage, as transmission_at_phase once did."""
+    out = 1.0
+    for a, b, sign in terms:
+        out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phase))
+    return out
+
+
+def reference_run_lock(
+    channel, noise, controller, duration, detector, engaged=True,
+    er_sample_every=60, locked_margin_db=5.0, initial_offset=0.0,
+):
+    """Oracle: one Python iteration per update doing every step of the run.
+
+    The dither measurements draw from ("lock", "dither-detector") and the
+    ER samples and mean leakage from ("lock", "er-detector"); without
+    detector noise neither stream is read.
+    """
+    dt = 1.0 / controller.update_rate
+    n_updates = int(round(duration * controller.update_rate))
+    dither_rng = derive_rng(noise.seed, "lock", "dither-detector")
+    er_rng = derive_rng(noise.seed, "lock", "er-detector")
+    drift = sample_ou_path(
+        noise.bias_drift.sigma,
+        noise.bias_drift.correlation_time,
+        duration,
+        dt,
+        rng=derive_rng(noise.seed, "lock", "bias-drift"),
+    ) + initial_offset
+
+    terms = _stage_terms(channel)
+    peak = per_stage_transmission(terms, math.pi)
+    floor = detector.relative_floor
+    noisy = detector.additive_noise_sigma > 0
+    d = controller.dither_amplitude
+
+    def meas(power):
+        if noisy:
+            return detector.measure(power, rng=dither_rng)
+        return power if power > floor or not detector.clamp else floor
+
+    correction = 0.0
+    integ = 0.0
+    times = []
+    ers = []
+    leak_sum = 0.0
+    on_static = meas(1.0)
+    er_static = 10.0 * math.log10(
+        on_static / meas(per_stage_transmission(terms, 0.0) / peak)
+    )
+    for k in range(n_updates):
+        eps = drift[k] + correction
+        if engaged:
+            p_plus = meas(per_stage_transmission(terms, eps + d) / peak)
+            p_minus = meas(per_stage_transmission(terms, eps - d) / peak)
+            grad = (p_plus - p_minus) / (2.0 * d)
+            integ += controller.gain_i * grad
+            integ = min(max(integ, -controller.integrator_limit), controller.integrator_limit)
+            step = controller.gain_p * grad + integ
+            step = min(max(step, -controller.max_step), controller.max_step)
+            correction -= step
+            if abs(correction) > math.pi:
+                raise LockDivergedError(
+                    f"bias correction diverged to {correction:.3f} rad at update {k} "
+                    f"(unstable gains?)"
+                )
+        eps = drift[k] + correction
+        p_off = per_stage_transmission(terms, eps) / peak
+        leak_sum += p_off
+        if k % er_sample_every == 0:
+            p_off_meas = detector.measure(p_off, rng=er_rng)
+            p_on_meas = detector.measure(
+                per_stage_transmission(terms, math.pi + eps) / peak, rng=er_rng
+            )
+            times.append(k * dt)
+            ers.append(10.0 * math.log10(p_on_meas / p_off_meas))
+
+    times = np.asarray(times)
+    ers = np.asarray(ers)
+    mean_leak = detector.measure(leak_sum / n_updates, rng=er_rng)
+    return LockRunResult(
+        times=times,
+        er_db=ers,
+        locked_fraction=float(np.mean(ers >= er_static - locked_margin_db)),
+        er_mean_db=float(np.mean(ers)),
+        er_std_db=float(np.std(ers)),
+        er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
+        engaged=engaged,
+        final_error_rad=float(drift[n_updates - 1] + correction),
+    )
+
+
+def assert_same_run(got, want):
+    for f in fields(LockRunResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +152,29 @@ class TestClosedForm:
         full = channel_transmission_equal(channel, volts, include_loss=False)
         fast = transmission_at_phase(terms, phases)
         assert np.allclose(full, fast, atol=1e-14)
+
+    @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
+    def test_one_cos_per_call_equals_per_stage_form(self, n_stages):
+        rng = np.random.default_rng(n_stages)
+        split = power_split_for_er(71.4, 2)
+        calibrated = _stage_terms(make_calibrated_channel(74.7, split, n_stages))
+        mixed = [
+            (a, b, sign)
+            for a, b, sign in zip(
+                rng.uniform(0.3, 0.8, n_stages),
+                rng.uniform(0.3, 0.8, n_stages),
+                rng.choice([-1.0, 1.0], n_stages),
+            )
+        ]
+        phases = rng.uniform(-4 * np.pi, 4 * np.pi, 4001)
+        for terms in (calibrated, mixed):
+            assert np.array_equal(
+                transmission_at_phase(terms, phases), per_stage_transmission(terms, phases)
+            )
+            for phase in (0.0, math.pi, float(phases[7])):
+                assert transmission_at_phase(terms, phase) == per_stage_transmission(
+                    terms, phase
+                )
 
 
 class TestRunLock:
@@ -91,11 +223,86 @@ class TestRunLock:
         with pytest.raises(PicmodError):
             run_lock(channel, drift_noise, LockController(), 0.01, DET)
 
+    def test_er_stride_validated(self, channel, drift_noise):
+        with pytest.raises(PicmodError):
+            run_lock(channel, drift_noise, LockController(), 60.0, DET, er_sample_every=0)
+
     def test_controller_validation(self):
         with pytest.raises(PicmodError):
             LockController(update_rate=0.0)
         with pytest.raises(PicmodError):
             LockController(dither_amplitude=0.0)
+
+
+class TestRunLockOracle:
+    """run_lock must return exactly what the per-update loop returns."""
+
+    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_shipped_configs_one_hour(self, nm, seed, engaged):
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        args = (
+            cfg.channels()[0],
+            cfg.noise_model(seed=seed),
+            cfg.lock_controller(),
+            3600.0,
+            cfg.onchip_detector(),
+        )
+        assert_same_run(
+            run_lock(*args, engaged=engaged), reference_run_lock(*args, engaged=engaged)
+        )
+
+    def test_quiet_static_offset(self, channel):
+        quiet = NoiseModel(bias_drift=OuParams(0.0, 1.0), seed=0)
+        args = (channel, quiet, LockController(), 100.0, DET)
+        assert_same_run(
+            run_lock(*args, initial_offset=0.3),
+            reference_run_lock(*args, initial_offset=0.3),
+        )
+
+    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
+    def test_unclamped_detector(self, channel, drift_noise, engaged):
+        det = DetectorModel(relative_floor=1e-4, clamp=False)
+        args = (channel, drift_noise, LockController(), 1800.0, det)
+        assert_same_run(
+            run_lock(*args, engaged=engaged, er_sample_every=7),
+            reference_run_lock(*args, engaged=engaged, er_sample_every=7),
+        )
+
+    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
+    def test_noisy_detector(self, channel, drift_noise, engaged):
+        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-9)
+        args = (channel, drift_noise, LockController(), 1800.0, det)
+        assert_same_run(
+            run_lock(*args, engaged=engaged), reference_run_lock(*args, engaged=engaged)
+        )
+
+    def test_divergence_at_same_update(self, channel, drift_noise):
+        bad = LockController(gain_p=-500.0, gain_i=0.0, max_step=1.0)
+        args = (channel, drift_noise, bad, 3600.0, DET)
+        with pytest.raises(LockDivergedError) as want:
+            reference_run_lock(*args, initial_offset=0.2)
+        with pytest.raises(LockDivergedError) as got:
+            run_lock(*args, initial_offset=0.2)
+        assert str(got.value) == str(want.value)
+
+
+class TestNoisyDetectorStreams:
+    DET_NOISY = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-9)
+
+    def test_same_seed_reproduces_bit_for_bit(self, channel, drift_noise):
+        args = (channel, drift_noise, LockController(), 3600.0, self.DET_NOISY)
+        assert_same_run(run_lock(*args), run_lock(*args))
+
+    def test_control_loop_independent_of_er_sampling(self, channel, drift_noise):
+        # The ER sampler draws from its own stream, so how often it samples
+        # cannot change what the dither measurements see.
+        args = (channel, drift_noise, LockController(), 3600.0, self.DET_NOISY)
+        dense = run_lock(*args, er_sample_every=1)
+        sparse = run_lock(*args, er_sample_every=60)
+        assert dense.er_db.size == 18000 and sparse.er_db.size == 300
+        assert dense.final_error_rad == sparse.final_error_rad
 
 
 SPEC = PulseSpec(on_level=74.7, off_level=0.0, on_duration=0.5e-6, period=1e-6)
