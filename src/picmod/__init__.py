@@ -41,7 +41,6 @@ from .config import ExperimentConfig
 from .crosstalk import (
     ChannelState,
     CrosstalkGraph,
-    ModState,
     Scenario,
     crosstalk_matrix,
     nearest_neighbor_graph,
@@ -59,7 +58,7 @@ from .lock import (
     run_lock,
     transmission_at_phase,
 )
-from .noise import DetectorModel, NoiseModel, OuParams, measure, sample_ou_path
+from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .reports import RunReport, load_report
 from .waveforms import (
     DynamicExtinction,

@@ -1,7 +1,7 @@
 """Calibration routines: coupler splits from ER targets and verification.
 
 Calibration is deterministic given the configuration: each channel's
-coupler power split is solved by bisection from its extinction target,
+coupler power split is solved in closed form from its extinction target,
 then every derived quantity (ER, v_pi fit, link budget) is re-measured
 through the forward model and compared against the target before the
 calibrated configuration is written out.

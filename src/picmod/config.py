@@ -255,21 +255,19 @@ class ExperimentConfig:
             damping_ratio=act["damping_ratio"],
         )
 
-    def sweep_detector(self) -> DetectorModel:
+    def _detector(self, floor_key: str) -> DetectorModel:
         det = self.data["detector"]
         return DetectorModel(
-            relative_floor=10.0 ** (det["sweep_floor_db"] / 10.0),
+            relative_floor=10.0 ** (det[floor_key] / 10.0),
             additive_noise_sigma=det["additive_noise_sigma"],
             clamp=det["clamp"],
         )
 
+    def sweep_detector(self) -> DetectorModel:
+        return self._detector("sweep_floor_db")
+
     def onchip_detector(self) -> DetectorModel:
-        det = self.data["detector"]
-        return DetectorModel(
-            relative_floor=10.0 ** (det["onchip_floor_db"] / 10.0),
-            additive_noise_sigma=det["additive_noise_sigma"],
-            clamp=det["clamp"],
-        )
+        return self._detector("onchip_floor_db")
 
     def noise_model(self, seed=None) -> NoiseModel:
         nz = self.data["noise"]

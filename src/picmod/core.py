@@ -1,11 +1,20 @@
-"""Static transfer-matrix model of cascaded-MZI modulator channels.
+"""Closed-form model of cascaded-MZI modulator channels.
 
-A channel is a cascade of 2x2 Mach-Zehnder stages. Each stage is the
-complex matrix product  C_out . diag(e^{i phi1}, e^{i phi2}) . C_in  of its
-output coupler, arm phase shifters, and input coupler. One arm of each
-stage carries the driven (MOD) phase shifter, the other a static BIAS
-shifter. Finite extinction comes from coupler power-split imbalance; all
-channel loss is lumped into a single scalar after the matrix chain.
+A channel is a cascade of Mach-Zehnder stages: input coupler, one phase
+shifter per arm, output coupler. One arm carries the driven (MOD)
+shifter, the other a static BIAS shifter. With light in on port 0, a
+stage's monitored power is
+
+    a^2 + b^2 + sign * 2ab * cos(phi_mod(V) - phi_bias)
+
+where a and b are products of the coupler amplitudes and sign is -1 on
+the BAR port, +1 on the CROSS port (`MziStage.terms`). Finite extinction
+comes from coupler power-split imbalance, floor (a - b)^2, and the same
+formula inverts exactly: `power_split_for_er` solves it for the split
+that gives a target ER. Stage powers multiply along the cascade; all
+channel loss is lumped into one scalar at the end. The complex 2x2
+matrix chain this form is derived from is kept in the tests as its
+oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ from .fitting import VpiFit, fit_v_pi
 PROPAGATION_LOSS_DB_PER_CM = {795: 1.5, 1013: 2.7, 420: 5.6}
 
 SUPPORTED_WAVELENGTHS_NM = (420, 795, 1013)
+
+# Smallest coupler imbalance power_split_for_er returns.
+MIN_IMBALANCE = 1e-4
 
 
 class ShifterRole(enum.Enum):
@@ -52,10 +64,6 @@ class Coupler:
     @property
     def r(self) -> float:
         return math.sqrt(self.power_split)
-
-    def matrix(self) -> np.ndarray:
-        t, r = self.t, self.r
-        return np.array([[t, 1j * r], [1j * r, t]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -96,55 +104,34 @@ class MziStage:
     def bias_shifter(self) -> PhaseShifter:
         return next(ps for ps in self.arm_phase_shifters if ps.role is ShifterRole.BIAS)
 
-    def arm_phases(self, drive_voltage):
-        """Phases (arm1, arm2) with the drive applied to the MOD arm only."""
-        phases = []
-        for ps in self.arm_phase_shifters:
-            v = drive_voltage if ps.role is ShifterRole.MOD else 0.0
-            phases.append(ps.phase(v))
-        return phases[0], phases[1]
+    @property
+    def terms(self) -> tuple[float, float, float]:
+        """(a, b, sign): monitored power a^2 + b^2 + sign*2ab*cos(phi)."""
+        cin, cout = self.input_coupler, self.output_coupler
+        if self.monitored_port is Port.BAR:
+            return cin.t * cout.t, cin.r * cout.r, -1.0
+        return cin.t * cout.r, cin.r * cout.t, 1.0
 
     def min_transmission(self) -> float:
         """Floor of the monitored-port power over all drive voltages."""
-        a = self.input_coupler.t * self.output_coupler.t
-        b = self.input_coupler.r * self.output_coupler.r
-        if self.monitored_port is Port.BAR:
-            return (a - b) ** 2
-        a2 = self.input_coupler.t * self.output_coupler.r
-        b2 = self.input_coupler.r * self.output_coupler.t
-        return (a2 - b2) ** 2
+        a, b, _ = self.terms
+        return (a - b) ** 2
 
     def max_transmission(self) -> float:
-        a = self.input_coupler.t * self.output_coupler.t
-        b = self.input_coupler.r * self.output_coupler.r
-        if self.monitored_port is Port.BAR:
-            return (a + b) ** 2
-        a2 = self.input_coupler.t * self.output_coupler.r
-        b2 = self.input_coupler.r * self.output_coupler.t
-        return (a2 + b2) ** 2
+        a, b, _ = self.terms
+        return (a + b) ** 2
 
 
-def stage_matrix(stage: MziStage, drive_voltage) -> np.ndarray:
-    """Full 2x2 complex transfer matrix of a stage at the given drive.
-
-    Broadcasts over array-valued drive voltages; the matrix axes are the
-    trailing two dimensions.
-    """
-    phi1, phi2 = stage.arm_phases(drive_voltage)
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
-    shape = np.broadcast_shapes(phi1.shape, phi2.shape)
-    prop = np.zeros(shape + (2, 2), dtype=complex)
-    prop[..., 0, 0] = np.exp(1j * phi1)
-    prop[..., 1, 1] = np.exp(1j * phi2)
-    return stage.output_coupler.matrix() @ prop @ stage.input_coupler.matrix()
+def fringe_coeffs(a: float, b: float, sign: float) -> tuple[float, float]:
+    """(c0, c1) of the stage power c0 + c1*cos(phi) for terms (a, b, sign)."""
+    return a * a + b * b, sign * 2.0 * a * b
 
 
 def stage_transmission(stage: MziStage, drive_voltage):
-    """Monitored-port power transmission |field|^2 for input on port 0."""
-    m = stage_matrix(stage, drive_voltage)
-    amp = m[..., stage.monitored_port.value, 0]
-    out = np.abs(amp) ** 2
+    """Monitored-port power transmission for input on port 0."""
+    c0, c1 = fringe_coeffs(*stage.terms)
+    phi = stage.mod_shifter.phase(drive_voltage) - stage.bias_shifter.bias_phase
+    out = c0 + c1 * np.cos(phi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,6 +172,11 @@ class ModulatorChannel:
 
     def extinction_ratio_db(self) -> float:
         return 10.0 * math.log10(self.max_transmission() / self.min_transmission())
+
+
+def stage_terms(channel: ModulatorChannel) -> list[tuple[float, float, float]]:
+    """(a, b, sign) of every stage of the channel, in order."""
+    return [st.terms for st in channel.stages]
 
 
 def channel_transmission(channel: ModulatorChannel, drive_voltages, include_loss=True):
@@ -333,24 +325,22 @@ def make_calibrated_channel(
     )
 
 
-def power_split_for_er(
-    target_er_db: float, n_stages: int = 2, min_imbalance: float = 1e-4
-) -> float:
+def power_split_for_er(target_er_db: float, n_stages: int = 2) -> float:
     """Coupler power split whose imbalance yields the target channel ER.
 
-    Bisection on the imbalance delta = power_split - 0.5 over the bracket
-    [min_imbalance, 0.25]; the channel floor for equal imbalance on all
-    couplers is (2*delta)^(2*n_stages), so ER is monotone decreasing in
-    delta. Targets outside the bracket's ER range raise CalibrationError.
+    With imbalance delta = power_split - 0.5 on every coupler a stage's
+    floor is (2*delta)^2 of its unit peak, so the channel ER is
+    -20*n_stages*log10(2*delta) and delta = 0.5*10^(-ER/(20*n_stages)).
+    Targets whose delta falls outside [MIN_IMBALANCE, 0.25] raise
+    CalibrationError.
     """
     if target_er_db <= 0:
         raise CalibrationError("target ER must be positive")
 
     def er_of(delta: float) -> float:
-        ch = make_calibrated_channel(v_pi=1.0, power_split=0.5 + delta, n_stages=n_stages)
-        return ch.extinction_ratio_db()
+        return -20.0 * n_stages * math.log10(2.0 * delta)
 
-    lo, hi = min_imbalance, 0.25 - 1e-12
+    lo, hi = MIN_IMBALANCE, 0.25 - 1e-12
     if er_of(lo) < target_er_db:
         raise CalibrationError(
             f"target ER {target_er_db} dB above the {n_stages}-stage maximum "
@@ -360,10 +350,4 @@ def power_split_for_er(
         raise CalibrationError(
             f"target ER {target_er_db} dB below the bracket minimum ({er_of(hi):.1f} dB)"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if er_of(mid) > target_er_db:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 + 0.5 * (lo + hi)
+    return 0.5 + 0.5 * 10.0 ** (-target_er_db / (20.0 * n_stages))

@@ -25,11 +25,6 @@ from .errors import CalibrationError, PicmodError
 NEG_INF = float("-inf")
 
 
-class ModState(enum.Enum):
-    ON = "on"
-    OFF = "off"
-
-
 class Scenario(enum.Enum):
     """Victim configuration: A = dark/OFF, B = dark/ON, C = lit/OFF."""
 
@@ -41,7 +36,6 @@ class Scenario(enum.Enum):
 @dataclass(frozen=True)
 class ChannelState:
     optical_input: float  # linear power, 0 if inactive
-    modulator_state: ModState
     modulator_transmission: float  # linear
 
     def __post_init__(self):
@@ -130,15 +124,15 @@ def scenario_states(
     t_off: float,
 ) -> list[ChannelState]:
     """State template per measurement scenario: aggressor lit and ON."""
-    dark_off = ChannelState(0.0, ModState.OFF, t_off)
+    dark_off = ChannelState(0.0, t_off)
     states = [dark_off] * n_channels
-    states[aggressor] = ChannelState(1.0, ModState.ON, t_on)
+    states[aggressor] = ChannelState(1.0, t_on)
     if scenario is Scenario.A:
-        states[victim] = ChannelState(0.0, ModState.OFF, t_off)
+        states[victim] = ChannelState(0.0, t_off)
     elif scenario is Scenario.B:
-        states[victim] = ChannelState(0.0, ModState.ON, t_on)
+        states[victim] = ChannelState(0.0, t_on)
     else:
-        states[victim] = ChannelState(1.0, ModState.OFF, t_off)
+        states[victim] = ChannelState(1.0, t_off)
     return states
 
 

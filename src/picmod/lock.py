@@ -7,12 +7,17 @@ estimate, and applies a PI correction. Runs are event-driven at the
 update cadence, so a 20-hour run costs only its update count in wall
 time; reported times are physical seconds.
 
-Only the dither/PI recurrence runs once per update, as a scalar loop that
-yields the correction trajectory. The off-state powers, the ER samples,
-the mean leakage and the final error are then computed in one go over
-that trajectory; a disengaged run has zero correction and runs no loop.
-The dither measurements and the ER samples draw their detector noise
-from separate labelled streams, so neither depends on the other.
+Every stage sees the same bias error, so the cascade power at a common
+stage phase phi is the product of the closed-form stage powers
+c0 + c1*cos(phi), with (a, b, sign) from `core.stage_terms` and
+(c0, c1) from `core.fringe_coeffs`; the lock keeps no transfer model of
+its own. Only the dither/PI recurrence runs once per update, as a scalar
+loop on those coefficients that yields the correction trajectory. The
+off-state powers, the ER samples, the mean leakage and the final error
+are then computed in one go over that trajectory; a disengaged run has
+zero correction and runs no loop. The dither measurements and the ER
+samples draw their detector noise from separate labelled streams, so
+neither depends on the other.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModulatorChannel, Port
+from .core import ModulatorChannel, fringe_coeffs, stage_terms
 from .dynamics import OpticalTrace, Waveform, convolve_causal
 from .errors import LockDivergedError, PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
@@ -30,30 +35,12 @@ from .rng import derive_rng
 from .waveforms import PulseSpec, make_pulse_train, pulse_areas
 
 
-def _stage_terms(channel: ModulatorChannel) -> list[tuple[float, float, float]]:
-    """(a, b, sign) per stage with monitored power a^2+b^2+sign*2ab*cos(phi)."""
-    terms = []
-    for st in channel.stages:
-        if st.monitored_port is Port.BAR:
-            a = st.input_coupler.t * st.output_coupler.t
-            b = st.input_coupler.r * st.output_coupler.r
-            sign = -1.0
-        else:
-            a = st.input_coupler.t * st.output_coupler.r
-            b = st.input_coupler.r * st.output_coupler.t
-            sign = 1.0
-        terms.append((a, b, sign))
-    return terms
-
-
-def _stage_coeffs(terms) -> list[tuple[float, float]]:
-    """(a^2+b^2, sign*2ab) per stage: monitored power c0 + c1*cos(phi)."""
-    return [(a * a + b * b, sign * 2.0 * a * b) for a, b, sign in terms]
-
-
 def transmission_at_phase(terms, phase):
-    """Cascade transmission for a common differential phase per stage."""
-    *head, (c0, c1) = _stage_coeffs(terms)
+    """Cascade transmission for a common differential phase per stage.
+
+    ``terms`` holds one (a, b, sign) per stage, as `core.stage_terms` gives.
+    """
+    *head, (c0, c1) = [fringe_coeffs(*t) for t in terms]
     c = np.cos(phase)
     out = 1.0
     for h0, h1 in head:
@@ -107,7 +94,7 @@ def _correction_path(terms, drift, peak, controller, detector, rng) -> np.ndarra
     Raises LockDivergedError at the first update whose correction leaves
     [-pi, pi].
     """
-    coeffs = _stage_coeffs(terms)
+    coeffs = [fringe_coeffs(*t) for t in terms]
     d = controller.dither_amplitude
     gain_p, gain_i = controller.gain_p, controller.gain_i
     i_lim, s_lim = controller.integrator_limit, controller.max_step
@@ -190,7 +177,7 @@ def run_lock(
         rng=drift_rng,
     )[:n_updates] + initial_offset
 
-    terms = _stage_terms(channel)
+    terms = stage_terms(channel)
     peak = float(transmission_at_phase(terms, math.pi))
     on_static = detector.measure(1.0, rng=dither_rng)
     off_static = detector.measure(transmission_at_phase(terms, 0.0) / peak, rng=dither_rng)
@@ -297,7 +284,7 @@ def noisy_pulse_experiment(
     )[:total]
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
 
-    terms = _stage_terms(channel)
+    terms = stage_terms(channel)
     on_factor = _on_transmission(terms, eps, delta) / _on_transmission(terms, 0.0, 0.0)
     factors = jitter * on_factor
 

@@ -104,8 +104,3 @@ class DetectorModel:
             p = p + rng.normal(0.0, self.additive_noise_sigma, size=p.shape)
             p = np.maximum(p, 0.0)
         return float(p) if p.ndim == 0 else p
-
-
-def measure(detector: DetectorModel, true_power, rng=None):
-    """Module-level alias for DetectorModel.measure."""
-    return detector.measure(true_power, rng=rng)

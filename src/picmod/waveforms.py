@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import ModulatorChannel, channel_transmission_equal
+from .core import ModulatorChannel, channel_transmission_equal, fringe_coeffs
 from .dynamics import (
     ActuatorResponse,
     OpticalTrace,
@@ -80,19 +79,24 @@ def make_pulse_train(spec: PulseSpec, n_pulses: int, sample_period: float) -> Wa
 
 
 def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarray:
-    """Per-stage drive phase achieving each normalized power target.
+    """Per-stage drive phase pi*V/v_pi achieving each normalized power target.
 
-    Inverts the equal-drive cascade transmission on its principal branch
-    (drive voltage in [0, v_pi]) by bracketed root finding; returns the
-    corresponding phase pi*V/v_pi per sample.
+    For a cascade of n identical stages the stage power is
+    (target * peak)^(1/n) = c0 + c1*cos(phi), which inverts exactly:
+    phi = arccos(((target * peak)^(1/n) - c0) / c1) on the branch
+    phi in [0, pi] (for the BAR port, a^2 + b^2 - stage power over 2ab).
+    phi is the stage's net phase; the drive phase is phi less the static
+    bias of the MOD arm over the BIAS arm. The floor and 1.0 map exactly
+    to the null and the peak, where arccos is worst conditioned. A channel
+    whose stages differ raises PicmodError. The tests check the result
+    against the forward model and against bracketed root finding.
     """
     target = np.atleast_1d(np.asarray(target_power, dtype=float))
-    v_pi = channel.v_pi
+    stage = channel.stages[0]
+    if any(st != stage for st in channel.stages):
+        raise PicmodError("target_phase_from_power needs identical stages")
     peak = channel.max_transmission()
     floor = channel.min_transmission() / peak
-
-    def forward(v):
-        return channel_transmission_equal(channel, v, include_loss=False) / peak
 
     lo_ok = target >= floor - 1e-300
     hi_ok = target <= 1.0 + 1e-12
@@ -101,21 +105,12 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
         raise UnachievableTargetError(
             f"target power {bad:.3g} outside achievable range [{floor:.3g}, 1]"
         )
-    phases = np.empty_like(target)
-    cache: dict[float, float] = {}
-    for i, p in enumerate(target):
-        key = float(p)
-        if key in cache:
-            phases[i] = cache[key]
-            continue
-        if p >= 1.0:
-            v = v_pi
-        elif p <= floor:
-            v = 0.0
-        else:
-            v = brentq(lambda x: forward(x) - p, 0.0, v_pi, xtol=1e-12 * v_pi)
-        phases[i] = cache[key] = math.pi * v / v_pi
-    return phases
+    c0, c1 = fringe_coeffs(*stage.terms)
+    cos_phi = np.clip(((target * peak) ** (1.0 / channel.n_stages) - c0) / c1, -1.0, 1.0)
+    cos_peak = math.copysign(1.0, c1)
+    cos_phi[target >= 1.0] = cos_peak
+    cos_phi[target <= floor] = -cos_peak
+    return np.arccos(cos_phi) - (stage.mod_shifter.bias_phase - stage.bias_shifter.bias_phase)
 
 
 @dataclass(frozen=True)

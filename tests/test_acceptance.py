@@ -15,7 +15,6 @@ from picmod.beams import intensity_profile, make_beam_array, site_leakage_report
 from picmod.core import (
     make_calibrated_channel,
     power_split_for_er,
-    stage_matrix,
     sweep_channel,
 )
 from picmod.crosstalk import (
@@ -35,6 +34,8 @@ from picmod.waveforms import (
     predistort,
     switch_off_target_phase,
 )
+
+from conftest import stage_matrix
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:

@@ -238,29 +238,37 @@ class TestCli:
         )
 
 
-# (subcommand args, report name). At 1013 nm the channel's own 61.5 dB ER
-# composes scenario C to -61.36 dB, outside 3 dB of the -68 dB target.
+# (subcommand args, report name, artifacts besides the report). At 1013 nm
+# the channel's own 61.5 dB ER composes scenario C to -61.36 dB, outside
+# 3 dB of the -68 dB target.
 STATIC_COMMANDS = [
-    (("calibrate",), "calibrate"),
-    (("sweep",), "sweep"),
-    (("crosstalk", "--scenario", "A"), "crosstalk_A"),
-    (("crosstalk", "--scenario", "B"), "crosstalk_B"),
-    (("crosstalk", "--scenario", "C"), "crosstalk_C"),
+    (("calibrate",), "calibrate", ("calibrated_config.yaml",)),
+    (("sweep",), "sweep", ("sweep_channel_0.csv", "sweep_channel_7.csv")),
+    (("pulse", "--mode", "naive"), "pulse_naive",
+     ("pulse_naive_trace.csv", "pulse_naive_drive.csv")),
+    (("pulse", "--mode", "optimized"), "pulse_optimized",
+     ("pulse_optimized_trace.csv", "pulse_optimized_drive.csv")),
+    (("crosstalk", "--scenario", "A"), "crosstalk_A", ("crosstalk_A.csv",)),
+    (("crosstalk", "--scenario", "B"), "crosstalk_B", ("crosstalk_B.csv",)),
+    (("crosstalk", "--scenario", "C"), "crosstalk_C", ("crosstalk_C.csv",)),
+    (("beams",), "beams", ("beam_profile.csv",)),
 ]
 
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("nm", [420, 795, 1013])
-    @pytest.mark.parametrize("args, name", STATIC_COMMANDS, ids=[n for _, n in STATIC_COMMANDS])
-    def test_static_commands(self, nm, args, name, tmp_path):
+    @pytest.mark.parametrize(
+        "args, name, artifacts", STATIC_COMMANDS, ids=[n for _, n, _ in STATIC_COMMANDS]
+    )
+    def test_static_commands(self, nm, args, name, artifacts, tmp_path):
         config = str(CONFIG_DIR / f"pic_{nm}nm.yaml")
         res = run_cli(*args, "--config", config, "--out", str(tmp_path))
         expect_fail = nm == 1013 and name == "crosstalk_C"
         assert res.exit_code == (1 if expect_fail else 0), res.output
         report = json.loads((tmp_path / f"{name}_report.json").read_text())
         assert report["passed"] is not expect_fail
-        if name.startswith("crosstalk"):
-            assert (tmp_path / f"{name}.csv").exists()
+        for artifact in artifacts:
+            assert (tmp_path / artifact).exists(), artifact
         if name == "crosstalk_C":
             composed = next(m for m in report["metrics"] if m["name"] == "scenario_c_composed")
             assert composed["passed"] is not expect_fail

@@ -1,4 +1,4 @@
-"""Static transfer-matrix model: stages, cascades, sweeps, budgets."""
+"""Static closed-form model: stages, cascades, sweeps, budgets."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from picmod.core import (
     ChipConfig,
     Coupler,
+    ModulatorChannel,
     MziStage,
     PhaseShifter,
     Port,
@@ -17,22 +18,28 @@ from picmod.core import (
     link_budget,
     make_calibrated_channel,
     power_split_for_er,
-    stage_matrix,
     stage_transmission,
     sweep_channel,
 )
 from picmod.errors import CalibrationError, PicmodError
 from picmod.noise import DetectorModel
 
+from conftest import coupler_matrix, stage_matrix
 
-def make_stage(split_in=0.5, split_out=0.5, v_pi=74.7, bias=0.0, port=Port.BAR):
+
+def make_stage(
+    split_in=0.5, split_out=0.5, v_pi=74.7, bias=0.0, port=Port.BAR,
+    static_bias=0.0, mod_arm=0,
+):
+    """Stage with ``bias`` on the MOD shifter and ``static_bias`` on the BIAS one."""
+    shifters = [
+        PhaseShifter(v_pi=v_pi, bias_phase=bias, role=ShifterRole.MOD),
+        PhaseShifter(v_pi=v_pi, bias_phase=static_bias, role=ShifterRole.BIAS),
+    ]
     return MziStage(
         input_coupler=Coupler(split_in),
         output_coupler=Coupler(split_out),
-        arm_phase_shifters=(
-            PhaseShifter(v_pi=v_pi, bias_phase=bias, role=ShifterRole.MOD),
-            PhaseShifter(v_pi=v_pi, role=ShifterRole.BIAS),
-        ),
+        arm_phase_shifters=tuple(shifters[::-1] if mod_arm else shifters),
         monitored_port=port,
     )
 
@@ -41,7 +48,7 @@ class TestCoupler:
     def test_unitarity(self):
         c = Coupler(0.37)
         assert c.t**2 + c.r**2 == pytest.approx(1.0, abs=1e-15)
-        m = c.matrix()
+        m = coupler_matrix(c)
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("split", [0.0, 1.0, -0.1, 1.5])
@@ -58,13 +65,8 @@ class TestStageTransmission:
         assert stage_transmission(make_stage(), 74.7 / 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_imbalanced_null_matches_matrix_oracle(self):
-        # Independent oracle: direct complex 2x2 product at V = 0.
         stage = make_stage(split_in=0.51, split_out=0.51)
-        t = math.sqrt(0.49)
-        r = math.sqrt(0.51)
-        c = np.array([[t, 1j * r], [1j * r, t]])
-        m = c @ np.diag([1.0, 1.0]) @ c
-        expected = abs(m[0, 0]) ** 2
+        expected = abs(stage_matrix(stage, 0.0)[0, 0]) ** 2
         assert stage_transmission(stage, 0.0) == pytest.approx(expected, abs=1e-15)
         # Equal imbalance on both couplers: floor = (t^2 - r^2)^2 = (2*delta)^2.
         assert expected == pytest.approx((2 * 0.01) ** 2, abs=1e-12)
@@ -73,6 +75,22 @@ class TestStageTransmission:
         mod = PhaseShifter(v_pi=1.0, role=ShifterRole.MOD)
         with pytest.raises(PicmodError):
             MziStage(Coupler(), Coupler(), (mod, mod))
+
+    def test_floor_and_peak_match_matrix_oracle(self):
+        # The net phase is 0 at V0 and pi at V0 + v_pi: one is the floor,
+        # the other the peak, whichever the port.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            bias, static_bias, v_pi = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(10, 300)
+            st = make_stage(
+                rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), v_pi, bias,
+                Port(int(rng.integers(2))), static_bias, int(rng.integers(2)),
+            )
+            v0 = (static_bias - bias) * v_pi / math.pi
+            m = stage_matrix(st, np.array([v0, v0 + v_pi]))
+            ends = np.sort(np.abs(m[:, st.monitored_port.value, 0]) ** 2)
+            want = [st.min_transmission(), st.max_transmission()]
+            assert np.max(np.abs(ends - want)) <= 1e-12
 
     def test_stage_matrix_is_unitary(self):
         m = stage_matrix(make_stage(0.43, 0.58), 12.3)
@@ -106,35 +124,31 @@ class TestChannelTransmission:
             channel_transmission(ideal_channel, [1.0])
 
     def test_matrix_chain_oracle(self):
-        # Brute-force complex matrix-chain product over randomized configs.
+        # Complex matrix-chain product over randomized stages: either port,
+        # MOD on either arm, static phase on both shifters, array drives.
         rng = np.random.default_rng(7)
         for _ in range(1000):
             n_stages = int(rng.integers(1, 4))
-            stages = []
-            for _ in range(n_stages):
-                stages.append(
-                    make_stage(
-                        split_in=rng.uniform(0.3, 0.7),
-                        split_out=rng.uniform(0.3, 0.7),
-                        v_pi=rng.uniform(10, 300),
-                        bias=rng.uniform(-1, 1),
-                    )
+            stages = tuple(
+                make_stage(
+                    split_in=rng.uniform(0.3, 0.7),
+                    split_out=rng.uniform(0.3, 0.7),
+                    v_pi=rng.uniform(10, 300),
+                    bias=rng.uniform(-1, 1),
+                    port=Port(int(rng.integers(2))),
+                    static_bias=rng.uniform(-1, 1),
+                    mod_arm=int(rng.integers(2)),
                 )
-            from picmod.core import ModulatorChannel
-
-            ch = ModulatorChannel(stages=tuple(stages))
-            volts = rng.uniform(-200, 200, n_stages)
+                for _ in range(n_stages)
+            )
+            ch = ModulatorChannel(stages=stages)
+            volts = rng.uniform(-200, 200, (n_stages, 4))
             got = channel_transmission(ch, list(volts), include_loss=False)
             expected = 1.0
             for st, v in zip(stages, volts):
-                phi1, phi2 = st.arm_phases(v)
-                m = (
-                    st.output_coupler.matrix()
-                    @ np.diag([np.exp(1j * phi1), np.exp(1j * phi2)])
-                    @ st.input_coupler.matrix()
-                )
-                expected *= abs(m[st.monitored_port.value, 0]) ** 2
-            assert got == pytest.approx(expected, abs=1e-12)
+                m = stage_matrix(st, v)
+                expected = expected * np.abs(m[:, st.monitored_port.value, 0]) ** 2
+            assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 class TestSweepChannel:
@@ -205,9 +219,28 @@ class TestPowerSplitForEr:
         delta = split - 0.5
         assert -40 * math.log10(2 * delta) == pytest.approx(71.4, abs=1e-6)
 
+    @pytest.mark.parametrize("n_stages", range(1, 9))
+    def test_built_channel_meets_target(self, n_stages):
+        # The bracket delta in [1e-4, 0.25] spans 6.02*n to 73.98*n dB.
+        for target in np.linspace(6.1 * n_stages, 73.9 * n_stages, 25):
+            split = power_split_for_er(float(target), n_stages)
+            er = make_calibrated_channel(1.0, split, n_stages).extinction_ratio_db()
+            assert abs(er - target) <= 1e-9
+
     def test_unachievable_target_rejected(self):
         with pytest.raises(CalibrationError):
             power_split_for_er(200.0, n_stages=2)
+
+    @pytest.mark.parametrize(
+        "target, n_stages, match",
+        [(74.0, 1, r"above the 1-stage maximum for the imbalance bracket \(74\.0 dB\)"),
+         (592.0, 8, "above the 8-stage maximum"),
+         (12.0, 2, r"below the bracket minimum \(12\.0 dB\)")],
+        ids=["above-1-stage", "above-8-stage", "below-2-stage"],
+    )
+    def test_bracket_edges(self, target, n_stages, match):
+        with pytest.raises(CalibrationError, match=match):
+            power_split_for_er(target, n_stages=n_stages)
 
     def test_nonpositive_target_rejected(self):
         with pytest.raises(CalibrationError):

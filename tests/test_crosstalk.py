@@ -8,7 +8,6 @@ import pytest
 from picmod.crosstalk import (
     ChannelState,
     CrosstalkGraph,
-    ModState,
     Scenario,
     check_scenario_c_consistency,
     crosstalk_matrix,
@@ -152,9 +151,9 @@ class TestGraphValidation:
 
     def test_channel_state_validation(self):
         with pytest.raises(PicmodError):
-            ChannelState(-1.0, ModState.ON, 1.0)
+            ChannelState(-1.0, 1.0)
         with pytest.raises(PicmodError):
-            ChannelState(1.0, ModState.ON, 1.5)
+            ChannelState(1.0, 1.5)
 
 
 class TestCompositionConsistency:

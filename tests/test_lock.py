@@ -8,11 +8,11 @@ import pytest
 
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
+from picmod.core import stage_terms as _stage_terms
 from picmod.errors import LockDivergedError, PicmodError
 from picmod.lock import (
     LockController,
     LockRunResult,
-    _stage_terms,
     noisy_pulse_experiment,
     run_lock,
     transmission_at_phase,

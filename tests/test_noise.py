@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from picmod.errors import PicmodError
-from picmod.noise import DetectorModel, OuParams, measure, sample_ou_path
+from picmod.noise import DetectorModel, OuParams, sample_ou_path
 from picmod.rng import derive_rng
 
 
@@ -111,7 +111,3 @@ class TestDetector:
         det = DetectorModel(additive_noise_sigma=0.1)
         with pytest.raises(PicmodError):
             det.measure(1.0)
-
-    def test_module_level_alias(self):
-        det = DetectorModel(relative_floor=1e-8)
-        assert measure(det, 1e-9) == det.measure(1e-9)

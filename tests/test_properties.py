@@ -19,13 +19,14 @@ from picmod.core import (
     ShifterRole,
     channel_transmission,
     make_calibrated_channel,
-    stage_matrix,
     stage_transmission,
     sweep_channel,
 )
 from picmod.crosstalk import Scenario, crosstalk_matrix, nearest_neighbor_graph, nn_mean_db
 from picmod.dynamics import KernelKind, Waveform, convolve_causal, synthesize_kernel
 from picmod.noise import DetectorModel, sample_ou_path
+
+from conftest import stage_matrix
 
 splits = st.floats(0.3, 0.7)
 voltages = st.floats(-500.0, 500.0, allow_nan=False)
@@ -52,6 +53,10 @@ class TestEnergyConservation:
         bar = abs(m[0, 0]) ** 2
         cross = abs(m[1, 0]) ** 2
         assert abs(bar + cross - 1.0) < 1e-12
+        closed = stage_transmission(stage, v) + stage_transmission(
+            build_stage(split_in, split_out, port=Port.CROSS), v
+        )
+        assert abs(closed - 1.0) < 1e-12
 
     @given(split_in=splits, split_out=splits, v=voltages)
     @settings(max_examples=100)

@@ -4,8 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from picmod.core import channel_transmission_equal, make_calibrated_channel
+from picmod.core import (
+    Coupler,
+    ModulatorChannel,
+    MziStage,
+    PhaseShifter,
+    Port,
+    ShifterRole,
+    channel_transmission_equal,
+    power_split_for_er,
+)
 from picmod.dynamics import (
     ActuatorResponse,
     KernelKind,
@@ -29,6 +39,33 @@ from picmod.waveforms import (
 )
 
 SPEC_1US = PulseSpec(on_level=74.7, off_level=0.0, on_duration=0.5e-6, period=1e-6)
+
+
+def identical_stage_channel(n_stages, port=Port.BAR, splits=None, biases=(0.0, 0.0)):
+    """n stages at a 71.4 dB ER monitored on ``port``, with static phases
+    ``biases`` on the (MOD, BIAS) arms; ``splits`` sets each input split."""
+    split = power_split_for_er(71.4, n_stages)
+    split_out = split if port is Port.BAR else 1.0 - split
+    shifters = (
+        PhaseShifter(74.7, bias_phase=biases[0], role=ShifterRole.MOD),
+        PhaseShifter(74.7, bias_phase=biases[1], role=ShifterRole.BIAS),
+    )
+    stages = [
+        MziStage(Coupler(s), Coupler(split_out), shifters, port)
+        for s in (splits or [split] * n_stages)
+    ]
+    return ModulatorChannel(stages=tuple(stages))
+
+
+def phase_by_root_finding(target, channel):
+    """Oracle: bracketed root finding of the equal-drive forward model."""
+    peak = channel.max_transmission()
+
+    def excess(phase, p):
+        volts = phase * 74.7 / math.pi
+        return channel_transmission_equal(channel, volts, include_loss=False) / peak - p
+
+    return np.array([brentq(excess, 0.0, math.pi, args=(p,), xtol=1e-15) for p in target])
 
 
 class TestMakePulseTrain:
@@ -62,14 +99,43 @@ class TestTargetPhaseFromPower:
     def test_full_on(self, channel_714):
         assert target_phase_from_power(1.0, channel_714)[0] == pytest.approx(math.pi)
 
-    def test_roundtrip_through_forward_map(self, channel_714):
+    @pytest.mark.parametrize("biases", [(0.0, 0.0), (0.7, 0.2)], ids=["unbiased", "biased"])
+    @pytest.mark.parametrize("port", [Port.BAR, Port.CROSS])
+    @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
+    def test_roundtrip_through_forward_map(self, n_stages, port, biases):
+        # Net phases over [0.05, pi); the drive phase is the net phase less
+        # the MOD arm's static phase over the BIAS arm's.
+        channel = identical_stage_channel(n_stages, port, biases=biases)
         rng = np.random.default_rng(9)
-        phases = rng.uniform(0.05, math.pi, 1000)
+        phases = rng.uniform(0.05, math.pi, 1000) - (biases[0] - biases[1])
         volts = phases * 74.7 / math.pi
-        powers = channel_transmission_equal(channel_714, volts, include_loss=False)
-        powers = powers / channel_714.max_transmission()
-        got = target_phase_from_power(powers, channel_714)
+        powers = channel_transmission_equal(channel, volts, include_loss=False)
+        powers = powers / channel.max_transmission()
+        got = target_phase_from_power(powers, channel)
         assert np.max(np.abs(got - phases)) < 1e-9
+
+    @pytest.mark.parametrize("port", [Port.BAR, Port.CROSS])
+    @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
+    def test_floor_and_peak_are_exact(self, n_stages, port):
+        # Unpinned, the arccos would land up to ~4e-8 rad off for some splits.
+        want = [0.0, math.pi] if port is Port.BAR else [math.pi, 0.0]
+        for split in np.linspace(0.5001, 0.75, 40):
+            channel = identical_stage_channel(n_stages, port, splits=[split] * n_stages)
+            floor = channel.min_transmission() / channel.max_transmission()
+            assert target_phase_from_power([floor, 1.0], channel).tolist() == want
+
+    @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
+    def test_matches_root_finding(self, n_stages):
+        channel = identical_stage_channel(n_stages)
+        floor = channel.min_transmission() / channel.max_transmission()
+        envelope = floor + (1.0 - floor) * np.sin(np.pi * np.arange(1, 256) / 512) ** 2
+        got = target_phase_from_power(envelope, channel)
+        assert np.max(np.abs(got - phase_by_root_finding(envelope, channel))) < 1e-9
+
+    def test_mixed_stages_rejected(self):
+        channel = identical_stage_channel(2, splits=[0.51, 0.52])
+        with pytest.raises(PicmodError, match="identical stages"):
+            target_phase_from_power(0.5, channel)
 
     def test_target_below_floor_unachievable(self, channel_714):
         # Channel floor is 10^-7.14; 1e-9 cannot be reached.
