@@ -9,7 +9,6 @@ from .core import (
     Port,
     ShifterRole,
     SweepResult,
-    channel_transmission,
     channel_transmission_equal,
     link_budget,
     make_calibrated_channel,
@@ -22,7 +21,6 @@ from .dynamics import (
     KernelKind,
     OpticalTrace,
     Waveform,
-    apply_actuator,
     measure_rise_time,
     synthesize_kernel,
     trace_optical,
@@ -56,7 +54,6 @@ from .lock import (
     PulseStats,
     noisy_pulse_experiment,
     run_lock,
-    transmission_at_phase,
 )
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .reports import RunReport, load_report

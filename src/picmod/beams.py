@@ -46,14 +46,13 @@ def make_beam_array(
     active,
     pitch: float = 4.33,
     nn_leak_db: float = -50.8,
-    leak_phase: float = 0.0,
     measurement_floor_db: float = -65.0,
 ) -> BeamArray:
     """Array with unit amplitude on active sites plus NN leaked copies.
 
     nn_leak_db is the leaked *intensity* at a neighbor site relative to an
-    active site; the leaked field amplitude is its square root, with an
-    adjustable phase (0 = worst case when coherent with the main beams).
+    active site; the leaked field amplitude is its square root, in phase
+    with the main beams (the worst case when fields add coherently).
     """
     active = frozenset(int(i) for i in active)
     if not active:
@@ -61,7 +60,7 @@ def make_beam_array(
     if any(not 0 <= i < n_beams for i in active):
         raise PicmodError("active index out of range")
     amps = np.zeros(n_beams, dtype=complex)
-    leak_amp = math.sqrt(10.0 ** (nn_leak_db / 10.0)) * np.exp(1j * leak_phase)
+    leak_amp = math.sqrt(10.0 ** (nn_leak_db / 10.0))
     for i in active:
         amps[i] += 1.0
         for j in (i - 1, i + 1):

@@ -8,7 +8,6 @@ check failed, 2 usage or configuration error.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .dynamics import Waveform, measure_rise_time, step_response_trace, trace_op
 from .errors import ConfigError, PicmodError
 from .lock import noisy_pulse_experiment, run_lock
 from .reports import RunReport, load_report
+from .rng import derive_rng
 from .serialize import write_csv, write_trace_csv
 from .waveforms import (
     PredistortionProblem,
@@ -136,7 +136,8 @@ def sweep(config, out, seed, channels):
     for ch in cfg.channels():
         if ch.channel_index not in chans:
             continue
-        result = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, detector=detector)
+        rng = derive_rng(cfg.seed, "sweep", "detector", str(ch.channel_index))
+        result = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, detector=detector, rng=rng)
         write_csv(
             out_dir / f"sweep_channel_{ch.channel_index}.csv",
             ["voltage_v", "transmission"],

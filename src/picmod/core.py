@@ -1,6 +1,6 @@
 """Closed-form model of cascaded-MZI modulator channels.
 
-A channel is a cascade of Mach-Zehnder stages: input coupler, one phase
+A stage is a Mach-Zehnder interferometer: input coupler, one phase
 shifter per arm, output coupler. One arm carries the driven (MOD)
 shifter, the other a static BIAS shifter. With light in on port 0, a
 stage's monitored power is
@@ -11,17 +11,21 @@ where a and b are products of the coupler amplitudes and sign is -1 on
 the BAR port, +1 on the CROSS port (`MziStage.terms`). Finite extinction
 comes from coupler power-split imbalance, floor (a - b)^2, and the same
 formula inverts exactly: `power_split_for_er` solves it for the split
-that gives a target ER. Stage powers multiply along the cascade; all
-channel loss is lumped into one scalar at the end. The complex 2x2
-matrix chain this form is derived from is kept in the tests as its
-oracle.
+that gives a target ER.
+
+A channel is one stage repeated n times, every stage at the same phase,
+plus one lumped insertion loss. Its power is the stage power multiplied
+n times in order, f*f*...*f (`ModulatorChannel.cascade`); the stage
+fringe is evaluated once per phase (`ModulatorChannel.power_at_phase`).
+The complex 2x2 matrix chain this form is derived from is kept in the
+tests as its oracle.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,17 +131,9 @@ def fringe_coeffs(a: float, b: float, sign: float) -> tuple[float, float]:
     return a * a + b * b, sign * 2.0 * a * b
 
 
-def stage_transmission(stage: MziStage, drive_voltage):
-    """Monitored-port power transmission for input on port 0."""
-    c0, c1 = fringe_coeffs(*stage.terms)
-    phi = stage.mod_shifter.phase(drive_voltage) - stage.bias_shifter.bias_phase
-    out = c0 + c1 * np.cos(phi)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class ModulatorChannel:
-    """Cascade of MZI stages plus lumped insertion loss."""
+    """One MZI stage repeated n_stages times, plus lumped insertion loss."""
 
     stages: tuple[MziStage, ...]
     insertion_loss_db: float = 0.0
@@ -146,6 +142,8 @@ class ModulatorChannel:
     def __post_init__(self):
         if len(self.stages) == 0:
             raise PicmodError("channel needs at least one stage")
+        if any(st != self.stages[0] for st in self.stages):
+            raise PicmodError("channel stages must be identical")
         if self.insertion_loss_db < 0:
             raise PicmodError("insertion_loss_db must be >= 0")
 
@@ -157,52 +155,63 @@ class ModulatorChannel:
     def v_pi(self) -> float:
         return self.stages[0].mod_shifter.v_pi
 
-    def min_transmission(self) -> float:
-        """Lossless floor of the cascade (product of per-stage floors)."""
-        out = 1.0
-        for st in self.stages:
-            out *= st.min_transmission()
+    def cascade(self, stage_power):
+        """Lossless power when every stage passes stage_power.
+
+        The stage power is multiplied n_stages times left to right,
+        f*f*...*f, as the stages are traversed; f**n rounds differently.
+        An array argument is multiplied in place after the first product,
+        so it costs one more array whatever the stage count.
+        """
+        if self.n_stages == 1:
+            return stage_power
+        out = stage_power * stage_power
+        for _ in range(self.n_stages - 2):
+            out *= stage_power
         return out
 
+    def power_at_phase(self, phi):
+        """Lossless power with every stage at net phase phi (radians).
+
+        The stage fringe c0 + c1*cos(phi) is evaluated once, in place in
+        the cos array, and cascaded.
+        """
+        c0, c1 = fringe_coeffs(*self.stages[0].terms)
+        f = np.cos(phi)
+        f *= c1
+        f += c0
+        return self.cascade(f)
+
+    def min_transmission(self) -> float:
+        """Lossless floor of the channel: the stage floor, cascaded."""
+        return self.cascade(self.stages[0].min_transmission())
+
     def max_transmission(self) -> float:
-        out = 1.0
-        for st in self.stages:
-            out *= st.max_transmission()
-        return out
+        return self.cascade(self.stages[0].max_transmission())
 
     def extinction_ratio_db(self) -> float:
         return 10.0 * math.log10(self.max_transmission() / self.min_transmission())
 
 
-def stage_terms(channel: ModulatorChannel) -> list[tuple[float, float, float]]:
-    """(a, b, sign) of every stage of the channel, in order."""
-    return [st.terms for st in channel.stages]
+def channel_transmission_equal(channel: ModulatorChannel, voltage, include_loss=True):
+    """Channel power transmission for one drive voltage on every stage.
 
-
-def channel_transmission(channel: ModulatorChannel, drive_voltages, include_loss=True):
-    """Power transmission of the cascade for one drive voltage per stage.
-
-    Each element of ``drive_voltages`` may be a scalar or an array (all
-    broadcastable); stage powers multiply and the lumped insertion loss is
+    ``voltage`` may be a scalar or an array; the lumped insertion loss is
     applied last.
     """
-    if len(drive_voltages) != channel.n_stages:
-        raise PicmodError(
-            f"got {len(drive_voltages)} drive voltages for {channel.n_stages} stages"
-        )
-    out = 1.0
-    for st, v in zip(channel.stages, drive_voltages):
-        out = out * stage_transmission(st, v)
+    stage = channel.stages[0]
+    out = channel.power_at_phase(
+        stage.mod_shifter.phase(voltage) - stage.bias_shifter.bias_phase
+    )
     if include_loss:
         out = out * 10.0 ** (-channel.insertion_loss_db / 10.0)
     return out
 
 
-def channel_transmission_equal(channel: ModulatorChannel, voltage, include_loss=True):
-    """Cascade transmission with the same drive applied to every stage."""
-    return channel_transmission(
-        channel, [voltage] * channel.n_stages, include_loss=include_loss
-    )
+def stage_transmission(stage: MziStage, drive_voltage):
+    """Monitored-port power transmission of one stage for input on port 0."""
+    out = channel_transmission_equal(ModulatorChannel((stage,)), drive_voltage, include_loss=False)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, PicmodError
+from .errors import PicmodError
 
 NEG_INF = float("-inf")
 
@@ -177,17 +177,3 @@ def predict_scenario_c_db(er_db: float, after_nn_db: float) -> float:
     """Scenario-C NN level composed from the victim's own ER and the
     downstream coupling alone (incoherent sum)."""
     return 10.0 * math.log10(10.0 ** (-er_db / 10.0) + 10.0 ** (after_nn_db / 10.0))
-
-
-def check_scenario_c_consistency(
-    er_db: float, after_nn_db: float, measured_c_db: float, tol_db: float = 3.0
-) -> float:
-    """Fail loudly if the composed scenario-C prediction disagrees with the
-    configured measurement target. Returns the prediction."""
-    predicted = predict_scenario_c_db(er_db, after_nn_db)
-    if abs(predicted - measured_c_db) > tol_db:
-        raise CalibrationError(
-            f"scenario-C composition check failed: predicted {predicted:.2f} dB vs "
-            f"target {measured_c_db:.2f} dB (tolerance {tol_db} dB)"
-        )
-    return predicted

@@ -201,17 +201,6 @@ def convolve_causal(samples: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return fftconvolve(samples, kernel)[:n]
 
 
-def apply_actuator(response: ActuatorResponse, drive: Waveform, v_pi: float) -> np.ndarray:
-    """Phase trajectory (radians) of the driven shifter for a drive waveform."""
-    if not math.isclose(response.sample_period, drive.sample_period, rel_tol=1e-9):
-        raise GridError(
-            f"kernel sample period {response.sample_period} != drive {drive.sample_period}"
-        )
-    if v_pi <= 0:
-        raise PicmodError("v_pi must be positive")
-    return convolve_causal(drive.samples, response.impulse_kernel) * (math.pi / v_pi)
-
-
 def trace_optical(
     channel: ModulatorChannel,
     response: ActuatorResponse,
@@ -238,7 +227,6 @@ def step_response_trace(
     response: ActuatorResponse,
     v_from: float,
     v_to: float,
-    hold: float | None = None,
 ) -> OpticalTrace:
     """Optical trace of a settled voltage step, starting just before the step.
 
@@ -252,16 +240,6 @@ def step_response_trace(
     samples = np.concatenate([np.full(n_settle, v_from), np.full(n_after, v_to)])
     trace = trace_optical(channel, response, Waveform(dt, samples))
     return OpticalTrace(dt, trace.power[n_settle - 2:])
-
-
-def optical_rise_time(
-    channel: ModulatorChannel,
-    response: ActuatorResponse,
-    v_from: float,
-    v_to: float,
-) -> float:
-    """10-90% rise time of the optical response to a settled voltage step."""
-    return measure_rise_time(step_response_trace(channel, response, v_from, v_to))
 
 
 def measure_rise_time(trace: OpticalTrace) -> float:

@@ -7,17 +7,16 @@ estimate, and applies a PI correction. Runs are event-driven at the
 update cadence, so a 20-hour run costs only its update count in wall
 time; reported times are physical seconds.
 
-Every stage sees the same bias error, so the cascade power at a common
-stage phase phi is the product of the closed-form stage powers
-c0 + c1*cos(phi), with (a, b, sign) from `core.stage_terms` and
-(c0, c1) from `core.fringe_coeffs`; the lock keeps no transfer model of
-its own. Only the dither/PI recurrence runs once per update, as a scalar
-loop on those coefficients that yields the correction trajectory. The
-off-state powers, the ER samples, the mean leakage and the final error
-are then computed in one go over that trajectory; a disengaged run has
-zero correction and runs no loop. The dither measurements and the ER
-samples draw their detector noise from separate labelled streams, so
-neither depends on the other.
+Every stage sees the same bias error, so the channel power at a bias
+error eps is `ModulatorChannel.power_at_phase(eps)`: the stage fringe
+c0 + c1*cos(eps) cascaded over the identical stages. The lock keeps no
+transfer model of its own. Only the dither/PI recurrence runs once per
+update, as a scalar loop on (c0, c1) from `core.fringe_coeffs` that
+yields the correction trajectory. The off-state powers, the ER samples,
+the mean leakage and the final error are then computed in one go over
+that trajectory; a disengaged run has zero correction and runs no loop.
+The dither measurements and the ER samples draw their detector noise
+from separate labelled streams, so neither depends on the other.
 """
 
 from __future__ import annotations
@@ -27,30 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModulatorChannel, fringe_coeffs, stage_terms
-from .dynamics import OpticalTrace, Waveform, convolve_causal
+from .core import ModulatorChannel, fringe_coeffs
+from .dynamics import OpticalTrace, convolve_causal
 from .errors import LockDivergedError, PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .rng import derive_rng
 from .waveforms import PulseSpec, make_pulse_train, pulse_areas
-
-
-def transmission_at_phase(terms, phase):
-    """Cascade transmission for a common differential phase per stage.
-
-    ``terms`` holds one (a, b, sign) per stage, as `core.stage_terms` gives.
-    """
-    *head, (c0, c1) = [fringe_coeffs(*t) for t in terms]
-    c = np.cos(phase)
-    out = 1.0
-    for h0, h1 in head:
-        out = out * (h0 + h1 * c)
-    # The last stage's factor is formed in the cos array itself, so no more
-    # arrays are alive at once than with one np.cos per stage.
-    c *= c1
-    c += c0
-    c *= out
-    return c
 
 
 @dataclass(frozen=True)
@@ -86,15 +67,17 @@ class LockRunResult:
     final_error_rad: float = 0.0  # residual bias error at the last update
 
 
-def _correction_path(terms, drift, peak, controller, detector, rng) -> np.ndarray:
+def _correction_path(channel, drift, peak, controller, detector, rng) -> np.ndarray:
     """Bias correction after each update: the dither/PI recurrence.
 
-    Each update measures the cascade at eps +/- dither (one math.cos per
-    point, the detector applied inline) and steps the PI controller.
-    Raises LockDivergedError at the first update whose correction leaves
+    Each update measures the channel at eps +/- dither (one math.cos per
+    point, the stage power multiplied once per further stage, the
+    detector applied inline) and steps the PI controller. Raises
+    LockDivergedError at the first update whose correction leaves
     [-pi, pi].
     """
-    coeffs = [fringe_coeffs(*t) for t in terms]
+    c0, c1 = fringe_coeffs(*channel.stages[0].terms)
+    more_stages = range(channel.n_stages - 1)
     d = controller.dither_amplitude
     gain_p, gain_i = controller.gain_p, controller.gain_i
     i_lim, s_lim = controller.integrator_limit, controller.max_step
@@ -112,12 +95,12 @@ def _correction_path(terms, drift, peak, controller, detector, rng) -> np.ndarra
     out = memoryview(path)
     for k, drift_k in enumerate(memoryview(drift)):
         eps = drift_k + correction
-        c_plus = cos(eps + d)
-        c_minus = cos(eps - d)
-        t_plus = t_minus = 1.0
-        for c0, c1 in coeffs:
-            t_plus = t_plus * (c0 + c1 * c_plus)
-            t_minus = t_minus * (c0 + c1 * c_minus)
+        f_plus = c0 + c1 * cos(eps + d)
+        f_minus = c0 + c1 * cos(eps - d)
+        t_plus, t_minus = f_plus, f_minus
+        for _ in more_stages:
+            t_plus *= f_plus
+            t_minus *= f_minus
         p_plus = t_plus / peak
         p_minus = t_minus / peak
         if clamp:
@@ -177,23 +160,22 @@ def run_lock(
         rng=drift_rng,
     )[:n_updates] + initial_offset
 
-    terms = stage_terms(channel)
-    peak = float(transmission_at_phase(terms, math.pi))
+    peak = float(channel.power_at_phase(math.pi))
     on_static = detector.measure(1.0, rng=dither_rng)
-    off_static = detector.measure(transmission_at_phase(terms, 0.0) / peak, rng=dither_rng)
+    off_static = detector.measure(channel.power_at_phase(0.0) / peak, rng=dither_rng)
     er_static = 10.0 * math.log10(on_static / off_static)
     correction = (
-        _correction_path(terms, drift, peak, controller, detector, dither_rng)
+        _correction_path(channel, drift, peak, controller, detector, dither_rng)
         if engaged
         else 0.0
     )
 
     # Everything else is a function of the bias error after each update.
     eps = drift + correction
-    p_off = transmission_at_phase(terms, eps) / peak
+    p_off = channel.power_at_phase(eps) / peak
     leak_sum = np.cumsum(p_off)[-1]  # sequential, like a running +=
     ks = np.arange(0, n_updates, er_sample_every)
-    sampled = np.stack([p_off[ks], transmission_at_phase(terms, math.pi + eps[ks]) / peak], axis=1)
+    sampled = np.stack([p_off[ks], channel.power_at_phase(math.pi + eps[ks]) / peak], axis=1)
     # Row-major draws: OFF then ON at each sample, as the samples are taken.
     off_meas, on_meas = detector.measure(sampled, rng=er_rng).T
     # Scalar log10: numpy's array log10 differs from it in the last bit.
@@ -222,14 +204,17 @@ class PulseStats:
     histogram_edges: np.ndarray
 
 
-# Default residual bias motion under an engaged lock, used when pulse
-# experiments run lock-on (calibrated against run_lock tracking error).
+# Residual bias motion under an engaged lock, which pulse experiments
+# run with (calibrated against run_lock tracking error).
 LOCKED_RESIDUAL = OuParams(sigma=0.009, correlation_time=1.0)
 
+# Longest optical trace a pulse experiment samples, in samples.
+MAX_TRACE_SAMPLES = 4_000_000
 
-def _on_transmission(terms, bias_eps, vpi_rel_drift):
+
+def _on_transmission(channel, bias_eps, vpi_rel_drift):
     phase = math.pi / (1.0 + np.asarray(vpi_rel_drift)) + np.asarray(bias_eps)
-    return transmission_at_phase(terms, phase)
+    return channel.power_at_phase(phase)
 
 
 def noisy_pulse_experiment(
@@ -237,22 +222,18 @@ def noisy_pulse_experiment(
     spec: PulseSpec,
     noise: NoiseModel,
     n_pulses: int,
-    detector: DetectorModel | None = None,
     *,
     n_blocks: int = 1,
-    lock_engaged: bool = True,
-    locked_residual: OuParams = LOCKED_RESIDUAL,
     response=None,
-    max_trace_samples: int = 4_000_000,
-    stream: str = "pulse-experiment",
 ) -> PulseStats:
     """Pulse-area statistics of a noisy pulse train.
 
     Per-pulse multiplicative amplitude jitter plus slow bias and v_pi
     drift act on the train; areas are reported per block of n_pulses
-    pulses. With lock_engaged the bias motion is the residual left by the
-    bias lock rather than the free drift. Short single-block runs are
-    integrated from a fully sampled optical trace; longer runs use the
+    pulses. The bias lock is engaged, so the bias motion is its residual
+    (LOCKED_RESIDUAL) rather than the free drift. Single-block runs given
+    an actuator response and at most MAX_TRACE_SAMPLES samples long are
+    integrated from a fully sampled optical trace; the others use the
     per-pulse closed form (the pulse shape is common to all pulses, so
     areas scale exactly with the per-pulse factors).
     """
@@ -262,16 +243,13 @@ def noisy_pulse_experiment(
     dt_pulse = spec.period
     duration = (total - 1) * dt_pulse
 
-    jitter_rng = derive_rng(noise.seed, stream, "amplitude-jitter")
-    bias_rng = derive_rng(noise.seed, stream, "bias-drift")
-    vpi_rng = derive_rng(noise.seed, stream, "vpi-drift")
+    jitter_rng = derive_rng(noise.seed, "pulse-experiment", "amplitude-jitter")
+    bias_rng = derive_rng(noise.seed, "pulse-experiment", "bias-drift")
+    vpi_rng = derive_rng(noise.seed, "pulse-experiment", "vpi-drift")
 
-    # An engaged lock leaves only its tracking residual -- and none at all
-    # if there is no drift to track.
-    if lock_engaged and noise.bias_drift.sigma > 0:
-        bias_params = locked_residual
-    else:
-        bias_params = noise.bias_drift
+    # The lock leaves only its tracking residual -- and none at all if
+    # there is no drift to track.
+    bias_params = LOCKED_RESIDUAL if noise.bias_drift.sigma > 0 else noise.bias_drift
     eps = sample_ou_path(
         bias_params.sigma, bias_params.correlation_time, duration, dt_pulse, rng=bias_rng
     )[:total]
@@ -284,15 +262,12 @@ def noisy_pulse_experiment(
     )[:total]
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
 
-    terms = stage_terms(channel)
-    on_factor = _on_transmission(terms, eps, delta) / _on_transmission(terms, 0.0, 0.0)
+    on_factor = _on_transmission(channel, eps, delta) / _on_transmission(channel, 0.0, 0.0)
     factors = jitter * on_factor
 
     n_period = int(round(spec.period / (response.sample_period if response else spec.period)))
     use_trace = (
-        response is not None
-        and n_blocks == 1
-        and total * n_period <= max_trace_samples
+        response is not None and n_blocks == 1 and total * n_period <= MAX_TRACE_SAMPLES
     )
     if use_trace:
         train = make_pulse_train(spec, total, response.sample_period)
@@ -301,7 +276,7 @@ def noisy_pulse_experiment(
             math.pi * v_eff / (channel.v_pi * np.repeat(1.0 + delta, n_period))
             + np.repeat(eps, n_period)
         )
-        power = transmission_at_phase(terms, phase) / transmission_at_phase(terms, math.pi)
+        power = channel.power_at_phase(phase) / channel.power_at_phase(math.pi)
         power = power * np.repeat(jitter, n_period)
         trace = OpticalTrace(response.sample_period, power)
         areas = pulse_areas(trace, spec)

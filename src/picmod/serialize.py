@@ -1,16 +1,13 @@
-"""Deterministic CSV/JSON/binary serialization.
+"""Deterministic CSV/JSON serialization.
 
 All writers produce byte-identical output for identical inputs: floats
-are rendered with shortest round-trip repr, JSON keys are sorted, and the
-binary waveform layout is fixed little-endian (u64 length, f64 sample
-period, f64 samples).
+are rendered with shortest round-trip repr and JSON keys are sorted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -66,29 +63,6 @@ def config_hash(data: dict) -> str:
     """Short provenance hash of a configuration mapping."""
     blob = json.dumps(_jsonable(data), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-_BIN_HEADER = struct.Struct("<Qd")
-
-
-def write_waveform_bin(path, waveform) -> None:
-    """Binary layout: u64 sample count, f64 sample period, f64[] samples."""
-    samples = np.ascontiguousarray(waveform.samples if hasattr(waveform, "samples") else waveform.power, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(samples.size, waveform.sample_period))
-        fh.write(samples.tobytes())
-
-
-def read_waveform_bin(path) -> Waveform:
-    raw = Path(path).read_bytes()
-    if len(raw) < _BIN_HEADER.size:
-        raise PicmodError(f"truncated waveform file {path}")
-    n, dt = _BIN_HEADER.unpack_from(raw)
-    expected = _BIN_HEADER.size + 8 * n
-    if len(raw) != expected:
-        raise PicmodError(f"waveform file {path} has wrong length")
-    samples = np.frombuffer(raw, dtype="<f8", offset=_BIN_HEADER.size)
-    return Waveform(dt, samples.copy())
 
 
 def write_trace_csv(path, trace: OpticalTrace | Waveform) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,22 +79,20 @@ def make_pulse_train(spec: PulseSpec, n_pulses: int, sample_period: float) -> Wa
 
 
 def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarray:
-    """Per-stage drive phase pi*V/v_pi achieving each normalized power target.
+    """Drive phase pi*V/v_pi achieving each normalized power target.
 
-    For a cascade of n identical stages the stage power is
+    A channel is one stage repeated n times, so the stage power is
     (target * peak)^(1/n) = c0 + c1*cos(phi), which inverts exactly:
     phi = arccos(((target * peak)^(1/n) - c0) / c1) on the branch
     phi in [0, pi] (for the BAR port, a^2 + b^2 - stage power over 2ab).
     phi is the stage's net phase; the drive phase is phi less the static
     bias of the MOD arm over the BIAS arm. The floor and 1.0 map exactly
-    to the null and the peak, where arccos is worst conditioned. A channel
-    whose stages differ raises PicmodError. The tests check the result
-    against the forward model and against bracketed root finding.
+    to the null and the peak, where arccos is worst conditioned. The
+    tests check the result against the forward model and against
+    bracketed root finding.
     """
     target = np.atleast_1d(np.asarray(target_power, dtype=float))
     stage = channel.stages[0]
-    if any(st != stage for st in channel.stages):
-        raise PicmodError("target_phase_from_power needs identical stages")
     peak = channel.max_transmission()
     floor = channel.min_transmission() / peak
 

@@ -24,7 +24,7 @@ from picmod.crosstalk import (
     nn_mean_db,
     predict_scenario_c_db,
 )
-from picmod.dynamics import convolve_causal, optical_rise_time, step_response_trace
+from picmod.dynamics import convolve_causal, measure_rise_time, step_response_trace
 from picmod.lock import LockController, noisy_pulse_experiment, run_lock
 from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from picmod.waveforms import (
@@ -100,7 +100,8 @@ class TestAcceptance:
             resp = cfg.actuator()
             # Small-signal step about quadrature: there the optical map is
             # locally linear and the trace reproduces the actuator's rise.
-            rise = optical_rise_time(ch, resp, ch.v_pi / 2, ch.v_pi / 2 * 1.02)
+            step = step_response_trace(ch, resp, ch.v_pi / 2, ch.v_pi / 2 * 1.02)
+            rise = measure_rise_time(step)
             oks.append(abs(rise - 26e-9) <= 2e-9)
             details.append(f"{cfg.data['wavelength_nm']} nm: {rise * 1e9:.1f} ns")
         verdict("4 optical rise time 26 +/- 2 ns", all(oks), "; ".join(details))

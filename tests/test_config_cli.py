@@ -11,15 +11,8 @@ from click.testing import CliRunner
 
 from picmod.cli import main
 from picmod.config import ExperimentConfig
-from picmod.dynamics import Waveform
 from picmod.errors import ConfigError, PicmodError
-from picmod.serialize import (
-    config_hash,
-    fmt,
-    read_waveform_bin,
-    write_csv,
-    write_waveform_bin,
-)
+from picmod.serialize import config_hash, fmt, write_csv
 
 from conftest import CONFIG_DIR
 
@@ -27,6 +20,15 @@ from conftest import CONFIG_DIR
 @pytest.fixture()
 def base_data(config_795):
     return copy.deepcopy(config_795.data)
+
+
+@pytest.fixture()
+def noisy_config(base_data, tmp_path):
+    """The 795 nm config with additive detector noise, which the schema allows."""
+    base_data["detector"]["additive_noise_sigma"] = 1e-9
+    path = tmp_path / "noisy.yaml"
+    ExperimentConfig(base_data).save(path)
+    return str(path)
 
 
 class TestConfigSchema:
@@ -84,30 +86,6 @@ class TestConfigSchema:
 
 
 class TestSerialize:
-    def test_waveform_binary_roundtrip(self, tmp_path):
-        w = Waveform(1e-9, np.linspace(-3, 3, 1000))
-        path = tmp_path / "wave.bin"
-        write_waveform_bin(path, w)
-        back = read_waveform_bin(path)
-        assert back.sample_period == w.sample_period
-        assert np.array_equal(back.samples, w.samples)
-
-    def test_binary_layout(self, tmp_path):
-        # u64 length, f64 sample period, then f64 little-endian samples.
-        w = Waveform(2e-9, np.array([1.0, 2.0]))
-        path = tmp_path / "wave.bin"
-        write_waveform_bin(path, w)
-        raw = path.read_bytes()
-        assert len(raw) == 8 + 8 + 2 * 8
-        assert int.from_bytes(raw[:8], "little") == 2
-        assert np.frombuffer(raw, "<f8", offset=16).tolist() == [1.0, 2.0]
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x01\x02")
-        with pytest.raises(PicmodError):
-            read_waveform_bin(path)
-
     def test_csv_columns_equal_length(self, tmp_path):
         with pytest.raises(PicmodError):
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
@@ -162,6 +140,29 @@ class TestCli:
         assert (tmp_path / "sweep_channel_0.csv").exists()
         assert not (tmp_path / "sweep_channel_2.csv").exists()
         assert "er_mean" in res.output
+
+    def test_sweep_with_detector_noise_is_seeded(self, noisy_config, tmp_path):
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            res = run_cli("sweep", "--config", noisy_config, "--out", str(out), "--seed", "42")
+            assert res.exit_code in (0, 1), res.output
+        for i in range(8):
+            name = f"sweep_channel_{i}.csv"
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert strip_wall_time(outs[0] / "sweep_report.json") == strip_wall_time(
+            outs[1] / "sweep_report.json"
+        )
+
+    def test_sweep_noise_independent_of_channel_selection(self, noisy_config, tmp_path):
+        # Each channel's detector noise has its own labelled stream.
+        for channels in ("all", "3"):
+            res = run_cli(
+                "sweep", "--config", noisy_config, "--out", str(tmp_path / channels),
+                "--channels", channels,
+            )
+            assert res.exit_code in (0, 1), res.output
+        name = "sweep_channel_3.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_pulse_naive(self, config_path_795, tmp_path):
         res = run_cli(
@@ -255,25 +256,53 @@ STATIC_COMMANDS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def static_run(tmp_path_factory):
+    """Run a static command on a shipped config, once, into that config's
+    own output directory; returns (directory, CLI result)."""
+    dirs, results = {}, {}
+
+    def run(nm, args):
+        if nm not in dirs:
+            dirs[nm] = tmp_path_factory.mktemp(f"static_{nm}")
+        if (nm, args) not in results:
+            config = str(CONFIG_DIR / f"pic_{nm}nm.yaml")
+            results[nm, args] = run_cli(*args, "--config", config, "--out", str(dirs[nm]))
+        return dirs[nm], results[nm, args]
+
+    return run
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("nm", [420, 795, 1013])
     @pytest.mark.parametrize(
         "args, name, artifacts", STATIC_COMMANDS, ids=[n for _, n, _ in STATIC_COMMANDS]
     )
-    def test_static_commands(self, nm, args, name, artifacts, tmp_path):
-        config = str(CONFIG_DIR / f"pic_{nm}nm.yaml")
-        res = run_cli(*args, "--config", config, "--out", str(tmp_path))
+    def test_static_commands(self, nm, args, name, artifacts, static_run):
+        out, res = static_run(nm, args)
         expect_fail = nm == 1013 and name == "crosstalk_C"
         assert res.exit_code == (1 if expect_fail else 0), res.output
-        report = json.loads((tmp_path / f"{name}_report.json").read_text())
+        report = json.loads((out / f"{name}_report.json").read_text())
         assert report["passed"] is not expect_fail
         for artifact in artifacts:
-            assert (tmp_path / artifact).exists(), artifact
+            assert (out / artifact).exists(), artifact
         if name == "crosstalk_C":
             composed = next(m for m in report["metrics"] if m["name"] == "scenario_c_composed")
             assert composed["passed"] is not expect_fail
             if expect_fail:
                 assert composed["value"] == pytest.approx(-61.36, abs=0.01)
+
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_report_over_static_outputs(self, nm, static_run):
+        # Only 1013 nm fails: its scenario-C composition (see above).
+        for args, _, _ in STATIC_COMMANDS:
+            out, _ = static_run(nm, args)
+        res = run_cli("report", str(out))
+        assert res.exit_code == (1 if nm == 1013 else 0), res.output
+        verdicts = [line for line in res.output.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert len(verdicts) == len(STATIC_COMMANDS) == len(list(out.glob("*_report.json")))
+        failed = [line.split()[1] for line in verdicts if line.startswith("FAIL")]
+        assert failed == (["crosstalk_C"] if nm == 1013 else [])
 
     @pytest.mark.parametrize("nm", [420, 795, 1013])
     def test_stability(self, nm, tmp_path):

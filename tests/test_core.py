@@ -13,7 +13,6 @@ from picmod.core import (
     PhaseShifter,
     Port,
     ShifterRole,
-    channel_transmission,
     channel_transmission_equal,
     link_budget,
     make_calibrated_channel,
@@ -97,57 +96,89 @@ class TestStageTransmission:
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
 
+def per_stage_product(channel, volts):
+    """Oracle: each stage's closed form evaluated on its own, multiplied in
+    order from 1.0, as the per-stage cascade once computed it."""
+    out = 1.0
+    for st in channel.stages:
+        a, b, sign = st.terms
+        phi = st.mod_shifter.phase(volts) - st.bias_shifter.bias_phase
+        out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phi))
+    return out
+
+
 class TestChannelTransmission:
     def test_two_ideal_stages_fully_on(self, ideal_channel):
-        assert channel_transmission(
-            ideal_channel, [74.7, 74.7], include_loss=False
+        assert channel_transmission_equal(
+            ideal_channel, 74.7, include_loss=False
         ) == pytest.approx(1.0, abs=1e-12)
 
     def test_cascade_floor_is_product_of_stage_floors(self):
         # Two stages each with a 35.7 dB standalone floor combine to 71.4 dB.
         split = 0.5 + 0.5 * 10 ** (-3.57 / 2)  # per-stage floor (2*delta)^2
         ch = make_calibrated_channel(v_pi=74.7, power_split=split, n_stages=2)
-        floor = channel_transmission(ch, [0.0, 0.0], include_loss=False)
+        floor = channel_transmission_equal(ch, 0.0, include_loss=False)
         assert 10 * math.log10(floor) == pytest.approx(-7.14 * 10, abs=1e-6)
         assert ch.extinction_ratio_db() == pytest.approx(71.4, abs=0.01)
 
     def test_insertion_loss_scales_output(self, ideal_channel):
         lossy = make_calibrated_channel(v_pi=74.7, n_stages=2, insertion_loss_db=3.0)
-        lossless = channel_transmission(ideal_channel, [40.0, 40.0], include_loss=False)
-        assert channel_transmission(lossy, [40.0, 40.0]) == pytest.approx(
+        lossless = channel_transmission_equal(ideal_channel, 40.0, include_loss=False)
+        assert channel_transmission_equal(lossy, 40.0) == pytest.approx(
             lossless * 10 ** (-0.3), rel=1e-12
         )
         assert 10 ** (-0.3) == pytest.approx(0.501, abs=1e-3)
 
-    def test_voltage_arity_mismatch(self, ideal_channel):
-        with pytest.raises(PicmodError):
-            channel_transmission(ideal_channel, [1.0])
+    def test_mixed_stages_rejected(self):
+        stages = (make_stage(0.51, 0.51), make_stage(0.52, 0.52))
+        with pytest.raises(PicmodError, match="identical"):
+            ModulatorChannel(stages=stages)
+
+    @pytest.mark.parametrize("port", list(Port))
+    @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
+    def test_cascade_equals_per_stage_product(self, n_stages, port):
+        # Bit for bit, with static phases on both arms: one fringe,
+        # multiplied in order, is the per-stage product.
+        rng = np.random.default_rng(n_stages)
+        for _ in range(50):
+            st = make_stage(
+                rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(10, 300),
+                rng.uniform(-1, 1), port, rng.uniform(-1, 1), int(rng.integers(2)),
+            )
+            ch = ModulatorChannel(stages=(st,) * n_stages)
+            volts = rng.uniform(-400, 400, 257)
+            got = channel_transmission_equal(ch, volts, include_loss=False)
+            assert np.array_equal(got, per_stage_product(ch, volts))
+            assert channel_transmission_equal(ch, volts[0], include_loss=False) == (
+                per_stage_product(ch, volts[0])
+            )
+            floor = ceiling = 1.0
+            for _ in range(n_stages):
+                floor, ceiling = floor * st.min_transmission(), ceiling * st.max_transmission()
+            assert (ch.min_transmission(), ch.max_transmission()) == (floor, ceiling)
 
     def test_matrix_chain_oracle(self):
-        # Complex matrix-chain product over randomized stages: either port,
-        # MOD on either arm, static phase on both shifters, array drives.
+        # Complex matrix-chain product over random identical-stage channels:
+        # either port, MOD on either arm, static phase on both shifters,
+        # array drives.
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            n_stages = int(rng.integers(1, 4))
-            stages = tuple(
-                make_stage(
-                    split_in=rng.uniform(0.3, 0.7),
-                    split_out=rng.uniform(0.3, 0.7),
-                    v_pi=rng.uniform(10, 300),
-                    bias=rng.uniform(-1, 1),
-                    port=Port(int(rng.integers(2))),
-                    static_bias=rng.uniform(-1, 1),
-                    mod_arm=int(rng.integers(2)),
-                )
-                for _ in range(n_stages)
+            n_stages = int(rng.integers(1, 5))
+            stage = make_stage(
+                split_in=rng.uniform(0.3, 0.7),
+                split_out=rng.uniform(0.3, 0.7),
+                v_pi=rng.uniform(10, 300),
+                bias=rng.uniform(-1, 1),
+                port=Port(int(rng.integers(2))),
+                static_bias=rng.uniform(-1, 1),
+                mod_arm=int(rng.integers(2)),
             )
-            ch = ModulatorChannel(stages=stages)
-            volts = rng.uniform(-200, 200, (n_stages, 4))
-            got = channel_transmission(ch, list(volts), include_loss=False)
-            expected = 1.0
-            for st, v in zip(stages, volts):
-                m = stage_matrix(st, v)
-                expected = expected * np.abs(m[:, st.monitored_port.value, 0]) ** 2
+            ch = ModulatorChannel(stages=(stage,) * n_stages)
+            volts = rng.uniform(-200, 200, 4)
+            got = channel_transmission_equal(ch, volts, include_loss=False)
+            m = stage_matrix(stage, volts)
+            expected = np.abs(m[:, stage.monitored_port.value, 0]) ** 2
+            expected = np.prod([expected] * n_stages, axis=0)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 

@@ -12,10 +12,8 @@ from picmod.dynamics import (
     KernelKind,
     OpticalTrace,
     Waveform,
-    apply_actuator,
     convolve_causal,
     measure_rise_time,
-    optical_rise_time,
     step_response_trace,
     synthesize_kernel,
     trace_optical,
@@ -57,19 +55,17 @@ class TestSynthesizeKernel:
             ActuatorResponse(KernelKind.FIRST_ORDER, 26e-9, 1e-9, np.array([0.5, 0.4]))
 
 
-class TestApplyActuator:
+class TestConvolveCausal:
     def test_constant_drive_converges_to_pi(self, fo_response):
-        drive = Waveform(1e-9, np.full(2000, 74.7))
-        phase = apply_actuator(fo_response, drive, v_pi=74.7)
+        phase = convolve_causal(np.full(2000, 74.7), fo_response.impulse_kernel) * (
+            math.pi / 74.7
+        )
         assert phase[-1] == pytest.approx(math.pi, rel=1e-9)
 
     def test_unit_impulse_returns_kernel(self, fo_response):
-        n = fo_response.impulse_kernel.size
-        drive = Waveform(1e-9, np.concatenate([[1.0], np.zeros(n)]))
-        phase = apply_actuator(fo_response, drive, v_pi=2.0)
-        assert np.allclose(
-            phase[:n], fo_response.impulse_kernel * math.pi / 2.0, atol=1e-15
-        )
+        k = fo_response.impulse_kernel
+        out = convolve_causal(np.concatenate([[1.0], np.zeros(k.size)]), k)
+        assert np.allclose(out[:k.size], k, atol=1e-15)
 
     def test_direct_sum_convolution_oracle(self, so_response):
         rng = np.random.default_rng(11)
@@ -91,18 +87,13 @@ class TestApplyActuator:
         assert np.max(np.abs(convolve_causal(x, k_long) - direct)) < 1e-10
         assert np.max(np.abs(convolve_causal(x, k_short) - np.convolve(x, k_short)[:4096])) == 0
 
-    def test_grid_mismatch_rejected(self, fo_response):
-        with pytest.raises(GridError):
-            apply_actuator(fo_response, Waveform(2e-9, np.zeros(4)), v_pi=1.0)
-
     def test_linearity(self, fo_response):
         rng = np.random.default_rng(3)
         d1, d2 = rng.standard_normal((2, 500))
         a, b = 1.7, -0.4
-        lhs = apply_actuator(fo_response, Waveform(1e-9, a * d1 + b * d2), 74.7)
-        rhs = a * apply_actuator(fo_response, Waveform(1e-9, d1), 74.7) + b * apply_actuator(
-            fo_response, Waveform(1e-9, d2), 74.7
-        )
+        k = fo_response.impulse_kernel
+        lhs = convolve_causal(a * d1 + b * d2, k)
+        rhs = a * convolve_causal(d1, k) + b * convolve_causal(d2, k)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_time_invariance(self, fo_response):
@@ -110,8 +101,8 @@ class TestApplyActuator:
         d = rng.standard_normal(300)
         k_shift = 37
         shifted = np.concatenate([np.zeros(k_shift), d])
-        out = apply_actuator(fo_response, Waveform(1e-9, d), 74.7)
-        out_shifted = apply_actuator(fo_response, Waveform(1e-9, shifted), 74.7)
+        out = convolve_causal(d, fo_response.impulse_kernel)
+        out_shifted = convolve_causal(shifted, fo_response.impulse_kernel)
         assert np.allclose(out_shifted[k_shift:], out, atol=1e-12)
         assert np.allclose(out_shifted[:k_shift], 0.0, atol=1e-12)
 
@@ -130,14 +121,20 @@ class TestTraceOptical:
         s10 = 2 / math.pi * math.asin(0.1**0.25)
         s90 = 2 / math.pi * math.asin(0.9**0.25)
         expected = tau * (math.log(1 - s10) - math.log(1 - s90))
-        got = optical_rise_time(ideal_channel, fo_response, 0.0, 74.7)
+        got = measure_rise_time(step_response_trace(ideal_channel, fo_response, 0.0, 74.7))
         assert got == pytest.approx(expected, rel=0.05)
 
     def test_small_signal_rise_equals_kernel_rise(self, ideal_channel, fo_response):
         # About quadrature the optical map is locally linear, so a small
         # step reproduces the actuator's own 26 ns rise.
-        got = optical_rise_time(ideal_channel, fo_response, 74.7 / 2, 74.7 / 2 * 1.02)
+        got = measure_rise_time(
+            step_response_trace(ideal_channel, fo_response, 74.7 / 2, 74.7 / 2 * 1.02)
+        )
         assert got == pytest.approx(26e-9, abs=2e-9)
+
+    def test_grid_mismatch_rejected(self, ideal_channel, fo_response):
+        with pytest.raises(GridError):
+            trace_optical(ideal_channel, fo_response, Waveform(2e-9, np.zeros(4)))
 
     def test_dc_fidelity(self, channel_714, fo_response):
         v = 23.0

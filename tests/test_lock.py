@@ -8,14 +8,12 @@ import pytest
 
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
-from picmod.core import stage_terms as _stage_terms
 from picmod.errors import LockDivergedError, PicmodError
 from picmod.lock import (
     LockController,
     LockRunResult,
     noisy_pulse_experiment,
     run_lock,
-    transmission_at_phase,
 )
 from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from picmod.rng import derive_rng
@@ -26,10 +24,10 @@ from conftest import CONFIG_DIR
 DET = DetectorModel(relative_floor=1e-8)
 
 
-def per_stage_transmission(terms, phase):
-    """Oracle: one cos per stage, as transmission_at_phase once did."""
+def per_stage_transmission(channel, phase):
+    """Oracle: one cos per stage, each stage's power multiplied in order."""
     out = 1.0
-    for a, b, sign in terms:
+    for a, b, sign in (st.terms for st in channel.stages):
         out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phase))
     return out
 
@@ -56,8 +54,7 @@ def reference_run_lock(
         rng=derive_rng(noise.seed, "lock", "bias-drift"),
     ) + initial_offset
 
-    terms = _stage_terms(channel)
-    peak = per_stage_transmission(terms, math.pi)
+    peak = per_stage_transmission(channel, math.pi)
     floor = detector.relative_floor
     noisy = detector.additive_noise_sigma > 0
     d = controller.dither_amplitude
@@ -74,13 +71,13 @@ def reference_run_lock(
     leak_sum = 0.0
     on_static = meas(1.0)
     er_static = 10.0 * math.log10(
-        on_static / meas(per_stage_transmission(terms, 0.0) / peak)
+        on_static / meas(per_stage_transmission(channel, 0.0) / peak)
     )
     for k in range(n_updates):
         eps = drift[k] + correction
         if engaged:
-            p_plus = meas(per_stage_transmission(terms, eps + d) / peak)
-            p_minus = meas(per_stage_transmission(terms, eps - d) / peak)
+            p_plus = meas(per_stage_transmission(channel, eps + d) / peak)
+            p_minus = meas(per_stage_transmission(channel, eps - d) / peak)
             grad = (p_plus - p_minus) / (2.0 * d)
             integ += controller.gain_i * grad
             integ = min(max(integ, -controller.integrator_limit), controller.integrator_limit)
@@ -93,12 +90,12 @@ def reference_run_lock(
                     f"(unstable gains?)"
                 )
         eps = drift[k] + correction
-        p_off = per_stage_transmission(terms, eps) / peak
+        p_off = per_stage_transmission(channel, eps) / peak
         leak_sum += p_off
         if k % er_sample_every == 0:
             p_off_meas = detector.measure(p_off, rng=er_rng)
             p_on_meas = detector.measure(
-                per_stage_transmission(terms, math.pi + eps) / peak, rng=er_rng
+                per_stage_transmission(channel, math.pi + eps) / peak, rng=er_rng
             )
             times.append(k * dt)
             ers.append(10.0 * math.log10(p_on_meas / p_off_meas))
@@ -146,35 +143,23 @@ class TestClosedForm:
     def test_matches_full_matrix_model(self, channel):
         from picmod.core import channel_transmission_equal
 
-        terms = _stage_terms(channel)
         phases = np.linspace(0, 2 * np.pi, 41)
         volts = phases * 74.7 / np.pi
         full = channel_transmission_equal(channel, volts, include_loss=False)
-        fast = transmission_at_phase(terms, phases)
+        fast = channel.power_at_phase(phases)
         assert np.allclose(full, fast, atol=1e-14)
 
     @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
     def test_one_cos_per_call_equals_per_stage_form(self, n_stages):
         rng = np.random.default_rng(n_stages)
         split = power_split_for_er(71.4, 2)
-        calibrated = _stage_terms(make_calibrated_channel(74.7, split, n_stages))
-        mixed = [
-            (a, b, sign)
-            for a, b, sign in zip(
-                rng.uniform(0.3, 0.8, n_stages),
-                rng.uniform(0.3, 0.8, n_stages),
-                rng.choice([-1.0, 1.0], n_stages),
-            )
-        ]
+        calibrated = make_calibrated_channel(74.7, split, n_stages)
         phases = rng.uniform(-4 * np.pi, 4 * np.pi, 4001)
-        for terms in (calibrated, mixed):
-            assert np.array_equal(
-                transmission_at_phase(terms, phases), per_stage_transmission(terms, phases)
-            )
-            for phase in (0.0, math.pi, float(phases[7])):
-                assert transmission_at_phase(terms, phase) == per_stage_transmission(
-                    terms, phase
-                )
+        assert np.array_equal(
+            calibrated.power_at_phase(phases), per_stage_transmission(calibrated, phases)
+        )
+        for phase in (0.0, math.pi, float(phases[7])):
+            assert calibrated.power_at_phase(phase) == per_stage_transmission(calibrated, phase)
 
 
 class TestRunLock:
