@@ -319,7 +319,8 @@ def crosstalk(config, out, seed, scenario):
     er_mean = float(np.mean(cfg.data["chip"]["target_er_db"]))
     t_off = 10.0 ** (-er_mean / 10.0)
     scen = Scenario(scenario)
-    matrix = crosstalk_matrix(graph, scen, t_on=1.0, t_off=t_off, detector=cfg.onchip_detector())
+    detector, rng = cfg.onchip_detector(), derive_rng(cfg.seed, "crosstalk", "detector")
+    matrix = crosstalk_matrix(graph, scen, t_on=1.0, t_off=t_off, detector=detector, rng=rng)
     write_csv(
         out_dir / f"crosstalk_{scenario}.csv",
         [f"ch{j}" for j in range(graph.n_channels)],

@@ -241,7 +241,8 @@ def sweep_channel(
 
     If a detector model is supplied, every point passes through it (floor
     clamping plus optional additive noise) before normalization, and the
-    reported ER is the detector-limited one.
+    reported ER is the measured one. The sweep is `detector_limited` when a
+    clamping detector's lowest reading is at or below its floor.
     """
     if n_points < 3:
         raise PicmodError("n_points must be >= 3")
@@ -252,8 +253,9 @@ def sweep_channel(
     detector_limited = False
     if detector is not None:
         peak = float(np.max(trans))
-        trans = detector.measure(trans / peak, rng=rng) * peak
-        detector_limited = detector.clamp
+        measured = detector.measure(trans / peak, rng=rng)
+        detector_limited = detector.clamp and bool(np.min(measured) <= detector.relative_floor)
+        trans = measured * peak
     peak = float(np.max(trans))
     trans = trans / peak
     er_db = 10.0 * math.log10(np.max(trans) / np.min(trans))

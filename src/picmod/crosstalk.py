@@ -142,11 +142,13 @@ def crosstalk_matrix(
     t_on: float = 1.0,
     t_off: float = 0.0,
     detector=None,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Pairwise victim outputs in dB relative to the aggressor ON output.
 
     Diagonal entries are 0 dB (the aggressor itself). With a detector the
-    measured values are floor-clamped.
+    values are measured through it: floor-clamped, plus additive noise
+    drawn from rng.
     """
     # Every pair sees the same aggressor and victim states; only their
     # positions differ, and the other channels are dark.
@@ -158,7 +160,7 @@ def crosstalk_matrix(
     out_v = victim.optical_input * t_v + aggressor.optical_input * leak
     rel = out_v / (aggressor.optical_input * aggressor.modulator_transmission)
     if detector is not None:
-        rel = detector.measure(rel)
+        rel = detector.measure(rel, rng=rng)
     out = np.array(
         [NEG_INF if r == 0.0 else 10.0 * math.log10(r) for r in rel.ravel().tolist()]
     ).reshape(rel.shape)

@@ -4,6 +4,9 @@ The piezo actuator is a causal impulse-response kernel with unit DC gain
 mapping drive voltage to optical phase (scaled by pi/v_pi). Optics are
 quasi-static: transmission follows the instantaneous phase sample by
 sample.
+
+Convolution uses numpy only. scipy is imported on the first call of
+`synthesize_kernel`, which solves for the time constant with `brentq`.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import fftconvolve
 
 from .core import ModulatorChannel, channel_transmission_equal
 from .errors import GridError, NoTransitionError, PicmodError
 
-# Kernels shorter than this use direct convolution, longer ones the
-# transform-based path; both agree within 1e-10.
+# Kernels shorter than this use direct convolution, longer ones numpy's
+# real FFT on a zero-padded power-of-two length; both agree within 1e-10.
 DIRECT_KERNEL_LIMIT = 512
 
 _TAIL_MASS = 1e-12
@@ -147,6 +148,7 @@ def synthesize_kernel(
     The time constant (or natural frequency) is solved numerically so the
     measured discrete-time rise matches the request within 2%.
     """
+    from scipy.optimize import brentq
     if rise_time_10_90 < 2.0 * sample_period:
         raise GridError(
             f"rise time {rise_time_10_90:.3g} s unresolvable at sample period "
@@ -198,7 +200,10 @@ def convolve_causal(samples: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         return samples.copy()
     if kernel.size < DIRECT_KERNEL_LIMIT:
         return np.convolve(samples, kernel)[:n]
-    return fftconvolve(samples, kernel)[:n]
+    nfft = 1 << (n + kernel.size - 2).bit_length()
+    spectrum = np.fft.rfft(samples, nfft)
+    spectrum *= np.fft.rfft(kernel, nfft)
+    return np.fft.irfft(spectrum, nfft)[:n]
 
 
 def trace_optical(

@@ -7,7 +7,8 @@ over w with an exact linear least-squares solve inside. The search runs in
 two steps: one batched scan of the residual over a geometric grid of w
 (`_scan_sse`, Gram-Schmidt vectorised over the grid), then a bounded
 refinement around the best grid point with `_linear_solve`, which also
-gives the returned coefficients.
+gives the returned coefficients. The refinement is scipy's bounded
+`minimize_scalar`, imported on the first call of `fit_v_pi`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import FitError, InsufficientFringeError
 
@@ -84,6 +84,7 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     Raises InsufficientFringeError when the data is degenerate or spans
     less than half a fringe, FitError on non-convergence.
     """
+    from scipy.optimize import minimize_scalar
     volts = np.asarray(voltages, dtype=float)
     trans = np.asarray(transmissions, dtype=float)
     if volts.shape != trans.shape or volts.ndim != 1:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import PicmodError
 from .rng import derive_rng
@@ -57,8 +56,10 @@ def sample_ou_path(
     """Exact-discretization OU path with a stationary start.
 
     x[k+1] = a x[k] + sigma sqrt(1-a^2) w[k],  a = exp(-dt/tau),
-    x[0] ~ N(0, sigma^2). Returns floor(duration/dt)+1 samples.
+    x[0] ~ N(0, sigma^2). Returns floor(duration/dt)+1 samples. The
+    recursion runs in `scipy.signal.lfilter`, imported on the first call.
     """
+    from scipy.signal import lfilter
     if dt <= 0 or duration < 0:
         raise PicmodError("dt must be positive and duration >= 0")
     n = int(math.floor(duration / dt + 1e-9)) + 1

@@ -164,6 +164,19 @@ class TestCli:
         name = "sweep_channel_3.csv"
         assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
+    def test_crosstalk_with_detector_noise_is_seeded(self, noisy_config, tmp_path):
+        csvs = []
+        for run, seed in enumerate(("42", "42", "43")):
+            out = tmp_path / f"r{run}"
+            res = run_cli(
+                "crosstalk", "--config", noisy_config, "--out", str(out),
+                "--scenario", "A", "--seed", seed,
+            )
+            assert res.exit_code == 0, res.output
+            csvs.append((out / "crosstalk_A.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0] != csvs[2]
+
     def test_pulse_naive(self, config_path_795, tmp_path):
         res = run_cli(
             "pulse", "--config", config_path_795, "--out", str(tmp_path),
@@ -291,6 +304,17 @@ class TestShippedConfigs:
             assert composed["passed"] is not expect_fail
             if expect_fail:
                 assert composed["value"] == pytest.approx(-61.36, abs=0.01)
+
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_sweep_detector_floor_flag(self, nm, static_run):
+        # Only 420 nm sweeps reach their detector floor (42.4 dB at -42.4 dB);
+        # 795 and 1013 nm stay above their -80 dB floor.
+        out, _ = static_run(nm, ("sweep",))
+        report = json.loads((out / "sweep_report.json").read_text())
+        names = [m["name"] for m in report["metrics"]]
+        ers = [n for n in names if n.startswith("channel_") and "_er" in n]
+        suffix = " (detector floor)" if nm == 420 else ""
+        assert ers == [f"channel_{i}_er{suffix}" for i in range(8)]
 
     @pytest.mark.parametrize("nm", [420, 795, 1013])
     def test_report_over_static_outputs(self, nm, static_run):

@@ -204,6 +204,12 @@ class TestSweepChannel:
         assert res.detector_limited
         assert res.fitted_v_pi == pytest.approx(44.4, rel=0.01)
 
+    def test_floor_not_reached_is_not_detector_limited(self, channel_714):
+        det = DetectorModel(relative_floor=1e-8)
+        res = sweep_channel(channel_714, 0.0, 2 * 74.7, 241, detector=det)
+        assert res.er_db == pytest.approx(71.4, abs=0.1)
+        assert not res.detector_limited
+
     def test_sweep_grid_validation(self, ideal_channel):
         with pytest.raises(PicmodError):
             sweep_channel(ideal_channel, 0.0, 1.0, 2)

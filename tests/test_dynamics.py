@@ -55,6 +55,13 @@ class TestSynthesizeKernel:
             ActuatorResponse(KernelKind.FIRST_ORDER, 26e-9, 1e-9, np.array([0.5, 0.4]))
 
 
+def direct_sum(x, k):
+    """Oracle: y[n] = sum over m of x[n - m] k[m], truncated to len(x)."""
+    return np.array(
+        [sum(x[n - m] * k[m] for m in range(min(n + 1, k.size))) for n in range(x.size)]
+    )
+
+
 class TestConvolveCausal:
     def test_constant_drive_converges_to_pi(self, fo_response):
         phase = convolve_causal(np.full(2000, 74.7), fo_response.impulse_kernel) * (
@@ -71,11 +78,21 @@ class TestConvolveCausal:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(400)
         k = so_response.impulse_kernel
+        assert np.max(np.abs(convolve_causal(x, k) - direct_sum(x, k))) < 1e-10
+
+    # One sample; shorter than the kernel; n + k - 1 equal to 1024 and to 1025,
+    # the edges of the power-of-two FFT length.
+    @pytest.mark.parametrize("n, taps", [(1, 600), (300, 600), (513, 512), (514, 512)])
+    def test_fft_branch_matches_direct_sum(self, n, taps):
+        assert taps >= DIRECT_KERNEL_LIMIT
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        k = rng.random(taps)
+        k /= k.sum()
+        expected = direct_sum(x, k)
         got = convolve_causal(x, k)
-        expected = np.array(
-            [sum(x[n - m] * k[m] for m in range(min(n + 1, k.size))) for n in range(400)]
-        )
-        assert np.max(np.abs(got - expected)) < 1e-10
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_direct_and_fft_paths_agree(self):
         rng = np.random.default_rng(5)

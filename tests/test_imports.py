@@ -1,7 +1,12 @@
-"""Every module under src/picmod references each name it imports."""
+"""Every module under src/picmod references each name it imports, and
+importing picmod does not load scipy."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +42,51 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Runs in a fresh interpreter; prints the scipy modules loaded at each point
+# and the exit code of each command.
+SCIPY_PROBE = """
+import json, sys
+from click.testing import CliRunner
+import picmod, picmod.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+config, out = sys.argv[1:]
+result = {"after_import": scipy_modules(), "exit_codes": {}}
+runner = CliRunner()
+for args in (["beams"], ["crosstalk", "--scenario", "A"], ["crosstalk", "--scenario", "C"]):
+    res = runner.invoke(picmod.cli.main, [*args, "--config", config, "--out", out])
+    result["exit_codes"][" ".join(args)] = res.exit_code
+result["exit_codes"]["report"] = runner.invoke(picmod.cli.main, ["report", out]).exit_code
+result["after_commands"] = scipy_modules()
+res = runner.invoke(picmod.cli.main, ["calibrate", "--config", config, "--out", out])
+result["exit_codes"]["calibrate"] = res.exit_code
+result["after_calibrate"] = scipy_modules()
+print(json.dumps(result))
+"""
+
+
+def test_scipy_off_the_import_path(tmp_path):
+    """`import picmod`, `picmod.cli` and the commands that need no solver
+    leave scipy unloaded; `calibrate` still loads it on demand.
+
+    `stability` is left out: `noise.sample_ou_path` filters its OU paths
+    with `scipy.signal.lfilter`. The Python loop that could replace it would
+    add about 0.13 s to every warm `stability` operation, which the
+    `stability` benchmark workload measures.
+    """
+    config = SRC / "configs" / "pic_795nm.yaml"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(config), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["after_import"] == []
+    assert result["after_commands"] == []
+    commands = ["beams", "crosstalk --scenario A", "crosstalk --scenario C", "report", "calibrate"]
+    assert result["exit_codes"] == dict.fromkeys(commands, 0)
+    assert "scipy.optimize" in result["after_calibrate"]
