@@ -24,7 +24,7 @@ from .dynamics import ActuatorResponse, KernelKind, synthesize_kernel
 from .errors import ConfigError
 from .lock import LockController
 from .noise import DetectorModel, NoiseModel, OuParams
-from .serialize import config_hash
+from .serialize import config_hash, open_atomic
 from .waveforms import EdgeShape, PulseSpec
 
 
@@ -202,7 +202,8 @@ class ExperimentConfig:
         return cls(raw)
 
     def save(self, path) -> None:
-        Path(path).write_text(yaml.safe_dump(self.data, sort_keys=True))
+        with open_atomic(path) as fh:
+            fh.write(yaml.safe_dump(self.data, sort_keys=True))
 
     @property
     def seed(self) -> int:

@@ -5,14 +5,23 @@ voltage data. For a fixed v_pi the model is linear in the equivalent basis
 [1, cos(wV), sin(wV)] with w = pi/v_pi, so the fit reduces to a 1-D search
 over w with an exact linear least-squares solve inside. The search runs in
 two steps: one batched scan of the residual over a geometric grid of w
-(`_scan_sse`, Gram-Schmidt vectorised over the grid), then a bounded
-refinement around the best grid point with `_linear_solve`, which also
-gives the returned coefficients. The refinement is scipy's bounded
-`minimize_scalar`, imported on the first call of `fit_v_pi`.
+(`_scan_sse`), then a bounded refinement around the best grid point with
+`_linear_solve`, which also gives the returned coefficients. The
+refinement is scipy's bounded `minimize_scalar`, imported on the first
+call of `fit_v_pi`.
+
+The scan projects the data onto an orthonormal basis of [1, cos wV,
+sin wV] for every grid w (`_scan_basis`, Gram-Schmidt vectorised over the
+grid). That basis depends only on the voltages, so it is cached per
+voltage grid: every channel of a chip is swept on one grid, and only its
+first fit builds the basis. A cached grid of N voltages holds two
+512 x N float64 arrays, 2*512*N*8 bytes (about 2 MB at N = 241), and at
+most 4 grids are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +31,9 @@ from .errors import FitError, InsufficientFringeError
 
 # Grid rows times samples per block of the scan: temporaries of 64 KiB each.
 _SCAN_BLOCK_ELEMENTS = 1 << 13
+# Voltage grids whose scan basis is kept: calibrate and sweep fit every
+# channel of a chip on one grid, and one process sees at most a few chips.
+_SCAN_BASIS_GRIDS = 4
 
 
 @dataclass(frozen=True)
@@ -47,24 +59,27 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)[:, None]
 
 
-def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of `_linear_solve` at every omega, batched.
+@functools.lru_cache(maxsize=_SCAN_BASIS_GRIDS)
+def _scan_basis(volts: bytes, omegas: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalised cos and sin rows of the scan basis, one row per omega.
 
-    Equal to `_linear_solve(volts, trans, w)[1]` for each w up to rounding.
-    The residual is centred (projects out the constant column), then the
-    centred cos and sin rows are orthonormalised and projected out in turn.
-    A column whose remaining norm is below eps*N*sqrt(N) is rank-deficient,
-    as lstsq's default cutoff would treat it, and is dropped: this happens at
-    the Nyquist end of the grid, where sin(wV) vanishes on every sample.
+    Takes the float64 bytes of the voltages and of the omega grid, so it can
+    be cached per grid. The cos(wV) rows are centred (orthogonal to the
+    constant column) and normalised; the sin(wV) rows are centred, made
+    orthogonal to the cos row and normalised. A row whose remaining norm is
+    below eps*N*sqrt(N) is rank-deficient, as lstsq's default cutoff would
+    treat it, and is zeroed: this happens at the Nyquist end of the grid,
+    where sin(wV) vanishes on every sample. Both arrays are read-only.
     """
+    volts = np.frombuffer(volts)
+    omegas = np.frombuffer(omegas)
     n = volts.size
     tol = np.finfo(float).eps * n * math.sqrt(n)
-    centred = trans - trans.mean()
     rows = max(1, _SCAN_BLOCK_ELEMENTS // n)
-    sses = np.empty(omegas.size)
+    q_cos = np.empty((omegas.size, n))
+    q_sin = np.empty((omegas.size, n))
     for start in range(0, omegas.size, rows):
         phase = np.outer(omegas[start : start + rows], volts)
-        resid = np.broadcast_to(centred, phase.shape)
         basis = []
         for col in (np.cos(phase), np.sin(phase, out=phase)):
             col -= col.mean(axis=1, keepdims=True)
@@ -72,9 +87,32 @@ def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.nd
                 col -= _row_dot(q, col) * q
             norm = np.sqrt(_row_dot(col, col))
             col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > tol)
-            resid = resid - _row_dot(col, resid) * col
             basis.append(col)
-        sses[start : start + rows] = _row_dot(resid, resid)[:, 0]
+        q_cos[start : start + rows], q_sin[start : start + rows] = basis
+    q_cos.flags.writeable = False
+    q_sin.flags.writeable = False
+    return q_cos, q_sin
+
+
+def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of `_linear_solve` at every omega, batched.
+
+    Equal to `_linear_solve(volts, trans, w)[1]` for each w up to rounding.
+    The residual is centred (projects out the constant column), then its
+    components along the cached orthonormal cos and sin rows of
+    `_scan_basis` are projected out in turn.
+    """
+    volts = np.asarray(volts, dtype=float)
+    q_cos, q_sin = _scan_basis(volts.tobytes(), np.asarray(omegas, dtype=float).tobytes())
+    centred = trans - trans.mean()
+    rows = max(1, _SCAN_BLOCK_ELEMENTS // volts.size)
+    sses = np.empty(q_cos.shape[0])
+    for start in range(0, sses.size, rows):
+        block = slice(start, start + rows)
+        resid = np.broadcast_to(centred, q_cos[block].shape)
+        for q in (q_cos[block], q_sin[block]):
+            resid = resid - _row_dot(q, resid) * q
+        sses[block] = _row_dot(resid, resid)[:, 0]
     return sses
 
 

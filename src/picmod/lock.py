@@ -16,7 +16,11 @@ yields the correction trajectory. The off-state powers, the ER samples,
 the mean leakage and the final error are then computed in one go over
 that trajectory; a disengaged run has zero correction and runs no loop.
 The dither measurements and the ER samples draw their detector noise
-from separate labelled streams, so neither depends on the other.
+from separate labelled streams, so neither depends on the other. A
+clamping or noisy detector cannot resolve an OFF power below its floor:
+such an OFF reading reads as the floor and the ER sample counts as
+detector-limited, so noise near the locked OFF power never divides by a
+reading clipped at 0.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class LockRunResult:
     er_time_avg_db: float  # ER of the time-averaged leakage power
     engaged: bool
     final_error_rad: float = 0.0  # residual bias error at the last update
+    detector_limited_samples: int = 0  # ER samples whose OFF reading is the floor
 
 
 def _correction_path(channel, drift, peak, controller, detector, rng) -> np.ndarray:
@@ -161,8 +166,13 @@ def run_lock(
     )[:n_updates] + initial_offset
 
     peak = float(channel.power_at_phase(math.pi))
+    # OFF readings at or below the floor read as the floor. A noise-free
+    # clamping detector's readings are already at or above it, and a
+    # noise-free unclamped one reads the true power.
+    floored = detector.clamp or detector.additive_noise_sigma > 0
+    floor = detector.relative_floor if floored else 0.0
     on_static = detector.measure(1.0, rng=dither_rng)
-    off_static = detector.measure(channel.power_at_phase(0.0) / peak, rng=dither_rng)
+    off_static = max(detector.measure(channel.power_at_phase(0.0) / peak, rng=dither_rng), floor)
     er_static = 10.0 * math.log10(on_static / off_static)
     correction = (
         _correction_path(channel, drift, peak, controller, detector, dither_rng)
@@ -178,10 +188,12 @@ def run_lock(
     sampled = np.stack([p_off[ks], channel.power_at_phase(math.pi + eps[ks]) / peak], axis=1)
     # Row-major draws: OFF then ON at each sample, as the samples are taken.
     off_meas, on_meas = detector.measure(sampled, rng=er_rng).T
+    limited = int(np.count_nonzero(off_meas <= floor))
+    off_meas = np.maximum(off_meas, floor)
     # Scalar log10: numpy's array log10 differs from it in the last bit.
     ers = np.array([10.0 * math.log10(r) for r in (on_meas / off_meas).tolist()])
     locked_fraction = float(np.mean(ers >= er_static - locked_margin_db))
-    mean_leak = detector.measure(leak_sum / n_updates, rng=er_rng)
+    mean_leak = max(detector.measure(leak_sum / n_updates, rng=er_rng), floor)
     return LockRunResult(
         times=ks * dt,
         er_db=ers,
@@ -191,6 +203,7 @@ def run_lock(
         er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
         engaged=engaged,
         final_error_rad=float(eps[-1]),
+        detector_limited_samples=limited,
     )
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,25 @@ def fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def open_atomic(path):
+    """Open a text file that replaces `path` only once it is written whole.
+
+    Writes go to a temporary file in the same directory, which os.replace
+    moves over `path` when the block ends; if the block raises, the
+    temporary file is removed and `path` keeps its old contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header: list[str], columns: list) -> None:
     """Write equal-length columns as CSV with a header row."""
     columns = [np.asarray(c) for c in columns]
@@ -29,12 +50,18 @@ def write_csv(path, header: list[str], columns: list) -> None:
     if any(c.size != n for c in columns):
         raise PicmodError("CSV columns must have equal length")
     # Format from plain Python values: one tolist() per column, not one
-    # numpy scalar per cell. Lines are written as they are formatted, so
-    # the text is never held whole, which pays for the tolist() values.
-    rows = zip(*(c.tolist() for c in columns))
-    with open(path, "w") as fh:
+    # numpy scalar per cell. The formatter is chosen once per column: repr
+    # for a float dtype of up to 64 bits, whose tolist() gives Python
+    # floats (fmt would give the same text), and fmt for any other dtype.
+    # Lines are written as they are formatted, so the text is never held
+    # whole, which pays for the tolist() values.
+    cells = [
+        map(repr if c.dtype.kind == "f" and c.dtype.itemsize <= 8 else fmt, c.tolist())
+        for c in columns
+    ]
+    with open_atomic(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def json_canonical(obj) -> str:
@@ -56,7 +83,8 @@ def _jsonable(obj):
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json_canonical(_jsonable(obj)) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(json_canonical(_jsonable(obj)) + "\n")
 
 
 def config_hash(data: dict) -> str:

@@ -97,14 +97,34 @@ class TestSerialize:
             rng.standard_normal(204).astype(np.float32),
             rng.integers(-(2**62), 2**62, 204, dtype=np.int64),
             rng.random(204) < 0.5,
+            rng.standard_normal(204).astype(np.float16),
+            rng.standard_normal(204).astype(np.longdouble),
         ]
-        header = ["f64", "f32", "i64", "bool"]
+        header = ["f64", "f32", "i64", "bool", "f16", "longdouble"]
         write_csv(tmp_path / "x.csv", header, columns)
         # Oracle: one numpy scalar per cell.
         lines = [",".join(header)]
         for i in range(204):
             lines.append(",".join(fmt(c[i]) for c in columns))
         assert (tmp_path / "x.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_csv_failing_midway_leaves_no_partial_file(self, tmp_path, existing):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        target = tmp_path / "x.csv"
+        if existing:
+            write_csv(target, ["a"], [np.arange(3)])
+        old = target.read_bytes() if existing else None
+        # Enough rows that formatted lines reach the file before row 5000.
+        cells = np.array([1] * 5000 + [Unprintable()], dtype=object)
+        with pytest.raises(RuntimeError, match="cannot format"):
+            write_csv(target, ["a", "b"], [np.arange(cells.size), cells])
+        assert [p.name for p in tmp_path.iterdir()] == (["x.csv"] if existing else [])
+        if existing:
+            assert target.read_bytes() == old
 
     def test_config_hash_stable_across_key_order(self):
         a = {"x": 1, "y": {"a": 2, "b": 3}}

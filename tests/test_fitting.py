@@ -8,7 +8,13 @@ import pytest
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
 from picmod.errors import FitError, InsufficientFringeError
-from picmod.fitting import _linear_solve, _scan_sse, fit_v_pi
+from picmod.fitting import (
+    _SCAN_BASIS_GRIDS,
+    _linear_solve,
+    _scan_basis,
+    _scan_sse,
+    fit_v_pi,
+)
 from picmod.rng import derive_rng
 
 from conftest import CONFIG_DIR
@@ -160,4 +166,45 @@ class TestBatchedScan:
         grid = scan_grid(volts)
         whole = _scan_sse(volts, trans, grid)
         monkeypatch.setattr("picmod.fitting._SCAN_BLOCK_ELEMENTS", 7 * volts.size)
+        # The basis is cached per grid: clear it so the new blocks build it.
+        _scan_basis.cache_clear()
         assert np.array_equal(_scan_sse(volts, trans, grid), whole)
+        assert _scan_basis.cache_info().misses == 1
+
+
+class TestScanBasisCache:
+    """The scan basis is built once per voltage grid and shared read-only."""
+
+    def test_cached_arrays_are_read_only(self):
+        volts, _ = noisy_sweeps(1)[0]
+        q_cos, q_sin = _scan_basis(volts.tobytes(), scan_grid(volts).tobytes())
+        assert q_cos.shape == q_sin.shape == (512, volts.size)
+        for q in (q_cos, q_sin):
+            assert not q.flags.writeable
+            with pytest.raises(ValueError):
+                q[0, 0] = 0.0
+
+    def test_second_fit_on_same_grid_hits_cache(self):
+        (volts, first), (_, second) = noisy_sweeps(2)
+        _scan_basis.cache_clear()
+        fit_v_pi(volts, first)
+        assert _scan_basis.cache_info()[:2] == (0, 1)  # (hits, misses)
+        fit_v_pi(volts, second)
+        assert _scan_basis.cache_info()[:2] == (1, 1)
+
+    def test_equal_length_grids_each_get_their_own_basis(self):
+        # Grids of one length but different voltages, fitted in turn more
+        # times than the cache holds grids: each scan must still match the
+        # per-point solve on its own grid, whether built or taken from cache.
+        v_pis = (44.4, 74.7, 99.0, 150.0, 200.0, 123.4)
+        grids = [np.linspace(0.0, 2.0 * v_pi, 241) for v_pi in v_pis]
+        assert len(grids) > _SCAN_BASIS_GRIDS
+        _scan_basis.cache_clear()
+        for volts in grids + grids:
+            trans = sin2(volts, float(volts[-1]) / 2.0, theta0=0.2, floor=1e-3)
+            grid = scan_grid(volts)
+            fast = _scan_sse(volts, trans, grid)
+            slow = np.array([_linear_solve(volts, trans, w)[1] for w in grid])
+            assert np.argmin(fast) == np.argmin(slow)
+            assert np.max(np.abs(fast - slow)) <= 1e-9 * np.dot(trans, trans)
+        assert _scan_basis.cache_info().currsize == _SCAN_BASIS_GRIDS

@@ -1,6 +1,7 @@
 """Bias-lock controller and long-run pulse stability experiments."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -40,7 +41,10 @@ def reference_run_lock(
 
     The dither measurements draw from ("lock", "dither-detector") and the
     ER samples and mean leakage from ("lock", "er-detector"); without
-    detector noise neither stream is read.
+    detector noise neither stream is read. A clamping or noisy detector
+    reads an OFF power at or below its floor as the floor (any other
+    detector reads one at or below 0 as 0), and each ER sample so read
+    counts as detector-limited.
     """
     dt = 1.0 / controller.update_rate
     n_updates = int(round(duration * controller.update_rate))
@@ -64,15 +68,19 @@ def reference_run_lock(
             return detector.measure(power, rng=dither_rng)
         return power if power > floor or not detector.clamp else floor
 
+    def off_reading(reading):
+        read_floor = floor if detector.clamp or noisy else 0.0
+        return (read_floor, 1) if reading <= read_floor else (reading, 0)
+
     correction = 0.0
     integ = 0.0
     times = []
     ers = []
     leak_sum = 0.0
+    limited = 0
     on_static = meas(1.0)
-    er_static = 10.0 * math.log10(
-        on_static / meas(per_stage_transmission(channel, 0.0) / peak)
-    )
+    off_static, _ = off_reading(meas(per_stage_transmission(channel, 0.0) / peak))
+    er_static = 10.0 * math.log10(on_static / off_static)
     for k in range(n_updates):
         eps = drift[k] + correction
         if engaged:
@@ -93,7 +101,8 @@ def reference_run_lock(
         p_off = per_stage_transmission(channel, eps) / peak
         leak_sum += p_off
         if k % er_sample_every == 0:
-            p_off_meas = detector.measure(p_off, rng=er_rng)
+            p_off_meas, at_floor = off_reading(detector.measure(p_off, rng=er_rng))
+            limited += at_floor
             p_on_meas = detector.measure(
                 per_stage_transmission(channel, math.pi + eps) / peak, rng=er_rng
             )
@@ -102,7 +111,7 @@ def reference_run_lock(
 
     times = np.asarray(times)
     ers = np.asarray(ers)
-    mean_leak = detector.measure(leak_sum / n_updates, rng=er_rng)
+    mean_leak, _ = off_reading(detector.measure(leak_sum / n_updates, rng=er_rng))
     return LockRunResult(
         times=times,
         er_db=ers,
@@ -112,6 +121,7 @@ def reference_run_lock(
         er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
         engaged=engaged,
         final_error_rad=float(drift[n_updates - 1] + correction),
+        detector_limited_samples=limited,
     )
 
 
@@ -212,6 +222,22 @@ class TestRunLock:
         with pytest.raises(PicmodError):
             run_lock(channel, drift_noise, LockController(), 60.0, DET, er_sample_every=0)
 
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_noise_at_off_power_reads_detector_floor(self, channel, drift_noise, clamp):
+        # Noise of 1e-7 on a locked OFF power of about 7e-8 takes some OFF
+        # readings to the floor or below: they read as the floor (80 dB ER
+        # here) and count as detector-limited, never as +inf dB.
+        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-7, clamp=clamp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_lock(channel, drift_noise, LockController(), 1800.0, det)
+        assert res.er_db.size == 150
+        assert np.isfinite(res.er_db).all() and res.er_db.max() == pytest.approx(80.0)
+        assert math.isfinite(res.er_mean_db) and math.isfinite(res.er_std_db)
+        assert math.isfinite(res.er_time_avg_db)
+        at_floor = np.count_nonzero(res.er_db > 80.0 - 1e-3)
+        assert res.detector_limited_samples == at_floor > 0
+
     def test_controller_validation(self):
         with pytest.raises(PicmodError):
             LockController(update_rate=0.0)
@@ -255,9 +281,13 @@ class TestRunLockOracle:
             reference_run_lock(*args, engaged=engaged, er_sample_every=7),
         )
 
-    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
-    def test_noisy_detector(self, channel, drift_noise, engaged):
-        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-9)
+    @pytest.mark.parametrize(
+        "engaged, sigma",
+        [(True, 1e-9), (False, 1e-9), (True, 1e-7), (False, 1e-7)],
+        ids=["engaged", "disengaged", "engaged-at-off-power", "disengaged-at-off-power"],
+    )
+    def test_noisy_detector(self, channel, drift_noise, engaged, sigma):
+        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=sigma)
         args = (channel, drift_noise, LockController(), 1800.0, det)
         assert_same_run(
             run_lock(*args, engaged=engaged), reference_run_lock(*args, engaged=engaged)
