@@ -1,19 +1,14 @@
 """picmod: digital twin and control stack for cascaded-MZI modulator arrays."""
 
 from .core import (
-    ChipConfig,
     Coupler,
     ModulatorChannel,
     MziStage,
-    PhaseShifter,
     Port,
-    ShifterRole,
     SweepResult,
     channel_transmission_equal,
-    link_budget,
     make_calibrated_channel,
     power_split_for_er,
-    stage_transmission,
     sweep_channel,
 )
 from .dynamics import (
@@ -37,14 +32,12 @@ from .beams import (
 from .calibration import calibrate
 from .config import ExperimentConfig
 from .crosstalk import (
-    ChannelState,
     CrosstalkGraph,
     Scenario,
     crosstalk_matrix,
     nearest_neighbor_graph,
     nn_mean_db,
     predict_scenario_c_db,
-    victim_output,
 )
 from .errors import PicmodError
 from .fitting import VpiFit, fit_v_pi
@@ -59,7 +52,6 @@ from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .reports import RunReport, load_report
 from .waveforms import (
     DynamicExtinction,
-    EdgeShape,
     PredistortionProblem,
     PredistortionSolution,
     PulseSpec,

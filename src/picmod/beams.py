@@ -3,8 +3,8 @@
 Sites sit on a 1-D line at a fixed pitch in units of the 1/e^2 intensity
 diameter d0. Each active channel contributes a Gaussian beam at its site;
 evanescent coupling in the delivery path places attenuated copies on the
-nearest-neighbor sites. Fields add coherently by default (worst case for
-aligned phases); an incoherent intensity sum is available for reporting.
+nearest-neighbor sites. Fields add coherently, in phase: the worst case
+for the leakage at an idle site.
 """
 
 from __future__ import annotations
@@ -81,14 +81,11 @@ def _gaussian_fields(array: BeamArray, x: np.ndarray) -> np.ndarray:
     return np.exp(-((x[None, :] - pos) ** 2) / array.waist_radius**2)
 
 
-def intensity_profile(array: BeamArray, x_samples, coherent: bool = True) -> np.ndarray:
+def intensity_profile(array: BeamArray, x_samples) -> np.ndarray:
     """Unnormalized intensity cross-section along the site axis."""
     x = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    fields = _gaussian_fields(array, x)
-    if coherent:
-        total = (array.amplitudes[:, None] * fields).sum(axis=0)
-        return np.abs(total) ** 2
-    return ((np.abs(array.amplitudes[:, None]) ** 2) * fields**2).sum(axis=0)
+    total = (array.amplitudes[:, None] * _gaussian_fields(array, x)).sum(axis=0)
+    return np.abs(total) ** 2
 
 
 @dataclass(frozen=True)
@@ -99,16 +96,14 @@ class BeamProfile:
     floor_db: float
 
 
-def target_plane_profile(
-    array: BeamArray, x_samples, coherent: bool = True
-) -> BeamProfile:
+def target_plane_profile(array: BeamArray, x_samples) -> BeamProfile:
     """Normalized target-plane intensity cross-section.
 
     The linear profile is normalized to its peak; the dB profile is
     clamped at the measurement floor, as a real detector would report it.
     """
     x = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    intensity = intensity_profile(array, x, coherent=coherent)
+    intensity = intensity_profile(array, x)
     peak = float(intensity.max())
     if peak <= 0:
         raise PicmodError("profile has no power")
@@ -129,10 +124,10 @@ class SiteLeakage:
     floor_limited: bool
 
 
-def site_leakage_report(array: BeamArray, coherent: bool = True) -> list[SiteLeakage]:
+def site_leakage_report(array: BeamArray) -> list[SiteLeakage]:
     """Leakage at every idle site center relative to the active-site peak."""
     pos = array.site_positions()
-    intensity = intensity_profile(array, pos, coherent=coherent)
+    intensity = intensity_profile(array, pos)
     peak = float(max(intensity[i] for i in array.active))
     report = []
     for site in range(array.n_beams):

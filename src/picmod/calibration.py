@@ -2,9 +2,9 @@
 
 Calibration is deterministic given the configuration: each channel's
 coupler power split is solved in closed form from its extinction target,
-then every derived quantity (ER, v_pi fit, link budget) is re-measured
-through the forward model and compared against the target before the
-calibrated configuration is written out.
+then each channel's ER and v_pi fit are re-measured through the forward
+model and compared against the target before the calibrated
+configuration is written out.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import link_budget, power_split_for_er, sweep_channel
+from .core import power_split_for_er, sweep_channel
 from .errors import CalibrationError
 from .reports import RunReport
 
@@ -21,7 +21,8 @@ def calibrate(config: ExperimentConfig, er_tol_db: float = 0.1) -> tuple[Experim
     """Solve coupler splits for the configured ER targets and verify them.
 
     Returns a new configuration with coupler_power_splits frozen in, plus
-    a report of achieved ER, fitted v_pi, and link budget per channel.
+    a report of achieved ER and fitted v_pi per channel and the link
+    budget, which is the same for every channel.
     The detector-free forward model is used for verification so the check
     is against the chip itself, not the measurement floor.
     """
@@ -63,7 +64,6 @@ def calibrate(config: ExperimentConfig, er_tol_db: float = 0.1) -> tuple[Experim
             passed=vpi_err <= 0.01,
         )
 
-    budget = link_budget(calibrated.chip())
-    report.add("link_budget_mean", float(np.mean(budget)), "dB")
+    report.add("link_budget_mean", calibrated.link_budget_db(), "dB")
     report.add("er_mean", float(np.mean(chip_cfg["target_er_db"])), "dB")
     return calibrated, report.finish()

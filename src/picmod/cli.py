@@ -204,9 +204,7 @@ def pulse(config, out, seed, mode):
             extinction_target=target,
         )
         solution = predistort(problem)
-        drive = solution.drive
-        trace = trace_optical(channel, response, drive)
-        ext = solution.extinction
+        drive, trace = solution.drive, solution.trace
         t_floor, reached = solution.time_to_floor, solution.converged
         floor = solution.achieved_floor
         report.add("iterations", solution.iterations, "")

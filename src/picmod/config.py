@@ -13,19 +13,14 @@ from pathlib import Path
 
 import yaml
 
-from .core import (
-    ModulatorChannel,
-    make_calibrated_channel,
-    power_split_for_er,
-    ChipConfig,
-)
+from .core import ModulatorChannel, make_calibrated_channel, power_split_for_er
 from .crosstalk import CrosstalkGraph, nearest_neighbor_graph
 from .dynamics import ActuatorResponse, KernelKind, synthesize_kernel
 from .errors import ConfigError
 from .lock import LockController
 from .noise import DetectorModel, NoiseModel, OuParams
 from .serialize import config_hash, open_atomic
-from .waveforms import EdgeShape, PulseSpec
+from .waveforms import PulseSpec
 
 
 def _number(lo=None, hi=None, integer=False):
@@ -237,14 +232,14 @@ class ExperimentConfig:
             for i, split in enumerate(self.power_splits())
         ]
 
-    def chip(self) -> ChipConfig:
+    def link_budget_db(self) -> float:
+        """Fiber-to-output loss of every channel in dB: facet coupling
+        twice, propagation over the path, and the modulator insertion loss."""
         chip = self.data["chip"]
-        return ChipConfig(
-            channels=tuple(self.channels()),
-            wavelength_nm=self.data["wavelength_nm"],
-            propagation_loss_db_per_cm=chip["propagation_loss_db_per_cm"],
-            path_length_cm=chip["path_length_cm"],
-            coupling_loss_db=chip["coupling_loss_db"],
+        return (
+            2.0 * chip["coupling_loss_db"]
+            + chip["propagation_loss_db_per_cm"] * chip["path_length_cm"]
+            + chip["insertion_loss_db"]
         )
 
     def actuator(self) -> ActuatorResponse:
@@ -308,5 +303,4 @@ class ExperimentConfig:
             off_level=0.0,
             on_duration=pl["duty"] * period,
             period=period,
-            edge_shape=EdgeShape.SQUARE,
         )

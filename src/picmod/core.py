@@ -1,11 +1,12 @@
 """Closed-form model of cascaded-MZI modulator channels.
 
-A stage is a Mach-Zehnder interferometer: input coupler, one phase
-shifter per arm, output coupler. One arm carries the driven (MOD)
-shifter, the other a static BIAS shifter. With light in on port 0, a
-stage's monitored power is
+A stage is a Mach-Zehnder interferometer: an input coupler, two arms and
+an output coupler. The drive reaches one arm, so the arms differ by one
+net phase, phi(V) = pi*V/v_pi + bias_phase (`MziStage.phase`), where
+bias_phase is the driven arm's static phase less the static arm's. With
+light in on port 0, a stage's monitored power is
 
-    a^2 + b^2 + sign * 2ab * cos(phi_mod(V) - phi_bias)
+    a^2 + b^2 + sign * 2ab * cos(phi(V))
 
 where a and b are products of the coupler amplitudes and sign is -1 on
 the BAR port, +1 on the CROSS port (`MziStage.terms`). Finite extinction
@@ -30,20 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, PicmodError
-from .fitting import VpiFit, fit_v_pi
-
-# Single-mode propagation loss per wavelength, dB/cm.
-PROPAGATION_LOSS_DB_PER_CM = {795: 1.5, 1013: 2.7, 420: 5.6}
-
-SUPPORTED_WAVELENGTHS_NM = (420, 795, 1013)
+from .fitting import fit_v_pi
 
 # Smallest coupler imbalance power_split_for_er returns.
 MIN_IMBALANCE = 1e-4
-
-
-class ShifterRole(enum.Enum):
-    BIAS = "bias"
-    MOD = "mod"
 
 
 class Port(enum.Enum):
@@ -71,42 +62,22 @@ class Coupler:
 
 
 @dataclass(frozen=True)
-class PhaseShifter:
-    """Linear voltage-to-phase element: phase(V) = pi*V/v_pi + bias_phase."""
+class MziStage:
+    """One Mach-Zehnder stage: two couplers and the arms' net phase."""
 
+    input_coupler: Coupler
+    output_coupler: Coupler
     v_pi: float
     bias_phase: float = 0.0
-    role: ShifterRole = ShifterRole.MOD
+    monitored_port: Port = Port.BAR
 
     def __post_init__(self):
         if self.v_pi <= 0:
             raise PicmodError(f"v_pi must be positive, got {self.v_pi}")
 
     def phase(self, voltage):
+        """Net arm phase pi*V/v_pi + bias_phase at drive voltage V."""
         return math.pi * np.asarray(voltage, dtype=float) / self.v_pi + self.bias_phase
-
-
-@dataclass(frozen=True)
-class MziStage:
-    """One Mach-Zehnder stage: two couplers and one phase shifter per arm."""
-
-    input_coupler: Coupler
-    output_coupler: Coupler
-    arm_phase_shifters: tuple[PhaseShifter, PhaseShifter]
-    monitored_port: Port = Port.BAR
-
-    def __post_init__(self):
-        roles = [ps.role for ps in self.arm_phase_shifters]
-        if sorted(r.value for r in roles) != ["bias", "mod"]:
-            raise PicmodError("stage needs exactly one MOD and one BIAS shifter")
-
-    @property
-    def mod_shifter(self) -> PhaseShifter:
-        return next(ps for ps in self.arm_phase_shifters if ps.role is ShifterRole.MOD)
-
-    @property
-    def bias_shifter(self) -> PhaseShifter:
-        return next(ps for ps in self.arm_phase_shifters if ps.role is ShifterRole.BIAS)
 
     @property
     def terms(self) -> tuple[float, float, float]:
@@ -153,7 +124,7 @@ class ModulatorChannel:
 
     @property
     def v_pi(self) -> float:
-        return self.stages[0].mod_shifter.v_pi
+        return self.stages[0].v_pi
 
     def cascade(self, stage_power):
         """Lossless power when every stage passes stage_power.
@@ -199,19 +170,10 @@ def channel_transmission_equal(channel: ModulatorChannel, voltage, include_loss=
     ``voltage`` may be a scalar or an array; the lumped insertion loss is
     applied last.
     """
-    stage = channel.stages[0]
-    out = channel.power_at_phase(
-        stage.mod_shifter.phase(voltage) - stage.bias_shifter.bias_phase
-    )
+    out = channel.power_at_phase(channel.stages[0].phase(voltage))
     if include_loss:
         out = out * 10.0 ** (-channel.insertion_loss_db / 10.0)
     return out
-
-
-def stage_transmission(stage: MziStage, drive_voltage):
-    """Monitored-port power transmission of one stage for input on port 0."""
-    out = channel_transmission_equal(ModulatorChannel((stage,)), drive_voltage, include_loss=False)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -235,7 +197,6 @@ def sweep_channel(
     n_points: int,
     detector=None,
     rng=None,
-    fit: bool = True,
 ) -> SweepResult:
     """Sweep the channel over a uniform voltage grid (equal drive per stage).
 
@@ -259,11 +220,9 @@ def sweep_channel(
     peak = float(np.max(trans))
     trans = trans / peak
     er_db = 10.0 * math.log10(np.max(trans) / np.min(trans))
-    fitted = VpiFit(float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
-    if fit:
-        # The cascade fringe is the per-stage sin^2 raised to the stage
-        # count; fit the per-stage fringe on the n-th root.
-        fitted = fit_v_pi(volts, trans ** (1.0 / channel.n_stages))
+    # The cascade fringe is the per-stage sin^2 raised to the stage
+    # count; fit the per-stage fringe on the n-th root.
+    fitted = fit_v_pi(volts, trans ** (1.0 / channel.n_stages))
     return SweepResult(
         voltages=volts,
         transmissions=trans,
@@ -276,59 +235,19 @@ def sweep_channel(
     )
 
 
-@dataclass(frozen=True)
-class ChipConfig:
-    """One 8-channel chip at a single operating wavelength."""
-
-    channels: tuple[ModulatorChannel, ...]
-    wavelength_nm: int
-    propagation_loss_db_per_cm: float
-    path_length_cm: float
-    coupling_loss_db: float
-
-    def __post_init__(self):
-        if self.wavelength_nm not in SUPPORTED_WAVELENGTHS_NM:
-            raise PicmodError(f"unsupported wavelength {self.wavelength_nm} nm")
-        if not 0.0 <= self.coupling_loss_db:
-            raise PicmodError("coupling_loss_db must be >= 0")
-        if self.propagation_loss_db_per_cm < 0 or self.path_length_cm < 0:
-            raise PicmodError("losses and path length must be >= 0")
-
-
-def link_budget(chip: ChipConfig) -> np.ndarray:
-    """Total fiber-to-output loss per channel in dB.
-
-    2x facet coupling + propagation over the path + per-channel insertion
-    loss of every modulator in that channel's path.
-    """
-    base = 2.0 * chip.coupling_loss_db + (
-        chip.propagation_loss_db_per_cm * chip.path_length_cm
-    )
-    return np.array([base + ch.insertion_loss_db for ch in chip.channels])
-
-
 def make_calibrated_channel(
     v_pi: float,
     power_split: float = 0.5,
     n_stages: int = 2,
     insertion_loss_db: float = 0.0,
     channel_index: int = 0,
-    bias_phase: float = 0.0,
 ) -> ModulatorChannel:
     """Build a channel with identical stages and a given coupler imbalance.
 
-    With bias_phase 0 the monitored BAR port sits at its null at V = 0.
+    The monitored BAR port sits at its null at V = 0.
     """
     coupler = Coupler(power_split)
-    stage = MziStage(
-        input_coupler=coupler,
-        output_coupler=coupler,
-        arm_phase_shifters=(
-            PhaseShifter(v_pi=v_pi, bias_phase=bias_phase, role=ShifterRole.MOD),
-            PhaseShifter(v_pi=v_pi, bias_phase=0.0, role=ShifterRole.BIAS),
-        ),
-        monitored_port=Port.BAR,
-    )
+    stage = MziStage(coupler, coupler, v_pi)
     return ModulatorChannel(
         stages=(stage,) * n_stages,
         insertion_loss_db=insertion_loss_db,

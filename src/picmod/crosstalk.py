@@ -7,9 +7,9 @@ contributions add incoherently; the three standard measurement scenarios
 differ only in the victim's optical input and modulator state.
 
 `crosstalk_matrix` evaluates every aggressor/victim pair at once from the
-closed form (in_v*T_v + lin(before)*T_v + lin(after)) / t_on. The per-pair
-`scenario_states` and `victim_output` spell the same sum out state by state
-and are the reference it is tested against.
+closed form (in_v*T_v + lin(before)*T_v + lin(after)) / t_on. The tests
+spell the same sum out channel by channel, one pair at a time, as its
+reference.
 """
 
 from __future__ import annotations
@@ -31,18 +31,6 @@ class Scenario(enum.Enum):
     A = "A"
     B = "B"
     C = "C"
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    optical_input: float  # linear power, 0 if inactive
-    modulator_transmission: float  # linear
-
-    def __post_init__(self):
-        if self.optical_input < 0:
-            raise PicmodError("optical_input must be >= 0")
-        if not 0.0 <= self.modulator_transmission <= 1.0:
-            raise PicmodError("modulator_transmission must lie in [0,1]")
 
 
 @dataclass(frozen=True)
@@ -92,48 +80,8 @@ def _lin(db: float) -> float:
 
 def _lin_matrix(db: np.ndarray) -> np.ndarray:
     # Entry by entry: numpy's array power can differ from the scalar one in
-    # the last bit, and the matrix must equal victim_output's per-pair sum.
+    # the last bit, and the matrix must equal the per-pair sum.
     return np.array([_lin(v) for v in db.ravel().tolist()]).reshape(db.shape)
-
-
-def victim_output(
-    graph: CrosstalkGraph, states: list[ChannelState], victim: int
-) -> float:
-    """Linear power at the victim's output (incoherent sum of all paths)."""
-    if len(states) != graph.n_channels:
-        raise PicmodError("states length must equal n_channels")
-    if not 0 <= victim < graph.n_channels:
-        raise PicmodError(f"victim index {victim} out of range")
-    vs = states[victim]
-    out = vs.optical_input * vs.modulator_transmission
-    for i, st in enumerate(states):
-        if i == victim or st.optical_input == 0.0:
-            continue
-        leak = _lin(graph.coupling_before_db[i, victim]) * vs.modulator_transmission
-        leak += _lin(graph.coupling_after_db[i, victim])
-        out += st.optical_input * leak
-    return out
-
-
-def scenario_states(
-    scenario: Scenario,
-    aggressor: int,
-    victim: int,
-    n_channels: int,
-    t_on: float,
-    t_off: float,
-) -> list[ChannelState]:
-    """State template per measurement scenario: aggressor lit and ON."""
-    dark_off = ChannelState(0.0, t_off)
-    states = [dark_off] * n_channels
-    states[aggressor] = ChannelState(1.0, t_on)
-    if scenario is Scenario.A:
-        states[victim] = ChannelState(0.0, t_off)
-    elif scenario is Scenario.B:
-        states[victim] = ChannelState(0.0, t_on)
-    else:
-        states[victim] = ChannelState(1.0, t_off)
-    return states
 
 
 def crosstalk_matrix(
@@ -150,15 +98,20 @@ def crosstalk_matrix(
     values are measured through it: floor-clamped, plus additive noise
     drawn from rng.
     """
-    # Every pair sees the same aggressor and victim states; only their
-    # positions differ, and the other channels are dark.
-    aggressor, victim = scenario_states(scenario, 0, 1, 2, t_on, t_off)
-    t_v = victim.modulator_transmission
+    if not (0.0 <= t_on <= 1.0 and 0.0 <= t_off <= 1.0):
+        raise PicmodError("t_on and t_off must lie in [0,1]")
+    # Every pair sees the aggressor lit (unit input) and ON, the victim in
+    # the scenario's (optical input, transmission), and the others dark.
+    in_v, t_v = {
+        Scenario.A: (0.0, t_off),
+        Scenario.B: (0.0, t_on),
+        Scenario.C: (1.0, t_off),
+    }[scenario]
     lin_before = _lin_matrix(graph.coupling_before_db)
     lin_after = _lin_matrix(graph.coupling_after_db)
     leak = lin_before * t_v + lin_after
-    out_v = victim.optical_input * t_v + aggressor.optical_input * leak
-    rel = out_v / (aggressor.optical_input * aggressor.modulator_transmission)
+    out_v = in_v * t_v + leak
+    rel = out_v / t_on
     if detector is not None:
         rel = detector.measure(rel, rng=rng)
     out = np.array(

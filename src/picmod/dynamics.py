@@ -210,20 +210,18 @@ def trace_optical(
     channel: ModulatorChannel,
     response: ActuatorResponse,
     drive: Waveform,
-    normalize: bool = True,
 ) -> OpticalTrace:
     """Time-resolved optical power for a drive applied to every stage.
 
     The actuator filters the voltage (phase is linear in voltage, so
     filtering commutes with the pi/v_pi scale); the optical map is applied
-    per sample. Power is normalized to the channel's ON level by default.
+    per sample. Power is normalized to the channel's ON level.
     """
     if not math.isclose(response.sample_period, drive.sample_period, rel_tol=1e-9):
         raise GridError("kernel and drive sample periods differ")
     v_eff = convolve_causal(drive.samples, response.impulse_kernel)
     power = channel_transmission_equal(channel, v_eff, include_loss=False)
-    if normalize:
-        power = power / channel.max_transmission()
+    power = power / channel.max_transmission()
     return OpticalTrace(sample_period=drive.sample_period, power=np.asarray(power))
 
 

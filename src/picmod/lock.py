@@ -147,6 +147,8 @@ def run_lock(
     With engaged=False the controller is bypassed but the identical drift
     path (same seed) is replayed, so ON/OFF comparisons are paired.
     initial_offset adds a static bias error on top of the drift path.
+    A noisy detector with a zero floor raises PicmodError: an OFF reading
+    clipped at 0 would have no floor to read as.
     """
     dt = 1.0 / controller.update_rate
     n_updates = int(round(duration * controller.update_rate))
@@ -154,6 +156,8 @@ def run_lock(
         raise PicmodError("duration shorter than one controller update")
     if er_sample_every < 1:
         raise PicmodError("er_sample_every must be >= 1")
+    if detector.additive_noise_sigma > 0 and detector.relative_floor == 0:
+        raise PicmodError("a noisy detector needs a positive relative_floor")
     drift_rng = derive_rng(noise.seed, "lock", "bias-drift")
     dither_rng = derive_rng(noise.seed, "lock", "dither-detector")
     er_rng = derive_rng(noise.seed, "lock", "er-detector")

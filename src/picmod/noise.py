@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PicmodError
-from .rng import derive_rng
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,7 @@ def sample_ou_path(
     correlation_time: float,
     duration: float,
     dt: float,
-    seed=None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Exact-discretization OU path with a stationary start.
 
@@ -69,10 +67,6 @@ def sample_ou_path(
         raise PicmodError(
             f"dt {dt:.3g} too coarse for correlation time {correlation_time:.3g}"
         )
-    if rng is None:
-        if seed is None:
-            raise PicmodError("sample_ou_path needs a seed or rng")
-        rng = derive_rng(int(seed), "ou-path")
     a = math.exp(-dt / correlation_time)
     w = rng.standard_normal(n)
     drive = w * (sigma * math.sqrt(1.0 - a * a))

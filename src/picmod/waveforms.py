@@ -9,7 +9,6 @@ recomputed by an independent forward simulation of the returned drive.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,11 +25,6 @@ from .dynamics import (
 from .errors import GridError, PicmodError, UnachievableTargetError
 
 
-class EdgeShape(enum.Enum):
-    SQUARE = "square"
-    RAISED_COSINE = "raised_cosine"
-
-
 @dataclass(frozen=True)
 class PulseSpec:
     """Periodic ON/OFF drive pulse description."""
@@ -39,16 +33,10 @@ class PulseSpec:
     off_level: float
     on_duration: float
     period: float
-    edge_shape: EdgeShape = EdgeShape.SQUARE
-    edge_time: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.on_duration < self.period:
             raise PicmodError("need 0 < on_duration < period")
-        if self.edge_shape is EdgeShape.RAISED_COSINE and not (
-            0.0 < self.edge_time < self.on_duration / 2.0
-        ):
-            raise PicmodError("edge_time must lie in (0, on_duration/2)")
 
 
 def _grid_count(duration: float, dt: float, what: str) -> int:
@@ -68,13 +56,6 @@ def make_pulse_train(spec: PulseSpec, n_pulses: int, sample_period: float) -> Wa
     n_on = _grid_count(spec.on_duration, sample_period, "on_duration")
     one = np.full(n_period, spec.off_level, dtype=float)
     one[:n_on] = spec.on_level
-    if spec.edge_shape is EdgeShape.RAISED_COSINE:
-        n_edge = _grid_count(spec.edge_time, sample_period, "edge_time")
-        if n_edge > 0:
-            ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(n_edge) + 1) / n_edge))
-            swing = spec.on_level - spec.off_level
-            one[:n_edge] = spec.off_level + swing * ramp
-            one[n_on - n_edge:n_on] = spec.off_level + swing * ramp[::-1]
     return Waveform(sample_period, np.tile(one, n_pulses))
 
 
@@ -85,8 +66,8 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
     (target * peak)^(1/n) = c0 + c1*cos(phi), which inverts exactly:
     phi = arccos(((target * peak)^(1/n) - c0) / c1) on the branch
     phi in [0, pi] (for the BAR port, a^2 + b^2 - stage power over 2ab).
-    phi is the stage's net phase; the drive phase is phi less the static
-    bias of the MOD arm over the BIAS arm. The floor and 1.0 map exactly
+    phi is the stage's net phase; the drive phase is phi less the stage's
+    bias_phase. The floor and 1.0 map exactly
     to the null and the peak, where arccos is worst conditioned. The
     tests check the result against the forward model and against
     bracketed root finding.
@@ -108,7 +89,7 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
     cos_peak = math.copysign(1.0, c1)
     cos_phi[target >= 1.0] = cos_peak
     cos_phi[target <= floor] = -cos_peak
-    return np.arccos(cos_phi) - (stage.mod_shifter.bias_phase - stage.bias_shifter.bias_phase)
+    return np.arccos(cos_phi) - stage.bias_phase
 
 
 @dataclass(frozen=True)
@@ -184,6 +165,7 @@ class PredistortionProblem:
 @dataclass(frozen=True)
 class PredistortionSolution:
     drive: Waveform
+    trace: OpticalTrace  # the verified optical trace of the drive
     achieved_floor: float
     time_to_floor: float
     iterations: int
@@ -273,6 +255,7 @@ def predistort(problem: PredistortionProblem) -> PredistortionSolution:
 
     return PredistortionSolution(
         drive=drive,
+        trace=trace,
         achieved_floor=floor,
         time_to_floor=t_floor,
         iterations=iterations,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from picmod.config import ExperimentConfig
-from picmod.core import ShifterRole, make_calibrated_channel, power_split_for_er
+from picmod.core import make_calibrated_channel, power_split_for_er
 from picmod.dynamics import KernelKind, synthesize_kernel
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "picmod" / "configs"
@@ -19,20 +19,18 @@ def coupler_matrix(coupler):
 
 
 def stage_matrix(stage, drive_voltage):
-    """Oracle: C_out . diag(e^{i phi1}, e^{i phi2}) . C_in of an MZI stage.
+    """Oracle: C_out . diag(e^{i phi}, 1) . C_in of an MZI stage.
 
-    The drive reaches the MOD arm only; the BIAS arm sits at its static
-    phase. Broadcasts over array-valued drives; the matrix axes are the
-    trailing two. The monitored power for input on port 0 is
-    |m[..., port, 0]|^2, which the closed form in picmod.core must equal.
+    Arm 0 carries the stage's net phase phi(V) and arm 1 none; only the
+    arms' difference reaches the output power. Broadcasts over
+    array-valued drives; the matrix axes are the trailing two. The
+    monitored power for input on port 0 is |m[..., port, 0]|^2, which the
+    closed form in picmod.core must equal.
     """
-    phi1, phi2 = (
-        np.asarray(ps.phase(drive_voltage if ps.role is ShifterRole.MOD else 0.0))
-        for ps in stage.arm_phase_shifters
-    )
-    prop = np.zeros(np.broadcast_shapes(phi1.shape, phi2.shape) + (2, 2), dtype=complex)
-    prop[..., 0, 0] = np.exp(1j * phi1)
-    prop[..., 1, 1] = np.exp(1j * phi2)
+    phi = np.asarray(stage.phase(drive_voltage))
+    prop = np.zeros(phi.shape + (2, 2), dtype=complex)
+    prop[..., 0, 0] = np.exp(1j * phi)
+    prop[..., 1, 1] = 1.0
     return coupler_matrix(stage.output_coupler) @ prop @ coupler_matrix(stage.input_coupler)
 
 

@@ -27,6 +27,7 @@ from picmod.crosstalk import (
 from picmod.dynamics import convolve_causal, measure_rise_time, step_response_trace
 from picmod.lock import LockController, noisy_pulse_experiment, run_lock
 from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
+from picmod.rng import derive_rng
 from picmod.waveforms import (
     PredistortionProblem,
     PulseSpec,
@@ -63,7 +64,6 @@ class TestAcceptance:
     def test_02_v_pi_recovery(self, config_795, config_1013, config_420):
         from picmod.core import channel_transmission_equal
         from picmod.fitting import fit_v_pi
-        from picmod.rng import derive_rng
 
         oks, details = [], []
         for cfg, v_pi in ((config_795, 74.7), (config_1013, 200.0), (config_420, 44.4)):
@@ -260,11 +260,14 @@ class TestAcceptance:
         )
         conv_ok = bool(np.max(np.abs(convolve_causal(x, k) - direct)) < 1e-10)
         # OU stationarity
-        stds = [np.std(sample_ou_path(1.0, 50.0, 20000.0, 5.0, seed=s)) for s in range(10)]
+        stds = [
+            np.std(sample_ou_path(1.0, 50.0, 20000.0, 5.0, rng=derive_rng(s, "ou-path")))
+            for s in range(10)
+        ]
         ou_ok = abs(np.mean(stds) - 1.0) < 0.10
         # determinism
-        a = sample_ou_path(0.5, 10.0, 1000.0, 1.0, seed=99)
-        b = sample_ou_path(0.5, 10.0, 1000.0, 1.0, seed=99)
+        a = sample_ou_path(0.5, 10.0, 1000.0, 1.0, rng=derive_rng(99, "ou-path"))
+        b = sample_ou_path(0.5, 10.0, 1000.0, 1.0, rng=derive_rng(99, "ou-path"))
         det_ok = bool(np.array_equal(a, b))
         ok = energy_ok and add_ok and conv_ok and ou_ok and det_ok
         verdict(

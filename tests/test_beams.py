@@ -63,29 +63,6 @@ class TestPatterns:
             assert -51.3 <= leaks[site].leakage_db <= -50.8 + 6.1
         assert leaks[7].leakage_db == pytest.approx(-50.8, abs=0.2)
 
-    def test_incoherent_sum_mode_is_sum_of_intensities(self):
-        # Incoherent mode drops cross-site interference: the profile equals
-        # the sum of each site's individual intensity.
-        array = make_beam_array(4, [0, 1], pitch=1.5, nn_leak_db=-300.0)
-        x = np.linspace(-1, 4, 512)
-        combined = intensity_profile(array, x, coherent=False)
-        parts = sum(
-            intensity_profile(make_beam_array(4, [i], pitch=1.5, nn_leak_db=-300.0), x)
-            for i in (0, 1)
-        )
-        assert np.allclose(combined, parts, atol=1e-12)
-
-    def test_modes_agree_without_overlap(self):
-        # With one site populated there are no cross terms; both summation
-        # modes give the same profile.
-        array = make_beam_array(4, [1], pitch=PITCH, nn_leak_db=-1000.0)
-        x = np.linspace(-1, 3 * PITCH, 512)
-        assert np.allclose(
-            intensity_profile(array, x, coherent=True),
-            intensity_profile(array, x, coherent=False),
-            atol=1e-15,
-        )
-
 
 class TestValidation:
     def test_empty_active_set(self):

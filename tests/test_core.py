@@ -5,19 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from picmod.config import ExperimentConfig
 from picmod.core import (
-    ChipConfig,
     Coupler,
     ModulatorChannel,
     MziStage,
-    PhaseShifter,
     Port,
-    ShifterRole,
     channel_transmission_equal,
-    link_budget,
     make_calibrated_channel,
     power_split_for_er,
-    stage_transmission,
     sweep_channel,
 )
 from picmod.errors import CalibrationError, PicmodError
@@ -26,21 +22,13 @@ from picmod.noise import DetectorModel
 from conftest import coupler_matrix, stage_matrix
 
 
-def make_stage(
-    split_in=0.5, split_out=0.5, v_pi=74.7, bias=0.0, port=Port.BAR,
-    static_bias=0.0, mod_arm=0,
-):
-    """Stage with ``bias`` on the MOD shifter and ``static_bias`` on the BIAS one."""
-    shifters = [
-        PhaseShifter(v_pi=v_pi, bias_phase=bias, role=ShifterRole.MOD),
-        PhaseShifter(v_pi=v_pi, bias_phase=static_bias, role=ShifterRole.BIAS),
-    ]
-    return MziStage(
-        input_coupler=Coupler(split_in),
-        output_coupler=Coupler(split_out),
-        arm_phase_shifters=tuple(shifters[::-1] if mod_arm else shifters),
-        monitored_port=port,
-    )
+def make_stage(split_in=0.5, split_out=0.5, v_pi=74.7, bias=0.0, port=Port.BAR):
+    return MziStage(Coupler(split_in), Coupler(split_out), v_pi, bias, port)
+
+
+def stage_transmission(stage, volts):
+    """Monitored-port power of one stage: a one-stage channel without loss."""
+    return channel_transmission_equal(ModulatorChannel((stage,)), volts, include_loss=False)
 
 
 class TestCoupler:
@@ -70,22 +58,22 @@ class TestStageTransmission:
         # Equal imbalance on both couplers: floor = (t^2 - r^2)^2 = (2*delta)^2.
         assert expected == pytest.approx((2 * 0.01) ** 2, abs=1e-12)
 
-    def test_stage_requires_one_mod_one_bias(self):
-        mod = PhaseShifter(v_pi=1.0, role=ShifterRole.MOD)
-        with pytest.raises(PicmodError):
-            MziStage(Coupler(), Coupler(), (mod, mod))
+    @pytest.mark.parametrize("v_pi", [0.0, -1.0])
+    def test_nonpositive_v_pi_rejected(self, v_pi):
+        with pytest.raises(PicmodError, match="v_pi must be positive"):
+            make_stage(v_pi=v_pi)
 
     def test_floor_and_peak_match_matrix_oracle(self):
         # The net phase is 0 at V0 and pi at V0 + v_pi: one is the floor,
         # the other the peak, whichever the port.
         rng = np.random.default_rng(3)
         for _ in range(200):
-            bias, static_bias, v_pi = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(10, 300)
+            bias, v_pi = rng.uniform(-2, 2), rng.uniform(10, 300)
             st = make_stage(
                 rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), v_pi, bias,
-                Port(int(rng.integers(2))), static_bias, int(rng.integers(2)),
+                Port(int(rng.integers(2))),
             )
-            v0 = (static_bias - bias) * v_pi / math.pi
+            v0 = -bias * v_pi / math.pi
             m = stage_matrix(st, np.array([v0, v0 + v_pi]))
             ends = np.sort(np.abs(m[:, st.monitored_port.value, 0]) ** 2)
             want = [st.min_transmission(), st.max_transmission()]
@@ -102,7 +90,7 @@ def per_stage_product(channel, volts):
     out = 1.0
     for st in channel.stages:
         a, b, sign = st.terms
-        phi = st.mod_shifter.phase(volts) - st.bias_shifter.bias_phase
+        phi = st.phase(volts)
         out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phi))
     return out
 
@@ -137,13 +125,13 @@ class TestChannelTransmission:
     @pytest.mark.parametrize("port", list(Port))
     @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
     def test_cascade_equals_per_stage_product(self, n_stages, port):
-        # Bit for bit, with static phases on both arms: one fringe,
-        # multiplied in order, is the per-stage product.
+        # Bit for bit, with a static bias phase: one fringe, multiplied in
+        # order, is the per-stage product.
         rng = np.random.default_rng(n_stages)
         for _ in range(50):
             st = make_stage(
                 rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(10, 300),
-                rng.uniform(-1, 1), port, rng.uniform(-1, 1), int(rng.integers(2)),
+                rng.uniform(-2, 2), port,
             )
             ch = ModulatorChannel(stages=(st,) * n_stages)
             volts = rng.uniform(-400, 400, 257)
@@ -159,8 +147,7 @@ class TestChannelTransmission:
 
     def test_matrix_chain_oracle(self):
         # Complex matrix-chain product over random identical-stage channels:
-        # either port, MOD on either arm, static phase on both shifters,
-        # array drives.
+        # either port, a static bias phase, array drives.
         rng = np.random.default_rng(7)
         for _ in range(1000):
             n_stages = int(rng.integers(1, 5))
@@ -168,10 +155,8 @@ class TestChannelTransmission:
                 split_in=rng.uniform(0.3, 0.7),
                 split_out=rng.uniform(0.3, 0.7),
                 v_pi=rng.uniform(10, 300),
-                bias=rng.uniform(-1, 1),
+                bias=rng.uniform(-2, 2),
                 port=Port(int(rng.integers(2))),
-                static_bias=rng.uniform(-1, 1),
-                mod_arm=int(rng.integers(2)),
             )
             ch = ModulatorChannel(stages=(stage,) * n_stages)
             volts = rng.uniform(-200, 200, 4)
@@ -227,26 +212,32 @@ class TestSweepChannel:
         assert np.allclose(base, got, atol=1e-15, rtol=0)
 
 
+def with_chip(config, **chip):
+    data = dict(config.data)
+    data["chip"] = {**data["chip"], **chip}
+    return ExperimentConfig(data)
+
+
 class TestLinkBudget:
     def test_shipped_default_795(self, config_795):
-        assert np.allclose(link_budget(config_795.chip()), 10.5)
+        assert config_795.link_budget_db() == pytest.approx(10.5)
 
     def test_shipped_default_420(self, config_420):
-        assert np.allclose(link_budget(config_420.chip()), 14.6)
+        assert config_420.link_budget_db() == pytest.approx(14.6)
 
-    def test_zero_loss_config(self):
-        ch = make_calibrated_channel(v_pi=1.0)
-        chip = ChipConfig((ch,), 795, 0.0, 0.0, 0.0)
-        assert link_budget(chip)[0] == 0.0
+    def test_zero_loss_config(self, config_795):
+        zero = with_chip(
+            config_795, coupling_loss_db=0.0, propagation_loss_db_per_cm=0.0,
+            path_length_cm=0.0, insertion_loss_db=0.0,
+        )
+        assert zero.link_budget_db() == 0.0
 
     def test_monotone_in_each_term(self, config_795):
-        base = link_budget(config_795.chip())[0]
-        data = dict(config_795.data)
-        data["chip"] = dict(data["chip"])
-        data["chip"]["coupling_loss_db"] = 4.0
-        from picmod.config import ExperimentConfig
-
-        assert link_budget(ExperimentConfig(data).chip())[0] > base
+        chip = config_795.data["chip"]
+        for key in ("coupling_loss_db", "propagation_loss_db_per_cm", "path_length_cm",
+                    "insertion_loss_db"):
+            raised = with_chip(config_795, **{key: chip[key] + 1.0})
+            assert raised.link_budget_db() > config_795.link_budget_db(), key
 
 
 class TestPowerSplitForEr:

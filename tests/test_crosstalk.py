@@ -1,26 +1,75 @@
 """On-chip crosstalk scenarios and composition consistency."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from picmod.crosstalk import (
-    ChannelState,
     CrosstalkGraph,
     Scenario,
     crosstalk_matrix,
     nearest_neighbor_graph,
     nn_mean_db,
     predict_scenario_c_db,
-    scenario_states,
-    victim_output,
 )
 from picmod.errors import PicmodError
 from picmod.noise import DetectorModel
 
 T_ON = 1.0
 T_OFF = 10 ** (-7.14)  # 71.4 dB calibrated channel floor
+
+
+# Per-pair reference: every channel's state spelled out, the victim's
+# output summed path by path. crosstalk_matrix must equal it bit for bit.
+
+
+@dataclass(frozen=True)
+class ChannelState:
+    optical_input: float  # linear power, 0 if inactive
+    modulator_transmission: float  # linear
+
+    def __post_init__(self):
+        if self.optical_input < 0:
+            raise PicmodError("optical_input must be >= 0")
+        if not 0.0 <= self.modulator_transmission <= 1.0:
+            raise PicmodError("modulator_transmission must lie in [0,1]")
+
+
+def lin(db):
+    return 0.0 if db == -math.inf else 10.0 ** (db / 10.0)
+
+
+def victim_output(graph, states, victim):
+    """Linear power at the victim's output (incoherent sum of all paths)."""
+    if len(states) != graph.n_channels:
+        raise PicmodError("states length must equal n_channels")
+    if not 0 <= victim < graph.n_channels:
+        raise PicmodError(f"victim index {victim} out of range")
+    vs = states[victim]
+    out = vs.optical_input * vs.modulator_transmission
+    for i, st in enumerate(states):
+        if i == victim or st.optical_input == 0.0:
+            continue
+        leak = lin(graph.coupling_before_db[i, victim]) * vs.modulator_transmission
+        leak += lin(graph.coupling_after_db[i, victim])
+        out += st.optical_input * leak
+    return out
+
+
+def scenario_states(scenario, aggressor, victim, n_channels, t_on, t_off):
+    """State template per measurement scenario: aggressor lit and ON."""
+    dark_off = ChannelState(0.0, t_off)
+    states = [dark_off] * n_channels
+    states[aggressor] = ChannelState(1.0, t_on)
+    if scenario is Scenario.A:
+        states[victim] = ChannelState(0.0, t_off)
+    elif scenario is Scenario.B:
+        states[victim] = ChannelState(0.0, t_on)
+    else:
+        states[victim] = ChannelState(1.0, t_off)
+    return states
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +189,12 @@ class TestClosedFormMatchesPerPairSum:
         fast = crosstalk_matrix(g, scenario, T_ON, t_off, detector=det)
         assert np.array_equal(fast, per_pair_matrix(g, scenario, T_ON, t_off, det))
 
-    @pytest.mark.parametrize("t_on, t_off", [(T_ON, 1.5), (1.5, T_OFF), (T_ON, -0.1)])
+    @pytest.mark.parametrize(
+        "t_on, t_off", [(T_ON, 1.5), (1.5, T_OFF), (T_ON, -0.1), (-0.1, T_OFF), (math.nan, T_OFF)]
+    )
     def test_out_of_range_transmission_rejected(self, graph, t_on, t_off):
         for scenario in Scenario:
-            with pytest.raises(PicmodError):
+            with pytest.raises(PicmodError, match=r"must lie in \[0,1\]"):
                 crosstalk_matrix(graph, scenario, t_on, t_off)
 
 

@@ -117,7 +117,7 @@ def shipped_sweeps():
         v_pi = cfg.data["chip"]["v_pi_volts"]
         for det in (None, cfg.sweep_detector()):
             for ch in cfg.channels():
-                res = sweep_channel(ch, 0.0, 2 * v_pi, 241, detector=det, fit=False)
+                res = sweep_channel(ch, 0.0, 2 * v_pi, 241, detector=det)
                 cases.append((res.voltages, res.transmissions ** (1.0 / ch.n_stages)))
     return cases
 

@@ -238,6 +238,18 @@ class TestRunLock:
         at_floor = np.count_nonzero(res.er_db > 80.0 - 1e-3)
         assert res.detector_limited_samples == at_floor > 0
 
+    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
+    def test_noisy_detector_without_floor_rejected(self, channel, engaged):
+        # A reading clipped at 0 has no floor to read as. Without the check,
+        # engaged runs on 9 of these seeds raised ZeroDivisionError and the
+        # other 11 returned +inf ER samples with a NaN std; disengaged runs
+        # also raised ValueError from log10(0).
+        det = DetectorModel(relative_floor=0.0, additive_noise_sigma=1e-7)
+        for seed in range(20):
+            noise = NoiseModel(bias_drift=OuParams(0.01, 600.0), seed=seed)
+            with pytest.raises(PicmodError, match="positive relative_floor"):
+                run_lock(channel, noise, LockController(), 1800.0, det, engaged=engaged)
+
     def test_controller_validation(self):
         with pytest.raises(PicmodError):
             LockController(update_rate=0.0)

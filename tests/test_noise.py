@@ -12,24 +12,25 @@ from picmod.rng import derive_rng
 
 class TestOuPath:
     def test_zero_sigma_is_zero_path(self):
-        path = sample_ou_path(0.0, 10.0, 100.0, 1.0, seed=0)
+        path = sample_ou_path(0.0, 10.0, 100.0, 1.0, rng=derive_rng(0, "ou-path"))
         assert np.all(path == 0.0)
 
     def test_same_seed_bit_identical(self):
-        a = sample_ou_path(0.01, 600.0, 3600.0, 10.0, seed=42)
-        b = sample_ou_path(0.01, 600.0, 3600.0, 10.0, seed=42)
+        a = sample_ou_path(0.01, 600.0, 3600.0, 10.0, rng=derive_rng(42, "ou-path"))
+        b = sample_ou_path(0.01, 600.0, 3600.0, 10.0, rng=derive_rng(42, "ou-path"))
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = sample_ou_path(0.01, 600.0, 3600.0, 10.0, seed=1)
-        b = sample_ou_path(0.01, 600.0, 3600.0, 10.0, seed=2)
+        a = sample_ou_path(0.01, 600.0, 3600.0, 10.0, rng=derive_rng(1, "ou-path"))
+        b = sample_ou_path(0.01, 600.0, 3600.0, 10.0, rng=derive_rng(2, "ou-path"))
         assert not np.array_equal(a, b)
 
     def test_stationary_std_over_seeds(self):
         # sigma = 0.01, tau = 600 s, 20 h paths: pooled std within [0.008, 0.012].
         stds = []
         for seed in range(20):
-            path = sample_ou_path(0.01, 600.0, 20 * 3600.0, 30.0, seed=seed)
+            rng = derive_rng(seed, "ou-path")
+            path = sample_ou_path(0.01, 600.0, 20 * 3600.0, 30.0, rng=rng)
             stds.append(np.std(path))
         assert 0.008 < np.mean(stds) < 0.012
 
@@ -39,17 +40,13 @@ class TestOuPath:
         lag = int(round(tau / dt))
         acc = []
         for seed in range(60):
-            x = sample_ou_path(sigma, tau, 2000.0, dt, seed=seed)
+            x = sample_ou_path(sigma, tau, 2000.0, dt, rng=derive_rng(seed, "ou-path"))
             acc.append(np.mean(x[:-lag] * x[lag:]))
         assert np.mean(acc) == pytest.approx(sigma**2 * math.exp(-1), rel=0.10)
 
     def test_dt_too_coarse_rejected(self):
         with pytest.raises(PicmodError):
-            sample_ou_path(0.01, 10.0, 100.0, 2.0, seed=0)
-
-    def test_needs_seed_or_rng(self):
-        with pytest.raises(PicmodError):
-            sample_ou_path(0.01, 10.0, 100.0, 0.5)
+            sample_ou_path(0.01, 10.0, 100.0, 2.0, rng=derive_rng(0, "ou-path"))
 
     def test_ou_params_validation(self):
         with pytest.raises(PicmodError):

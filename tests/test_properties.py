@@ -15,17 +15,15 @@ from picmod.core import (
     Coupler,
     ModulatorChannel,
     MziStage,
-    PhaseShifter,
     Port,
-    ShifterRole,
     channel_transmission_equal,
     make_calibrated_channel,
-    stage_transmission,
     sweep_channel,
 )
 from picmod.crosstalk import Scenario, crosstalk_matrix, nearest_neighbor_graph, nn_mean_db
 from picmod.dynamics import KernelKind, Waveform, convolve_causal, synthesize_kernel
 from picmod.noise import DetectorModel, sample_ou_path
+from picmod.rng import derive_rng
 
 from conftest import stage_matrix
 
@@ -34,15 +32,11 @@ voltages = st.floats(-500.0, 500.0, allow_nan=False)
 
 
 def build_stage(split_in, split_out, v_pi=50.0, port=Port.BAR):
-    return MziStage(
-        input_coupler=Coupler(split_in),
-        output_coupler=Coupler(split_out),
-        arm_phase_shifters=(
-            PhaseShifter(v_pi=v_pi, role=ShifterRole.MOD),
-            PhaseShifter(v_pi=v_pi, role=ShifterRole.BIAS),
-        ),
-        monitored_port=port,
-    )
+    return MziStage(Coupler(split_in), Coupler(split_out), v_pi, monitored_port=port)
+
+
+def stage_transmission(stage, v):
+    return channel_transmission_equal(ModulatorChannel((stage,)), v, include_loss=False)
 
 
 class TestEnergyConservation:
@@ -109,7 +103,7 @@ class TestOuStationarity:
     @settings(max_examples=20, deadline=None)
     def test_stationary_std(self, sigma, tau):
         stds = [
-            np.std(sample_ou_path(sigma, tau, 400 * tau, tau / 10, seed=s))
+            np.std(sample_ou_path(sigma, tau, 400 * tau, tau / 10, rng=derive_rng(s, "ou-path")))
             for s in range(8)
         ]
         assert np.mean(stds) == pytest.approx(sigma, rel=0.10)
