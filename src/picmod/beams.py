@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import PicmodError
 
+WAIST_RADIUS = 0.5  # 1/e^2 field radius in units of d0
+
 
 @dataclass(frozen=True)
 class BeamArray:
@@ -25,12 +27,11 @@ class BeamArray:
     amplitudes: np.ndarray  # complex field amplitude per site
     active: frozenset
     pitch: float = 4.33  # in units of d0
-    waist_radius: float = 0.5  # 1/e^2 field radius in units of d0
     measurement_floor_db: float = -65.0
 
     def __post_init__(self):
-        if self.n_beams < 1 or self.pitch <= 0 or self.waist_radius <= 0:
-            raise PicmodError("n_beams, pitch, and waist_radius must be positive")
+        if self.n_beams < 1 or self.pitch <= 0:
+            raise PicmodError("n_beams and pitch must be positive")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.n_beams,):
             raise PicmodError("amplitudes must have one entry per site")
@@ -78,7 +79,7 @@ def make_beam_array(
 def _gaussian_fields(array: BeamArray, x: np.ndarray) -> np.ndarray:
     """Per-site field envelopes at positions x (in d0 units); shape (sites, x)."""
     pos = array.site_positions()[:, None]
-    return np.exp(-((x[None, :] - pos) ** 2) / array.waist_radius**2)
+    return np.exp(-((x[None, :] - pos) ** 2) / WAIST_RADIUS**2)
 
 
 def intensity_profile(array: BeamArray, x_samples) -> np.ndarray:
@@ -93,7 +94,6 @@ class BeamProfile:
     x_over_d0: np.ndarray
     intensity: np.ndarray  # normalized to peak
     intensity_db: np.ndarray  # floor-clamped for reporting
-    floor_db: float
 
 
 def target_plane_profile(array: BeamArray, x_samples) -> BeamProfile:
@@ -111,9 +111,7 @@ def target_plane_profile(array: BeamArray, x_samples) -> BeamProfile:
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(norm)
     db = np.maximum(db, array.measurement_floor_db)
-    return BeamProfile(
-        x_over_d0=x, intensity=norm, intensity_db=db, floor_db=array.measurement_floor_db
-    )
+    return BeamProfile(x_over_d0=x, intensity=norm, intensity_db=db)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Calibration is deterministic given the configuration: each channel's
 coupler power split is solved in closed form from its extinction target,
 then each channel's ER and v_pi fit are re-measured through the forward
-model and compared against the target before the calibrated
-configuration is written out.
+model and checked in the run report. A missed ER target fails its check;
+it does not stop the calibration.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .core import power_split_for_er, sweep_channel
-from .errors import CalibrationError
 from .reports import RunReport
 
 
-def calibrate(config: ExperimentConfig, er_tol_db: float = 0.1) -> tuple[ExperimentConfig, RunReport]:
+def calibrate(config: ExperimentConfig) -> tuple[ExperimentConfig, RunReport]:
     """Solve coupler splits for the configured ER targets and verify them.
 
     Returns a new configuration with coupler_power_splits frozen in, plus
@@ -41,19 +40,13 @@ def calibrate(config: ExperimentConfig, er_tol_db: float = 0.1) -> tuple[Experim
     v_pi = chip_cfg["v_pi_volts"]
     for ch, target in zip(calibrated.channels(), chip_cfg["target_er_db"]):
         achieved = ch.extinction_ratio_db()
-        err = abs(achieved - target)
-        if err > er_tol_db:
-            raise CalibrationError(
-                f"channel {ch.channel_index}: achieved ER {achieved:.2f} dB misses "
-                f"target {target:.2f} dB by more than {er_tol_db} dB"
-            )
         sweep = sweep_channel(ch, 0.0, 2.0 * v_pi, 241)
         report.add(
             f"channel_{ch.channel_index}_er",
             achieved,
             "dB",
-            threshold=f"|ER - {target}| <= {er_tol_db} dB",
-            passed=err <= er_tol_db,
+            threshold=f"|ER - {target}| <= 0.1 dB",
+            passed=abs(achieved - target) <= 0.1,
         )
         vpi_err = abs(sweep.fitted_v_pi - v_pi) / v_pi
         report.add(

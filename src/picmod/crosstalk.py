@@ -98,8 +98,8 @@ def crosstalk_matrix(
     values are measured through it: floor-clamped, plus additive noise
     drawn from rng.
     """
-    if not (0.0 <= t_on <= 1.0 and 0.0 <= t_off <= 1.0):
-        raise PicmodError("t_on and t_off must lie in [0,1]")
+    if not (0.0 < t_on <= 1.0 and 0.0 <= t_off <= 1.0):
+        raise PicmodError("t_off must lie in [0,1] and t_on in (0,1]")
     # Every pair sees the aggressor lit (unit input) and ON, the victim in
     # the scenario's (optical input, transmission), and the others dark.
     in_v, t_v = {

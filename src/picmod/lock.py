@@ -148,7 +148,8 @@ def run_lock(
     path (same seed) is replayed, so ON/OFF comparisons are paired.
     initial_offset adds a static bias error on top of the drift path.
     A noisy detector with a zero floor raises PicmodError: an OFF reading
-    clipped at 0 would have no floor to read as.
+    clipped at 0 would have no floor to read as. So does a perfect null
+    read as 0, which the static ER would divide by.
     """
     dt = 1.0 / controller.update_rate
     n_updates = int(round(duration * controller.update_rate))
@@ -177,6 +178,8 @@ def run_lock(
     floor = detector.relative_floor if floored else 0.0
     on_static = detector.measure(1.0, rng=dither_rng)
     off_static = max(detector.measure(channel.power_at_phase(0.0) / peak, rng=dither_rng), floor)
+    if off_static == 0.0:
+        raise PicmodError("the channel's null reads 0: it needs a positive relative_floor")
     er_static = 10.0 * math.log10(on_static / off_static)
     correction = (
         _correction_path(channel, drift, peak, controller, detector, dither_rng)

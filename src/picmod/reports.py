@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import PicmodError
@@ -50,16 +50,7 @@ class RunReport:
             "seed": self.seed,
             "passed": self.passed,
             "wall_time_s": self.wall_time_s,
-            "metrics": [
-                {
-                    "name": m.name,
-                    "value": m.value,
-                    "units": m.units,
-                    "threshold": m.threshold,
-                    "passed": m.passed,
-                }
-                for m in self.metrics
-            ],
+            "metrics": [asdict(m) for m in self.metrics],
         }
 
     def save(self, path) -> None:

@@ -170,7 +170,6 @@ class PredistortionSolution:
     time_to_floor: float
     iterations: int
     converged: bool
-    extinction: DynamicExtinction
 
 
 def _deconvolve(signal: np.ndarray, kernel: np.ndarray, relative_reg: float) -> np.ndarray:
@@ -199,7 +198,7 @@ def _verify(problem: PredistortionProblem, drive: Waveform):
     floor = float(ext.envelope[window_idx])
     t_floor, reached = ext.time_to(problem.extinction_target)
     converged = reached and t_floor <= problem.settle_window + 1e-15
-    return trace, ext, floor, t_floor, converged
+    return trace, floor, t_floor, converged
 
 
 def predistort(problem: PredistortionProblem) -> PredistortionSolution:
@@ -217,7 +216,7 @@ def predistort(problem: PredistortionProblem) -> PredistortionSolution:
     phase_cmd = _deconvolve(problem.target_phase, kernel, problem.regularization)
     volts = np.clip(phase_cmd * v_pi / math.pi, -problem.v_max, problem.v_max)
     drive = Waveform(dt, volts)
-    trace, ext, floor, t_floor, converged = _verify(problem, drive)
+    trace, floor, t_floor, converged = _verify(problem, drive)
 
     target_power = channel_transmission_equal(
         problem.channel,
@@ -241,10 +240,10 @@ def predistort(problem: PredistortionProblem) -> PredistortionSolution:
             cand = Waveform(
                 dt, np.clip(drive.samples - alpha * step, -problem.v_max, problem.v_max)
             )
-            c_trace, c_ext, c_floor, c_t, c_conv = _verify(problem, cand)
+            c_trace, c_floor, c_t, c_conv = _verify(problem, cand)
             c_resid = power_residual(c_trace)
             if c_resid <= best_resid + 1e-18:
-                drive, trace, ext = cand, c_trace, c_ext
+                drive, trace = cand, c_trace
                 floor, t_floor, converged = c_floor, c_t, c_conv
                 best_resid = c_resid
                 accepted = True
@@ -260,7 +259,6 @@ def predistort(problem: PredistortionProblem) -> PredistortionSolution:
         time_to_floor=t_floor,
         iterations=iterations,
         converged=converged,
-        extinction=ext,
     )
 
 

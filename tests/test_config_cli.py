@@ -9,8 +9,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from picmod import calibration, experiments
 from picmod.cli import main
 from picmod.config import ExperimentConfig
+from picmod.core import power_split_for_er
 from picmod.errors import ConfigError, PicmodError
 from picmod.serialize import config_hash, fmt, write_csv
 
@@ -150,6 +152,37 @@ class TestCli:
         assert len(written["chip"]["coupler_power_splits"]) == 8
         report = json.loads((tmp_path / "calibrate_report.json").read_text())
         assert report["passed"] is True
+
+    def test_calibrate_er_miss_writes_failing_report(
+        self, config_path_795, tmp_path, monkeypatch
+    ):
+        # Channel 0's split is solved for 0.5 dB above its target: its ER
+        # check fails, the report is still written and the command exits 1.
+        targets = []
+
+        def split_missing_channel_0(er_db, n_stages):
+            targets.append(er_db)
+            return power_split_for_er(er_db + (0.5 if len(targets) == 1 else 0.0), n_stages)
+
+        monkeypatch.setattr(calibration, "power_split_for_er", split_missing_channel_0)
+        res = run_cli("calibrate", "--config", config_path_795, "--out", str(tmp_path))
+        assert res.exit_code == 1, res.output
+        assert (tmp_path / "calibrated_config.yaml").exists()
+        report = json.loads((tmp_path / "calibrate_report.json").read_text())
+        failed = [m["name"] for m in report["metrics"] if m["passed"] is False]
+        assert failed == ["channel_0_er"]
+        assert report["passed"] is False
+
+    def test_error_mid_experiment_writes_no_tables(self, config_path_795, tmp_path, monkeypatch):
+        # The lock runs finish before the pulse experiment fails; their
+        # time series is not written, since tables are written on return.
+        def fail(*args, **kwargs):
+            raise PicmodError("pulse experiment failed")
+
+        monkeypatch.setattr(experiments, "noisy_pulse_experiment", fail)
+        with pytest.raises(PicmodError, match="pulse experiment failed"):
+            run_cli("stability", "--config", config_path_795, "--out", str(tmp_path / "out"))
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_sweep_outputs_and_summary(self, config_path_795, tmp_path):
         res = run_cli(

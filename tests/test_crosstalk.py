@@ -190,7 +190,8 @@ class TestClosedFormMatchesPerPairSum:
         assert np.array_equal(fast, per_pair_matrix(g, scenario, T_ON, t_off, det))
 
     @pytest.mark.parametrize(
-        "t_on, t_off", [(T_ON, 1.5), (1.5, T_OFF), (T_ON, -0.1), (-0.1, T_OFF), (math.nan, T_OFF)]
+        "t_on, t_off",
+        [(T_ON, 1.5), (1.5, T_OFF), (T_ON, -0.1), (-0.1, T_OFF), (math.nan, T_OFF), (0.0, 0.0)],
     )
     def test_out_of_range_transmission_rejected(self, graph, t_on, t_off):
         for scenario in Scenario:

@@ -250,6 +250,15 @@ class TestRunLock:
             with pytest.raises(PicmodError, match="positive relative_floor"):
                 run_lock(channel, noise, LockController(), 1800.0, det, engaged=engaged)
 
+    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
+    def test_perfect_null_without_floor_rejected(self, engaged):
+        # Balanced couplers null exactly; a zero-floor detector reads the
+        # static OFF power as 0, which the static ER would divide by.
+        balanced = make_calibrated_channel(74.7, 0.5, 2)
+        noise = NoiseModel(bias_drift=OuParams(0.01, 600.0), seed=0)
+        with pytest.raises(PicmodError, match="null reads 0"):
+            run_lock(balanced, noise, LockController(), 1800.0, DetectorModel(), engaged=engaged)
+
     def test_controller_validation(self):
         with pytest.raises(PicmodError):
             LockController(update_rate=0.0)
