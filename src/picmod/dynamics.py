@@ -5,8 +5,9 @@ mapping drive voltage to optical phase (scaled by pi/v_pi). Optics are
 quasi-static: transmission follows the instantaneous phase sample by
 sample.
 
-Convolution uses numpy only. scipy is imported on the first call of
-`synthesize_kernel`, which solves for the time constant with `brentq`.
+Everything here runs on numpy and the standard library. `synthesize_kernel`
+solves for the time constant with `_brent_root`, Brent's bracketing root
+finder.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .errors import GridError, NoTransitionError, PicmodError
 DIRECT_KERNEL_LIMIT = 512
 
 _TAIL_MASS = 1e-12
+
+# Brent root finder: relative tolerance 4 eps and at most 100 iterations,
+# the defaults of the reference implementation of the published algorithm.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
 
 class KernelKind(enum.Enum):
@@ -137,6 +143,61 @@ def _second_order_kernel(omega_n: float, zeta: float, dt: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    Each step takes an inverse-quadratic or secant step inside the bracket
+    when it shrinks fast enough, else bisects. Every step is the reference
+    implementation's, so the tests require the same float from both. Stops
+    when the bracket is below xtol + rtol*|x| with rtol = 4 eps. Raises
+    PicmodError when f(xa) and f(xb) have the same sign, when f is NaN,
+    or after 100 iterations without convergence.
+    """
+    # xcur is the best estimate, xpre the one before it and xblk the end of
+    # the bracket opposite xcur; spre and scur are the last two steps.
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise PicmodError("root finder: function value is NaN")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise PicmodError(f"root finder: f({xa:.6g}) and f({xb:.6g}) have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise PicmodError("root finder: function value is NaN")
+    raise PicmodError(f"root finder did not converge in {_BRENT_MAXITER} iterations")
+
+
 def synthesize_kernel(
     kind: KernelKind,
     rise_time_10_90: float,
@@ -148,7 +209,6 @@ def synthesize_kernel(
     The time constant (or natural frequency) is solved numerically so the
     measured discrete-time rise matches the request within 2%.
     """
-    from scipy.optimize import brentq
     if rise_time_10_90 < 2.0 * sample_period:
         raise GridError(
             f"rise time {rise_time_10_90:.3g} s unresolvable at sample period "
@@ -163,7 +223,7 @@ def synthesize_kernel(
             k = _first_order_kernel(tau, dt)
             return _step_rise_time(np.cumsum(k), dt) - rise_time_10_90
 
-        tau = brentq(err, 0.2 * tau0, 5.0 * tau0, xtol=1e-6 * tau0)
+        tau = _brent_root(err, 0.2 * tau0, 5.0 * tau0, 1e-6 * tau0)
         kernel = _first_order_kernel(tau, dt)
     elif kind is KernelKind.SECOND_ORDER:
         if damping_ratio is None or not 0.0 < damping_ratio < 1.0:
@@ -174,7 +234,7 @@ def synthesize_kernel(
             k = _second_order_kernel(w, damping_ratio, dt)
             return _step_rise_time(np.cumsum(k), dt) - rise_time_10_90
 
-        omega_n = brentq(err, 0.3 * w0, 6.0 * w0, xtol=1e-8 * w0)
+        omega_n = _brent_root(err, 0.3 * w0, 6.0 * w0, 1e-8 * w0)
         kernel = _second_order_kernel(omega_n, damping_ratio, dt)
     else:
         raise PicmodError(f"unknown kernel kind {kind}")

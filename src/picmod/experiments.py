@@ -11,12 +11,14 @@ from .core import sweep_channel
 from .crosstalk import Scenario, crosstalk_matrix, nn_mean_db, predict_scenario_c_db
 from .beams import make_beam_array, site_leakage_report, target_plane_profile
 from .dynamics import Waveform, measure_rise_time, step_response_trace, trace_optical
+from .errors import PicmodError
 from .lock import noisy_pulse_experiment, run_lock
 from .reports import RunReport
 from .rng import derive_rng
 from .waveforms import (
     PredistortionProblem,
     dynamic_extinction,
+    on_hold_samples,
     predistort,
     switch_off_target_phase,
 )
@@ -26,6 +28,9 @@ Tables = dict[str, tuple[list[str], list]]  # CSV file name -> (header, columns)
 
 def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Tables]:
     """DC voltage sweeps of the given channels: fringe, fitted v_pi and ER."""
+    n = cfg.data["chip"]["n_channels"]
+    if not channels or any(not 0 <= i < n for i in channels):
+        raise PicmodError(f"channels must be a non-empty list of indices in [0, {n - 1}]")
     detector = cfg.sweep_detector()
     v_pi = cfg.data["chip"]["v_pi_volts"]
     report = RunReport("sweep", cfg.hash, cfg.seed)
@@ -65,7 +70,7 @@ def run_pulse(cfg: ExperimentConfig, mode: str) -> tuple[RunReport, Tables]:
     report = RunReport(f"pulse_{mode}", cfg.hash, cfg.seed)
 
     if mode == "naive":
-        n_pre = max(response.impulse_kernel.size + 2, int(round(5 * response.rise_time_10_90 / dt)))
+        n_pre = on_hold_samples(response)
         n_post = int(round(settle / dt))
         samples = np.concatenate([np.full(n_pre, channel.v_pi), np.zeros(n_post)])
         drive = Waveform(dt, samples)
@@ -174,7 +179,10 @@ def run_stability(cfg: ExperimentConfig) -> tuple[RunReport, Tables]:
 
 def run_crosstalk(cfg: ExperimentConfig, scenario: str) -> tuple[RunReport, Tables]:
     """Pairwise inter-channel leakage matrix for scenario "A", "B" or "C"."""
-    scen = Scenario(scenario)
+    try:
+        scen = Scenario(scenario)
+    except ValueError:
+        raise PicmodError(f"unknown crosstalk scenario {scenario!r}; use A, B or C") from None
     graph = cfg.crosstalk_graph()
     er_mean = float(np.mean(cfg.data["chip"]["target_er_db"]))
     t_off = 10.0 ** (-er_mean / 10.0)

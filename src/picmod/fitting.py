@@ -7,8 +7,7 @@ over w with an exact linear least-squares solve inside. The search runs in
 two steps: one batched scan of the residual over a geometric grid of w
 (`_scan_sse`), then a bounded refinement around the best grid point with
 `_linear_solve`, which also gives the returned coefficients. The
-refinement is scipy's bounded `minimize_scalar`, imported on the first
-call of `fit_v_pi`.
+refinement is `_bounded_brent`, Brent's bounded minimiser.
 
 The scan projects the data onto an orthonormal basis of [1, cos wV,
 sin wV] for every grid w (`_scan_basis`, Gram-Schmidt vectorised over the
@@ -34,6 +33,8 @@ _SCAN_BLOCK_ELEMENTS = 1 << 13
 # Voltage grids whose scan basis is kept: calibrate and sweep fit every
 # channel of a chip on one grid, and one process sees at most a few chips.
 _SCAN_BASIS_GRIDS = 4
+# Bounded refinement: at most this many function evaluations.
+_REFINE_MAXFUN = 500
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,95 @@ def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.nd
     return sses
 
 
+def _bounded_brent(f, lo: float, hi: float, xatol: float):
+    """Minimise f on [lo, hi] by Brent's method (golden section steps with
+    parabolic interpolation, Brent 1973, ch. 5).
+
+    Every step and comparison is the reference bounded minimiser's, so
+    the tests require the same x, fun and nfev from both. Returns
+    (x, fun, nfev, ok); ok is False after _REFINE_MAXFUN evaluations or
+    when x or f is NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    nfev = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    ok = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Parabola through the three best points.
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign_or_one(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= _REFINE_MAXFUN:
+            ok = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        ok = False
+    return xf, fx, nfev, ok
+
+
+def _sign_or_one(v: float) -> float:
+    """The sign of v as +-1.0, and 1.0 for v == 0 (either signed zero)."""
+    return 1.0 if v == 0.0 else math.copysign(1.0, v)
+
+
 def fit_v_pi(voltages, transmissions) -> VpiFit:
     """Fit the sin^2 transfer model and return the calibrated parameters.
 
     Raises InsufficientFringeError when the data is degenerate or spans
     less than half a fringe, FitError on non-convergence.
     """
-    from scipy.optimize import minimize_scalar
     volts = np.asarray(voltages, dtype=float)
     trans = np.asarray(transmissions, dtype=float)
     if volts.shape != trans.shape or volts.ndim != 1:
@@ -144,17 +227,13 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     grid = np.geomspace(omega_lo, omega_hi, 512)
     sses = _scan_sse(volts, trans, grid)
     best = int(np.argmin(sses))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda w: _linear_solve(volts, trans, w)[1],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12 * (hi - lo) + 1e-15},
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, grid.size - 1)])
+    omega, _, _, ok = _bounded_brent(
+        lambda w: _linear_solve(volts, trans, w)[1], lo, hi, 1e-12 * (hi - lo) + 1e-15
     )
-    if not res.success:
+    if not ok:
         raise FitError("v_pi search did not converge")
-    omega = float(res.x)
     coef, sse = _linear_solve(volts, trans, omega)
     a0, a1, a2 = coef
     half_amp = math.hypot(a1, a2)

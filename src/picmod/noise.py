@@ -1,9 +1,11 @@
 """Stochastic processes and the detector measurement model.
 
 Every stochastic quantity is a pure function of (parameters, seed); the
-same seed always reproduces the same path bit for bit. Streams are
-derived by labeled splitting (see rng.py) so module call order cannot
-perturb them.
+same seed always reproduces the same path bit for bit on one machine.
+Streams are derived by labeled splitting (see rng.py) so module call order
+cannot perturb them. OU paths are filtered by `_ar1_filter`, a blocked
+AR(1) recursion whose matmul rounds as the CPU's BLAS kernel does, so
+another CPU may differ in the last digits.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PicmodError
+
+# Blocked AR(1) filter: samples per block; inputs shorter than _AR1_SCALAR_MAX
+# run the scalar loop; the carry update runs on row chunks of 64K elements
+# (512 KiB temporaries, which stay in cache).
+_AR1_BLOCK = 16
+_AR1_SCALAR_MAX = 64
+_AR1_CHUNK_ROWS = (1 << 16) // _AR1_BLOCK
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,48 @@ class NoiseModel:
             raise PicmodError("amplitude_jitter_sigma must be >= 0")
 
 
+def _ar1_scalar(drive: np.ndarray, a: float, state: float = 0.0) -> np.ndarray:
+    """y[k] = a*y[k-1] + drive[k] one sample at a time, with y[-1] = state."""
+    out = np.empty(drive.size)
+    y = state
+    for k, x in enumerate(drive.tolist()):
+        y = a * y + x
+        out[k] = y
+    return out
+
+
+def _ar1_filter(drive: np.ndarray, a: float) -> np.ndarray:
+    """y[k] = a*y[k-1] + drive[k] with y[-1] = 0, for 0 <= a <= 1.
+
+    The full blocks of B = _AR1_BLOCK samples are filtered from zero state
+    by one matmul against the upper-triangular matrix U[i, j] = a^(j-i).
+    The state each block hands to the next is itself an AR(1) series in
+    a^B, driven by the blocks' last zero-state samples, and is filtered by
+    this function; block r then adds a^(j+1) times the state at the end
+    of block r-1. Every weight is a power of a, at most 1, so no rounding
+    error is amplified. Inputs shorter than _AR1_SCALAR_MAX samples, and
+    the samples after the last full block, run the scalar recursion.
+    """
+    n = drive.size
+    if n < _AR1_SCALAR_MAX:
+        return _ar1_scalar(drive, a)
+    b = _AR1_BLOCK
+    m = n // b
+    powers = a ** np.arange(b + 1.0)
+    lag = np.arange(b)
+    upper = np.triu(powers[np.maximum(lag[None, :] - lag[:, None], 0)])
+    out = np.empty(n)
+    blocks = out[: m * b].reshape(m, b)
+    np.matmul(drive[: m * b].reshape(m, b), upper, out=blocks)
+    ends = _ar1_filter(blocks[:, -1].copy(), float(powers[-1]))
+    later, carried = blocks[1:], ends[:-1, None]
+    for r in range(0, m - 1, _AR1_CHUNK_ROWS):
+        rows = slice(r, r + _AR1_CHUNK_ROWS)
+        later[rows] += carried[rows] * powers[1:]
+    out[m * b :] = _ar1_scalar(drive[m * b :], a, float(ends[-1]))
+    return out
+
+
 def sample_ou_path(
     sigma: float,
     correlation_time: float,
@@ -55,9 +106,9 @@ def sample_ou_path(
 
     x[k+1] = a x[k] + sigma sqrt(1-a^2) w[k],  a = exp(-dt/tau),
     x[0] ~ N(0, sigma^2). Returns floor(duration/dt)+1 samples. The
-    recursion runs in `scipy.signal.lfilter`, imported on the first call.
+    recursion runs in `_ar1_filter`; dt <= tau/10 keeps a in
+    [exp(-0.1), 1).
     """
-    from scipy.signal import lfilter
     if dt <= 0 or duration < 0:
         raise PicmodError("dt must be positive and duration >= 0")
     n = int(math.floor(duration / dt + 1e-9)) + 1
@@ -71,7 +122,7 @@ def sample_ou_path(
     w = rng.standard_normal(n)
     drive = w * (sigma * math.sqrt(1.0 - a * a))
     drive[0] = w[0] * sigma  # stationary start
-    return lfilter([1.0], [1.0, -a], drive)
+    return _ar1_filter(drive, a)
 
 
 @dataclass(frozen=True)

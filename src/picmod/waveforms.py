@@ -262,6 +262,14 @@ def predistort(problem: PredistortionProblem) -> PredistortionSolution:
     )
 
 
+def on_hold_samples(response: ActuatorResponse) -> int:
+    """Samples a drive holds ON before a switch-off, long enough for the
+    actuator to settle: the kernel length plus 2, or 5 rise times,
+    whichever is longer."""
+    dt = response.sample_period
+    return max(response.impulse_kernel.size + 2, int(round(5 * response.rise_time_10_90 / dt)))
+
+
 def switch_off_target_phase(
     response: ActuatorResponse, ramp_time: float, settle_window: float
 ) -> tuple[np.ndarray, float]:
@@ -269,9 +277,7 @@ def switch_off_target_phase(
     a raised-cosine ramp to 0 over ramp_time, then a 0 hold covering the
     settle window. Returns (phase samples, switch time = ramp start)."""
     dt = response.sample_period
-    n_pre = max(
-        response.impulse_kernel.size + 2, int(round(5 * response.rise_time_10_90 / dt))
-    )
+    n_pre = on_hold_samples(response)
     n_ramp = max(int(round(ramp_time / dt)), 1)
     n_post = int(round(settle_window / dt)) + n_ramp
     ramp = 0.5 * (1.0 + np.cos(np.pi * np.arange(1, n_ramp + 1) / n_ramp))

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from picmod.config import ExperimentConfig
 from picmod.core import channel_transmission_equal, make_calibrated_channel
 from picmod.dynamics import (
     DIRECT_KERNEL_LIMIT,
+    _brent_root,
     ActuatorResponse,
     KernelKind,
     OpticalTrace,
@@ -19,6 +22,8 @@ from picmod.dynamics import (
     trace_optical,
 )
 from picmod.errors import GridError, NoTransitionError, PicmodError
+
+from conftest import CONFIG_DIR
 
 
 class TestSynthesizeKernel:
@@ -53,6 +58,64 @@ class TestSynthesizeKernel:
     def test_non_unit_gain_kernel_rejected(self):
         with pytest.raises(PicmodError):
             ActuatorResponse(KernelKind.FIRST_ORDER, 26e-9, 1e-9, np.array([0.5, 0.4]))
+
+
+def kernel_cases():
+    """(kind, rise, dt, damping) of the shipped actuators, then first- and
+    second-order kernels over a grid of rise times, sample periods and
+    damping ratios."""
+    cases = []
+    for nm in (420, 795, 1013):
+        resp = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml").actuator()
+        cases.append((resp.kind, resp.rise_time_10_90, resp.sample_period, resp.damping_ratio))
+    for rise in (3e-9, 10e-9, 26e-9, 120e-9):
+        for dt in (0.5e-9, 1e-9):
+            cases.append((KernelKind.FIRST_ORDER, rise, dt, None))
+            for zeta in (0.2, 0.5, 0.9):
+                cases.append((KernelKind.SECOND_ORDER, rise, dt, zeta))
+    return cases
+
+
+class TestBrentRoot:
+    """The root finder against scipy's brentq, which implements the same
+    published algorithm: the roots must be the same floats."""
+
+    @pytest.mark.parametrize("kind, rise, dt, zeta", kernel_cases())
+    def test_equals_brentq_in_kernel_synthesis(self, kind, rise, dt, zeta, monkeypatch):
+        calls = []
+
+        def recording(f, xa, xb, xtol):
+            root = _brent_root(f, xa, xb, xtol)
+            calls.append((root, brentq(f, xa, xb, xtol=xtol)))
+            return root
+
+        monkeypatch.setattr("picmod.dynamics._brent_root", recording)
+        synthesize_kernel(kind, rise, dt, damping_ratio=zeta)
+        assert len(calls) == 1
+        assert calls[0][0] == calls[0][1]
+
+    @pytest.mark.parametrize("f, xa, xb", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # Brent's own example
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 1e-3, -10.0, 10.0),
+        (lambda x: x - 0.25, 0.25, 1.0),  # a root on the bracket
+    ])
+    def test_equals_brentq_on_smooth_functions(self, f, xa, xb):
+        assert _brent_root(f, xa, xb, 1e-14) == brentq(f, xa, xb, xtol=1e-14)
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(PicmodError, match="same sign"):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_nan_rejected(self):
+        with pytest.raises(PicmodError, match="NaN"):
+            _brent_root(lambda x: math.nan if 0.3 < x < 0.9 else x - 0.5, 0.0, 1.0, 1e-12)
+
+    def test_non_convergence_raises(self):
+        # A sign step at 0 defeats interpolation, so every step bisects; with
+        # no absolute tolerance, 100 halvings of [-1, 2] cannot reach 4 eps*|x|.
+        with pytest.raises(PicmodError, match="did not converge"):
+            _brent_root(lambda x: math.copysign(1.0, x), -1.0, 2.0, 5e-324)
 
 
 def direct_sum(x, k):

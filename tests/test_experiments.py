@@ -1,6 +1,11 @@
 """Experiments as library functions: a report and tables, and no files."""
 
-from picmod.experiments import run_crosstalk, run_sweep
+import numpy as np
+import pytest
+
+from picmod.errors import PicmodError
+from picmod.experiments import run_crosstalk, run_pulse, run_sweep
+from picmod.waveforms import on_hold_samples, switch_off_target_phase
 
 
 def test_experiments_return_tables_and_write_no_files(config_1013, tmp_path, monkeypatch):
@@ -13,3 +18,26 @@ def test_experiments_return_tables_and_write_no_files(config_1013, tmp_path, mon
     assert report.passed
     assert list(tables) == ["sweep_channel_0.csv", "sweep_channel_1.csv"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("channels", [[], [99], [0, 8], [-1]])
+def test_sweep_rejects_channels_outside_the_chip(config_795, channels):
+    with pytest.raises(PicmodError, match="indices in"):
+        run_sweep(config_795, channels)
+
+
+def test_crosstalk_rejects_unknown_scenario(config_795):
+    with pytest.raises(PicmodError, match="scenario"):
+        run_crosstalk(config_795, "c")
+
+
+def test_naive_and_optimized_pulses_hold_on_equally_long(config_795):
+    response = config_795.actuator()
+    n_on = on_hold_samples(response)
+    _, tables = run_pulse(config_795, "naive")
+    volts = tables["pulse_naive_drive.csv"][1][1]
+    v_pi = config_795.channels()[0].v_pi
+    assert np.all(volts[:n_on] == v_pi) and volts[n_on] == 0.0
+    phase, switch_time = switch_off_target_phase(response, 52e-9, 1e-6)
+    assert switch_time == n_on * response.sample_period
+    assert np.all(phase[:n_on] == np.pi) and phase[n_on] < np.pi

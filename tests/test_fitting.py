@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
 from picmod.errors import FitError, InsufficientFringeError
+from picmod.experiments import run_sweep
 from picmod.fitting import (
     _SCAN_BASIS_GRIDS,
+    _bounded_brent,
     _linear_solve,
     _scan_basis,
     _scan_sse,
@@ -208,3 +212,59 @@ class TestScanBasisCache:
             assert np.argmin(fast) == np.argmin(slow)
             assert np.max(np.abs(fast - slow)) <= 1e-9 * np.dot(trans, trans)
         assert _scan_basis.cache_info().currsize == _SCAN_BASIS_GRIDS
+
+
+def scipy_bounded(f, lo, hi, xatol, maxiter=500):
+    """Reference: scipy's bounded minimiser as (x, fun, nfev, success)."""
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    return float(res.x), float(res.fun), res.nfev, bool(res.success)
+
+
+class TestBoundedBrent:
+    """The bounded minimiser against scipy's, which runs the same steps:
+    x, fun and nfev must be equal."""
+
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_equals_scipy_on_calibrate_and_sweep(self, nm, monkeypatch):
+        calls = []
+
+        def recording(f, lo, hi, xatol):
+            got = _bounded_brent(f, lo, hi, xatol)
+            calls.append((got, scipy_bounded(f, lo, hi, xatol)))
+            return got
+
+        monkeypatch.setattr("picmod.fitting._bounded_brent", recording)
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        calibrate(cfg)
+        run_sweep(cfg, list(range(cfg.data["chip"]["n_channels"])))
+        assert len(calls) == 2 * cfg.data["chip"]["n_channels"]
+        for got, want in calls:
+            assert got == want
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
+        (lambda x: math.cos(x), 0.0, 2.0 * math.pi),
+        (lambda x: x, -1.0, 1.0),  # minimum on the bound
+        (lambda x: abs(x - 1e-3), -2.0, 5.0),
+    ])
+    def test_equals_scipy_on_smooth_functions(self, f, lo, hi):
+        assert _bounded_brent(f, lo, hi, 1e-12) == scipy_bounded(f, lo, hi, 1e-12)
+
+    def test_evaluation_limit_is_not_ok(self, monkeypatch):
+        monkeypatch.setattr("picmod.fitting._REFINE_MAXFUN", 4)
+        got = _bounded_brent(math.cos, 0.0, 2.0 * math.pi, 1e-12)
+        assert got == scipy_bounded(math.cos, 0.0, 2.0 * math.pi, 1e-12, maxiter=4)
+        assert got[2:] == (4, False)
+
+    def test_nan_is_not_ok(self):
+        f = lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2  # noqa: E731
+        got = _bounded_brent(f, 0.0, 1.0, 1e-12)
+        assert got == scipy_bounded(f, 0.0, 1.0, 1e-12)
+        assert got[3] is False
+
+    def test_fit_raises_when_search_is_cut_short(self, monkeypatch):
+        monkeypatch.setattr("picmod.fitting._REFINE_MAXFUN", 2)
+        volts = np.linspace(0, 160, 201)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_v_pi(volts, sin2(volts, 74.7))

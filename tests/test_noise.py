@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from picmod.errors import PicmodError
-from picmod.noise import DetectorModel, OuParams, sample_ou_path
+from picmod.noise import (
+    _AR1_BLOCK,
+    _AR1_SCALAR_MAX,
+    DetectorModel,
+    OuParams,
+    _ar1_filter,
+    sample_ou_path,
+)
 from picmod.rng import derive_rng
 
 
@@ -53,6 +61,39 @@ class TestOuPath:
             OuParams(-0.1, 1.0)
         with pytest.raises(PicmodError):
             OuParams(0.1, 0.0)
+
+
+def ar1_loop(drive, a):
+    """Oracle: the exact AR(1) recursion y[k] = a*y[k-1] + drive[k], y[-1] = 0."""
+    out, y = [], 0.0
+    for x in drive.tolist():
+        y = a * y + x
+        out.append(y)
+    return np.array(out)
+
+
+# From the largest step sample_ou_path allows (dt = tau/10) to a slow drift.
+AR1_POLES = [math.exp(-0.1), 0.999, 1 - 2e-6, 1 - 1e-7]
+AR1_LENGTHS = [0, 1, _AR1_BLOCK - 1, _AR1_SCALAR_MAX - 1, 1000 * _AR1_BLOCK + 7, 10**6]
+
+
+class TestAr1Filter:
+    def test_oracle_equals_lfilter(self):
+        drive = np.random.default_rng(0).standard_normal(5000)
+        assert np.array_equal(ar1_loop(drive, 0.999), lfilter([1.0], [1.0, -0.999], drive))
+
+    @pytest.mark.parametrize("n", AR1_LENGTHS)
+    @pytest.mark.parametrize("a", AR1_POLES)
+    def test_matches_exact_recursion(self, a, n):
+        # Relative to the path's largest magnitude: the blocked sums round
+        # differently, and a close to 1 carries that rounding a long way.
+        drive = np.random.default_rng(n).standard_normal(n)
+        got, want = _ar1_filter(drive, a), ar1_loop(drive, a)
+        assert got.shape == want.shape
+        if n < _AR1_SCALAR_MAX:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestDeriveRng:
