@@ -4,7 +4,6 @@ from .core import (
     Coupler,
     ModulatorChannel,
     MziStage,
-    Port,
     SweepResult,
     channel_transmission_equal,
     make_calibrated_channel,

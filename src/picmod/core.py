@@ -2,17 +2,15 @@
 
 A stage is a Mach-Zehnder interferometer: an input coupler, two arms and
 an output coupler. The drive reaches one arm, so the arms differ by one
-net phase, phi(V) = pi*V/v_pi + bias_phase (`MziStage.phase`), where
-bias_phase is the driven arm's static phase less the static arm's. With
-light in on port 0, a stage's monitored power is
+net phase, phi(V) = pi*V/v_pi (`MziStage.phase`). With light in on port
+0, a stage's power on the monitored BAR port is
 
-    a^2 + b^2 + sign * 2ab * cos(phi(V))
+    a^2 + b^2 - 2ab * cos(phi(V))
 
-where a and b are products of the coupler amplitudes and sign is -1 on
-the BAR port, +1 on the CROSS port (`MziStage.terms`). Finite extinction
-comes from coupler power-split imbalance, floor (a - b)^2, and the same
-formula inverts exactly: `power_split_for_er` solves it for the split
-that gives a target ER.
+where a and b are products of the coupler amplitudes (`MziStage.terms`).
+Finite extinction comes from coupler power-split imbalance, floor
+(a - b)^2, and the same formula inverts exactly: `power_split_for_er`
+solves it for the split that gives a target ER.
 
 A channel is one stage repeated n times, every stage at the same phase,
 plus one lumped insertion loss. Its power is the stage power multiplied
@@ -24,7 +22,6 @@ tests as its oracle.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -35,11 +32,6 @@ from .fitting import fit_v_pi
 
 # Smallest coupler imbalance power_split_for_er returns.
 MIN_IMBALANCE = 1e-4
-
-
-class Port(enum.Enum):
-    BAR = 0
-    CROSS = 1
 
 
 @dataclass(frozen=True)
@@ -63,43 +55,40 @@ class Coupler:
 
 @dataclass(frozen=True)
 class MziStage:
-    """One Mach-Zehnder stage: two couplers and the arms' net phase."""
+    """One Mach-Zehnder stage: two couplers and the arms' net phase
+    pi*V/v_pi, monitored on the BAR port."""
 
     input_coupler: Coupler
     output_coupler: Coupler
     v_pi: float
-    bias_phase: float = 0.0
-    monitored_port: Port = Port.BAR
 
     def __post_init__(self):
         if self.v_pi <= 0:
             raise PicmodError(f"v_pi must be positive, got {self.v_pi}")
 
     def phase(self, voltage):
-        """Net arm phase pi*V/v_pi + bias_phase at drive voltage V."""
-        return math.pi * np.asarray(voltage, dtype=float) / self.v_pi + self.bias_phase
+        """Net arm phase pi*V/v_pi at drive voltage V."""
+        return math.pi * np.asarray(voltage, dtype=float) / self.v_pi
 
     @property
-    def terms(self) -> tuple[float, float, float]:
-        """(a, b, sign): monitored power a^2 + b^2 + sign*2ab*cos(phi)."""
+    def terms(self) -> tuple[float, float]:
+        """(a, b): BAR-port power a^2 + b^2 - 2ab*cos(phi)."""
         cin, cout = self.input_coupler, self.output_coupler
-        if self.monitored_port is Port.BAR:
-            return cin.t * cout.t, cin.r * cout.r, -1.0
-        return cin.t * cout.r, cin.r * cout.t, 1.0
+        return cin.t * cout.t, cin.r * cout.r
 
     def min_transmission(self) -> float:
-        """Floor of the monitored-port power over all drive voltages."""
-        a, b, _ = self.terms
+        """Floor of the BAR-port power over all drive voltages."""
+        a, b = self.terms
         return (a - b) ** 2
 
     def max_transmission(self) -> float:
-        a, b, _ = self.terms
+        a, b = self.terms
         return (a + b) ** 2
 
 
-def fringe_coeffs(a: float, b: float, sign: float) -> tuple[float, float]:
-    """(c0, c1) of the stage power c0 + c1*cos(phi) for terms (a, b, sign)."""
-    return a * a + b * b, sign * 2.0 * a * b
+def fringe_coeffs(a: float, b: float) -> tuple[float, float]:
+    """(c0, c1) of the stage power c0 + c1*cos(phi) for terms (a, b)."""
+    return a * a + b * b, -2.0 * a * b
 
 
 @dataclass(frozen=True)
@@ -184,7 +173,6 @@ class SweepResult:
     transmissions: np.ndarray
     er_db: float
     fitted_v_pi: float
-    fitted_bias_phase: float = 0.0
     fit_residual: float = float("nan")
     detector_limited: bool = False
     channel_index: int = 0
@@ -228,7 +216,6 @@ def sweep_channel(
         transmissions=trans,
         er_db=er_db,
         fitted_v_pi=fitted.v_pi,
-        fitted_bias_phase=fitted.bias_phase,
         fit_residual=fitted.residual,
         detector_limited=detector_limited,
         channel_index=channel.channel_index,

@@ -61,6 +61,8 @@ def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Ta
 
 def run_pulse(cfg: ExperimentConfig, mode: str) -> tuple[RunReport, Tables]:
     """Switch-off of channel 0 under a "naive" (square) or "optimized" drive."""
+    if mode not in ("naive", "optimized"):
+        raise PicmodError(f"unknown pulse mode {mode!r}; use naive or optimized")
     channel = cfg.channels()[0]
     response = cfg.actuator()
     pd = cfg.data["predistortion"]
@@ -94,7 +96,6 @@ def run_pulse(cfg: ExperimentConfig, mode: str) -> tuple[RunReport, Tables]:
         drive, trace = solution.drive, solution.trace
         t_floor, reached = solution.time_to_floor, solution.converged
         floor = solution.achieved_floor
-        report.add("iterations", solution.iterations, "")
 
     rise = measure_rise_time(
         step_response_trace(channel, response, 0.5 * channel.v_pi, 0.51 * channel.v_pi)

@@ -1,10 +1,10 @@
 """Drive-waveform synthesis: pulse trains, pre-distortion, pulse analysis.
 
 Pre-distortion solves for the drive that makes the actuator's phase output
-follow a target trajectory: a Tikhonov-regularized frequency-domain
-deconvolution seeds a damped Gauss-Newton refinement against the full
-nonlinear optical forward model. The reported extinction floor is always
-recomputed by an independent forward simulation of the returned drive.
+follow a target trajectory: one Tikhonov-regularized frequency-domain
+deconvolution, clipped to the drive limit. The reported extinction floor
+is recomputed by an independent forward simulation of the returned drive
+through the full nonlinear optical model.
 """
 
 from __future__ import annotations
@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModulatorChannel, channel_transmission_equal, fringe_coeffs
-from .dynamics import (
-    ActuatorResponse,
-    OpticalTrace,
-    Waveform,
-    convolve_causal,
-    trace_optical,
-)
+from .core import ModulatorChannel, fringe_coeffs
+from .dynamics import ActuatorResponse, OpticalTrace, Waveform, trace_optical
 from .errors import GridError, PicmodError, UnachievableTargetError
 
 
@@ -65,9 +59,9 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
     A channel is one stage repeated n times, so the stage power is
     (target * peak)^(1/n) = c0 + c1*cos(phi), which inverts exactly:
     phi = arccos(((target * peak)^(1/n) - c0) / c1) on the branch
-    phi in [0, pi] (for the BAR port, a^2 + b^2 - stage power over 2ab).
-    phi is the stage's net phase; the drive phase is phi less the stage's
-    bias_phase. The floor and 1.0 map exactly
+    phi in [0, pi] (on the BAR port, a^2 + b^2 - stage power over 2ab).
+    phi is the stage's net phase pi*V/v_pi, so it is the drive phase.
+    The floor and 1.0 map exactly
     to the null and the peak, where arccos is worst conditioned. The
     tests check the result against the forward model and against
     bracketed root finding.
@@ -86,10 +80,10 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
         )
     c0, c1 = fringe_coeffs(*stage.terms)
     cos_phi = np.clip(((target * peak) ** (1.0 / channel.n_stages) - c0) / c1, -1.0, 1.0)
-    cos_peak = math.copysign(1.0, c1)
+    cos_peak = -1.0
     cos_phi[target >= 1.0] = cos_peak
     cos_phi[target <= floor] = -cos_peak
-    return np.arccos(cos_phi) - stage.bias_phase
+    return np.arccos(cos_phi)
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,6 @@ class PredistortionProblem:
     regularization: float = 1e-4
     settle_window: float = 1e-6
     extinction_target: float = 1e-6
-    max_iterations: int = 200
 
     def __post_init__(self):
         object.__setattr__(
@@ -168,8 +161,9 @@ class PredistortionSolution:
     trace: OpticalTrace  # the verified optical trace of the drive
     achieved_floor: float
     time_to_floor: float
-    iterations: int
     converged: bool
+    # Never set; perfbench/tracer.py reads it for waveforms.predistort.iterations.
+    iterations: int = 0
 
 
 def _deconvolve(signal: np.ndarray, kernel: np.ndarray, relative_reg: float) -> np.ndarray:
@@ -189,76 +183,30 @@ def _deconvolve(signal: np.ndarray, kernel: np.ndarray, relative_reg: float) -> 
     return u[pad:pad + signal.size]
 
 
-def _verify(problem: PredistortionProblem, drive: Waveform):
-    trace = trace_optical(problem.channel, problem.response, drive)
-    ext = dynamic_extinction(trace, problem.switch_time)
-    window_idx = min(
-        int(round(problem.settle_window / drive.sample_period)), ext.envelope.size - 1
-    )
-    floor = float(ext.envelope[window_idx])
-    t_floor, reached = ext.time_to(problem.extinction_target)
-    converged = reached and t_floor <= problem.settle_window + 1e-15
-    return trace, floor, t_floor, converged
-
-
 def predistort(problem: PredistortionProblem) -> PredistortionSolution:
     """Solve for a drive whose optical output meets the extinction target.
 
-    Stage 1 deconvolves the target phase by the kernel; stage 2 refines
-    with damped Gauss-Newton steps on the phase residual of the forward
-    model, re-verifying optically after each accepted step. Drives are
-    clipped to +/- v_max at every step.
+    The target phase is deconvolved by the kernel and the drive clipped to
+    +/- v_max; the floor, the time to reach the target and convergence are
+    then read from an independent forward simulation of that drive.
     """
-    kernel = problem.response.impulse_kernel
     v_pi = problem.channel.v_pi
     dt = problem.response.sample_period
+    phase_cmd = _deconvolve(
+        problem.target_phase, problem.response.impulse_kernel, problem.regularization
+    )
+    drive = Waveform(dt, np.clip(phase_cmd * v_pi / math.pi, -problem.v_max, problem.v_max))
 
-    phase_cmd = _deconvolve(problem.target_phase, kernel, problem.regularization)
-    volts = np.clip(phase_cmd * v_pi / math.pi, -problem.v_max, problem.v_max)
-    drive = Waveform(dt, volts)
-    trace, floor, t_floor, converged = _verify(problem, drive)
-
-    target_power = channel_transmission_equal(
-        problem.channel,
-        problem.target_phase * v_pi / math.pi,
-        include_loss=False,
-    ) / problem.channel.max_transmission()
-
-    def power_residual(tr):
-        return float(np.sqrt(np.mean((tr.power - target_power) ** 2)))
-
-    best_resid = power_residual(trace)
-    iterations = 0
-    while not converged and iterations < problem.max_iterations:
-        iterations += 1
-        phase_out = convolve_causal(drive.samples, kernel) * (math.pi / v_pi)
-        phase_err = phase_out - problem.target_phase
-        step = _deconvolve(phase_err, kernel, problem.regularization) * (v_pi / math.pi)
-        alpha = 1.0
-        accepted = False
-        for _ in range(12):
-            cand = Waveform(
-                dt, np.clip(drive.samples - alpha * step, -problem.v_max, problem.v_max)
-            )
-            c_trace, c_floor, c_t, c_conv = _verify(problem, cand)
-            c_resid = power_residual(c_trace)
-            if c_resid <= best_resid + 1e-18:
-                drive, trace = cand, c_trace
-                floor, t_floor, converged = c_floor, c_t, c_conv
-                best_resid = c_resid
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-
+    trace = trace_optical(problem.channel, problem.response, drive)
+    ext = dynamic_extinction(trace, problem.switch_time)
+    window_idx = min(int(round(problem.settle_window / dt)), ext.envelope.size - 1)
+    t_floor, reached = ext.time_to(problem.extinction_target)
     return PredistortionSolution(
         drive=drive,
         trace=trace,
-        achieved_floor=floor,
+        achieved_floor=float(ext.envelope[window_idx]),
         time_to_floor=t_floor,
-        iterations=iterations,
-        converged=converged,
+        converged=reached and t_floor <= problem.settle_window + 1e-15,
     )
 
 

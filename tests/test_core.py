@@ -1,5 +1,6 @@
 """Static closed-form model: stages, cascades, sweeps, budgets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from picmod.core import (
     Coupler,
     ModulatorChannel,
     MziStage,
-    Port,
     channel_transmission_equal,
+    fringe_coeffs,
     make_calibrated_channel,
     power_split_for_er,
     sweep_channel,
@@ -22,8 +23,8 @@ from picmod.noise import DetectorModel
 from conftest import coupler_matrix, stage_matrix
 
 
-def make_stage(split_in=0.5, split_out=0.5, v_pi=74.7, bias=0.0, port=Port.BAR):
-    return MziStage(Coupler(split_in), Coupler(split_out), v_pi, bias, port)
+def make_stage(split_in=0.5, split_out=0.5, v_pi=74.7):
+    return MziStage(Coupler(split_in), Coupler(split_out), v_pi)
 
 
 def stage_transmission(stage, volts):
@@ -64,32 +65,60 @@ class TestStageTransmission:
             make_stage(v_pi=v_pi)
 
     def test_floor_and_peak_match_matrix_oracle(self):
-        # The net phase is 0 at V0 and pi at V0 + v_pi: one is the floor,
-        # the other the peak, whichever the port.
+        # The net phase is 0 at V = 0 and pi at V = v_pi: the BAR port's
+        # floor and peak.
         rng = np.random.default_rng(3)
         for _ in range(200):
-            bias, v_pi = rng.uniform(-2, 2), rng.uniform(10, 300)
-            st = make_stage(
-                rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), v_pi, bias,
-                Port(int(rng.integers(2))),
-            )
-            v0 = -bias * v_pi / math.pi
-            m = stage_matrix(st, np.array([v0, v0 + v_pi]))
-            ends = np.sort(np.abs(m[:, st.monitored_port.value, 0]) ** 2)
+            v_pi = rng.uniform(10, 300)
+            st = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), v_pi)
+            m = stage_matrix(st, np.array([0.0, v_pi]))
+            ends = np.abs(m[:, 0, 0]) ** 2
             want = [st.min_transmission(), st.max_transmission()]
             assert np.max(np.abs(ends - want)) <= 1e-12
+
+    def test_a_stage_is_two_couplers_and_v_pi(self):
+        fields = [f.name for f in dataclasses.fields(MziStage)]
+        assert fields == ["input_coupler", "output_coupler", "v_pi"]
+
+    @pytest.mark.parametrize("v_pi", [10.0, 74.7, 300.0])
+    def test_phase_is_pi_per_v_pi(self, v_pi):
+        # No static offset: zero drive is zero phase, and each v_pi of drive
+        # adds pi.
+        st = make_stage(v_pi=v_pi)
+        volts = np.array([-v_pi, 0.0, 0.5 * v_pi, v_pi, 2.5 * v_pi])
+        want = np.array([-1.0, 0.0, 0.5, 1.0, 2.5]) * math.pi
+        assert st.phase(0.0) == 0.0
+        assert np.max(np.abs(st.phase(volts) - want)) <= 1e-14
 
     def test_stage_matrix_is_unitary(self):
         m = stage_matrix(make_stage(0.43, 0.58), 12.3)
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
 
+class TestFringeCoeffs:
+    def test_c1_is_the_bar_sign_times_2ab_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            a, b = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)).terms
+            sign = -1.0  # BAR port
+            assert fringe_coeffs(a, b) == (a * a + b * b, sign * 2.0 * a * b)
+
+    def test_fringe_ends_are_the_stage_floor_and_peak(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            st = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
+            c0, c1 = fringe_coeffs(*st.terms)
+            assert c0 + c1 == pytest.approx(st.min_transmission(), abs=1e-15)
+            assert c0 - c1 == pytest.approx(st.max_transmission(), abs=1e-15)
+
+
 def per_stage_product(channel, volts):
     """Oracle: each stage's closed form evaluated on its own, multiplied in
     order from 1.0, as the per-stage cascade once computed it."""
     out = 1.0
+    sign = -1.0  # BAR port
     for st in channel.stages:
-        a, b, sign = st.terms
+        a, b = st.terms
         phi = st.phase(volts)
         out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phi))
     return out
@@ -122,16 +151,14 @@ class TestChannelTransmission:
         with pytest.raises(PicmodError, match="identical"):
             ModulatorChannel(stages=stages)
 
-    @pytest.mark.parametrize("port", list(Port))
     @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
-    def test_cascade_equals_per_stage_product(self, n_stages, port):
-        # Bit for bit, with a static bias phase: one fringe, multiplied in
-        # order, is the per-stage product.
+    def test_cascade_equals_per_stage_product(self, n_stages):
+        # Bit for bit: one fringe, multiplied in order, is the per-stage
+        # product.
         rng = np.random.default_rng(n_stages)
         for _ in range(50):
             st = make_stage(
-                rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(10, 300),
-                rng.uniform(-2, 2), port,
+                rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(10, 300)
             )
             ch = ModulatorChannel(stages=(st,) * n_stages)
             volts = rng.uniform(-400, 400, 257)
@@ -146,8 +173,8 @@ class TestChannelTransmission:
             assert (ch.min_transmission(), ch.max_transmission()) == (floor, ceiling)
 
     def test_matrix_chain_oracle(self):
-        # Complex matrix-chain product over random identical-stage channels:
-        # either port, a static bias phase, array drives.
+        # Complex matrix-chain product over random identical-stage channels
+        # and array drives.
         rng = np.random.default_rng(7)
         for _ in range(1000):
             n_stages = int(rng.integers(1, 5))
@@ -155,14 +182,12 @@ class TestChannelTransmission:
                 split_in=rng.uniform(0.3, 0.7),
                 split_out=rng.uniform(0.3, 0.7),
                 v_pi=rng.uniform(10, 300),
-                bias=rng.uniform(-2, 2),
-                port=Port(int(rng.integers(2))),
             )
             ch = ModulatorChannel(stages=(stage,) * n_stages)
             volts = rng.uniform(-200, 200, 4)
             got = channel_transmission_equal(ch, volts, include_loss=False)
             m = stage_matrix(stage, volts)
-            expected = np.abs(m[:, stage.monitored_port.value, 0]) ** 2
+            expected = np.abs(m[:, 0, 0]) ** 2
             expected = np.prod([expected] * n_stages, axis=0)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -172,6 +197,14 @@ class TestSweepChannel:
         res = sweep_channel(channel_714, 0.0, 2 * 74.7, 241)
         assert res.er_db == pytest.approx(71.4, abs=0.1)
         assert res.fitted_v_pi == pytest.approx(74.7, rel=1e-3)
+
+    def test_fit_diagnostics_are_v_pi_and_residual(self, channel_714):
+        # A noiseless sweep of the closed form leaves an RMS misfit far
+        # below full scale, and the fit reports no bias phase: the model
+        # has none.
+        res = sweep_channel(channel_714, 0.0, 2 * 74.7, 241)
+        assert 0.0 <= res.fit_residual < 1e-6
+        assert not hasattr(res, "fitted_bias_phase")
 
     def test_calibrated_1013_channel(self):
         split = power_split_for_er(61.5, n_stages=2)

@@ -31,6 +31,24 @@ def test_crosstalk_rejects_unknown_scenario(config_795):
         run_crosstalk(config_795, "c")
 
 
+@pytest.mark.parametrize("mode", ["Naive", "optimised", ""])
+def test_pulse_rejects_unknown_mode(config_795, mode):
+    with pytest.raises(PicmodError, match="pulse mode"):
+        run_pulse(config_795, mode)
+
+
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_pulse_report_rows_and_tables(config_795, mode):
+    report, tables = run_pulse(config_795, mode)
+    assert report.experiment_kind == f"pulse_{mode}"
+    names = [m.name for m in report.metrics]
+    assert names == ["small_signal_rise", "extinction_floor", "time_to_target"]
+    # Only the optimized drive is held to the extinction target.
+    checked = [m.name for m in report.metrics if m.passed is not None]
+    assert checked == (["extinction_floor"] if mode == "optimized" else [])
+    assert list(tables) == [f"pulse_{mode}_trace.csv", f"pulse_{mode}_drive.csv"]
+
+
 def test_naive_and_optimized_pulses_hold_on_equally_long(config_795):
     response = config_795.actuator()
     n_on = on_hold_samples(response)

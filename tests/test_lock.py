@@ -28,7 +28,8 @@ DET = DetectorModel(relative_floor=1e-8)
 def per_stage_transmission(channel, phase):
     """Oracle: one cos per stage, each stage's power multiplied in order."""
     out = 1.0
-    for a, b, sign in (st.terms for st in channel.stages):
+    sign = -1.0  # BAR port
+    for a, b in (st.terms for st in channel.stages):
         out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phase))
     return out
 
