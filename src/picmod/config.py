@@ -38,12 +38,6 @@ def _number(lo=None, hi=None, integer=False):
     return check
 
 
-def _boolean(value, path):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected boolean, got {value!r}")
-    return value
-
-
 def _choice(*options):
     def check(value, path):
         if value not in options:
@@ -97,7 +91,6 @@ SCHEMA = {
         "sweep_floor_db": _number(hi=0.0),
         "onchip_floor_db": _number(hi=0.0),
         "additive_noise_sigma": _number(lo=0.0),
-        "clamp": _boolean,
     },
     "noise": {
         "bias_drift_sigma_rad": _number(lo=0.0),
@@ -256,7 +249,6 @@ class ExperimentConfig:
         return DetectorModel(
             relative_floor=10.0 ** (det[floor_key] / 10.0),
             additive_noise_sigma=det["additive_noise_sigma"],
-            clamp=det["clamp"],
         )
 
     def sweep_detector(self) -> DetectorModel:

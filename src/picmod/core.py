@@ -188,10 +188,10 @@ def sweep_channel(
 ) -> SweepResult:
     """Sweep the channel over a uniform voltage grid (equal drive per stage).
 
-    If a detector model is supplied, every point passes through it (floor
-    clamping plus optional additive noise) before normalization, and the
-    reported ER is the measured one. The sweep is `detector_limited` when a
-    clamping detector's lowest reading is at or below its floor.
+    If a detector model is supplied, every point passes through it (its
+    floor plus optional additive noise) before normalization, and the
+    reported ER is the measured one. The sweep is `detector_limited` when
+    the detector's lowest reading is at or below its floor.
     """
     if n_points < 3:
         raise PicmodError("n_points must be >= 3")
@@ -203,7 +203,7 @@ def sweep_channel(
     if detector is not None:
         peak = float(np.max(trans))
         measured = detector.measure(trans / peak, rng=rng)
-        detector_limited = detector.clamp and bool(np.min(measured) <= detector.relative_floor)
+        detector_limited = bool(np.min(measured) <= detector.relative_floor)
         trans = measured * peak
     peak = float(np.max(trans))
     trans = trans / peak

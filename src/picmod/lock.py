@@ -16,11 +16,11 @@ yields the correction trajectory. The off-state powers, the ER samples,
 the mean leakage and the final error are then computed in one go over
 that trajectory; a disengaged run has zero correction and runs no loop.
 The dither measurements and the ER samples draw their detector noise
-from separate labelled streams, so neither depends on the other. A
-clamping or noisy detector cannot resolve an OFF power below its floor:
-such an OFF reading reads as the floor and the ER sample counts as
-detector-limited, so noise near the locked OFF power never divides by a
-reading clipped at 0.
+from separate labelled streams, so neither depends on the other. The
+detector floors every reading before its noise: an OFF reading at the
+floor counts its ER sample as detector-limited, and a noisy OFF reading
+below it reads as the floor, so noise near the locked OFF power never
+divides by a reading clipped at 0.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ class LockController:
                 raise PicmodError("controller gains must be finite")
 
 
+ER_SAMPLE_EVERY = 60  # updates between ER samples
+LOCKED_MARGIN_DB = 5.0  # an ER sample within this of the static ER is locked
+
+
 @dataclass(frozen=True)
 class LockRunResult:
     times: np.ndarray  # physical seconds
@@ -67,7 +71,6 @@ class LockRunResult:
     er_mean_db: float
     er_std_db: float
     er_time_avg_db: float  # ER of the time-averaged leakage power
-    engaged: bool
     final_error_rad: float = 0.0  # residual bias error at the last update
     detector_limited_samples: int = 0  # ER samples whose OFF reading is the floor
 
@@ -86,7 +89,7 @@ def _correction_path(channel, drift, peak, controller, detector, rng) -> np.ndar
     d = controller.dither_amplitude
     gain_p, gain_i = controller.gain_p, controller.gain_i
     i_lim, s_lim = controller.integrator_limit, controller.max_step
-    floor, clamp = detector.relative_floor, detector.clamp
+    floor = detector.relative_floor
     sigma = detector.additive_noise_sigma
     noisy = sigma > 0
     if noisy:  # one draw per dither point, in measurement order
@@ -108,11 +111,10 @@ def _correction_path(channel, drift, peak, controller, detector, rng) -> np.ndar
             t_minus *= f_minus
         p_plus = t_plus / peak
         p_minus = t_minus / peak
-        if clamp:
-            if not p_plus > floor:
-                p_plus = floor
-            if not p_minus > floor:
-                p_minus = floor
+        if not p_plus > floor:
+            p_plus = floor
+        if not p_minus > floor:
+            p_minus = floor
         if noisy:
             p_plus = max(p_plus + next(draws), 0.0)
             p_minus = max(p_minus + next(draws), 0.0)
@@ -138,15 +140,11 @@ def run_lock(
     duration: float,
     detector: DetectorModel,
     engaged: bool = True,
-    er_sample_every: int = 60,
-    locked_margin_db: float = 5.0,
-    initial_offset: float = 0.0,
 ) -> LockRunResult:
     """Simulate a bias-lock run of the given physical duration.
 
     With engaged=False the controller is bypassed but the identical drift
     path (same seed) is replayed, so ON/OFF comparisons are paired.
-    initial_offset adds a static bias error on top of the drift path.
     A noisy detector with a zero floor raises PicmodError: an OFF reading
     clipped at 0 would have no floor to read as. So does a perfect null
     read as 0, which the static ER would divide by.
@@ -155,8 +153,6 @@ def run_lock(
     n_updates = int(round(duration * controller.update_rate))
     if n_updates < 1:
         raise PicmodError("duration shorter than one controller update")
-    if er_sample_every < 1:
-        raise PicmodError("er_sample_every must be >= 1")
     if detector.additive_noise_sigma > 0 and detector.relative_floor == 0:
         raise PicmodError("a noisy detector needs a positive relative_floor")
     drift_rng = derive_rng(noise.seed, "lock", "bias-drift")
@@ -168,14 +164,11 @@ def run_lock(
         duration,
         dt,
         rng=drift_rng,
-    )[:n_updates] + initial_offset
+    )[:n_updates]
 
     peak = float(channel.power_at_phase(math.pi))
-    # OFF readings at or below the floor read as the floor. A noise-free
-    # clamping detector's readings are already at or above it, and a
-    # noise-free unclamped one reads the true power.
-    floored = detector.clamp or detector.additive_noise_sigma > 0
-    floor = detector.relative_floor if floored else 0.0
+    # A noisy OFF reading below the floor reads as the floor.
+    floor = detector.relative_floor
     on_static = detector.measure(1.0, rng=dither_rng)
     off_static = max(detector.measure(channel.power_at_phase(0.0) / peak, rng=dither_rng), floor)
     if off_static == 0.0:
@@ -191,7 +184,7 @@ def run_lock(
     eps = drift + correction
     p_off = channel.power_at_phase(eps) / peak
     leak_sum = np.cumsum(p_off)[-1]  # sequential, like a running +=
-    ks = np.arange(0, n_updates, er_sample_every)
+    ks = np.arange(0, n_updates, ER_SAMPLE_EVERY)
     sampled = np.stack([p_off[ks], channel.power_at_phase(math.pi + eps[ks]) / peak], axis=1)
     # Row-major draws: OFF then ON at each sample, as the samples are taken.
     off_meas, on_meas = detector.measure(sampled, rng=er_rng).T
@@ -199,7 +192,7 @@ def run_lock(
     off_meas = np.maximum(off_meas, floor)
     # Scalar log10: numpy's array log10 differs from it in the last bit.
     ers = np.array([10.0 * math.log10(r) for r in (on_meas / off_meas).tolist()])
-    locked_fraction = float(np.mean(ers >= er_static - locked_margin_db))
+    locked_fraction = float(np.mean(ers >= er_static - LOCKED_MARGIN_DB))
     mean_leak = max(detector.measure(leak_sum / n_updates, rng=er_rng), floor)
     return LockRunResult(
         times=ks * dt,
@@ -208,7 +201,6 @@ def run_lock(
         er_mean_db=float(np.mean(ers)),
         er_std_db=float(np.std(ers)),
         er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
-        engaged=engaged,
         final_error_rad=float(eps[-1]),
         detector_limited_samples=limited,
     )
@@ -251,15 +243,22 @@ def noisy_pulse_experiment(
     Per-pulse multiplicative amplitude jitter plus slow bias and v_pi
     drift act on the train; areas are reported per block of n_pulses
     pulses. The bias lock is engaged, so the bias motion is its residual
-    (LOCKED_RESIDUAL) rather than the free drift. Single-block runs given
-    an actuator response and at most MAX_TRACE_SAMPLES samples long are
-    integrated from a fully sampled optical trace; the others use the
+    (LOCKED_RESIDUAL) rather than the free drift. Given an actuator
+    response, a single-block run of at most MAX_TRACE_SAMPLES samples is
+    integrated from a fully sampled optical trace; any other run given a
+    response raises PicmodError. Without one, areas come from the
     per-pulse closed form (the pulse shape is common to all pulses, so
     areas scale exactly with the per-pulse factors).
     """
     if n_pulses < 1 or n_blocks < 1:
         raise PicmodError("need n_pulses >= 1 and n_blocks >= 1")
     total = n_pulses * n_blocks
+    if response is not None:
+        n_period = int(round(spec.period / response.sample_period))
+        if n_blocks != 1:
+            raise PicmodError("an optical trace needs n_blocks == 1")
+        if total * n_period > MAX_TRACE_SAMPLES:
+            raise PicmodError(f"an optical trace is limited to {MAX_TRACE_SAMPLES} samples")
     dt_pulse = spec.period
     duration = (total - 1) * dt_pulse
 
@@ -282,14 +281,7 @@ def noisy_pulse_experiment(
     )[:total]
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
 
-    on_factor = _on_transmission(channel, eps, delta) / _on_transmission(channel, 0.0, 0.0)
-    factors = jitter * on_factor
-
-    n_period = int(round(spec.period / (response.sample_period if response else spec.period)))
-    use_trace = (
-        response is not None and n_blocks == 1 and total * n_period <= MAX_TRACE_SAMPLES
-    )
-    if use_trace:
+    if response is not None:
         train = make_pulse_train(spec, total, response.sample_period)
         v_eff = convolve_causal(train.samples, response.impulse_kernel)
         phase = (
@@ -301,6 +293,8 @@ def noisy_pulse_experiment(
         trace = OpticalTrace(response.sample_period, power)
         areas = pulse_areas(trace, spec)
     else:
+        on_factor = _on_transmission(channel, eps, delta) / _on_transmission(channel, 0.0, 0.0)
+        factors = jitter * on_factor
         areas = factors / factors.mean()
 
     blocks = areas.reshape(n_blocks, n_pulses)

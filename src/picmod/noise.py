@@ -127,23 +127,22 @@ def sample_ou_path(
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Measurement floor, optional additive noise, and clamping."""
+    """Reads the true power floored at relative_floor, plus optional
+    additive noise clipped at 0; a zero floor is an ideal detector."""
 
     relative_floor: float = 0.0  # linear power
     additive_noise_sigma: float = 0.0
-    clamp: bool = True
 
     def __post_init__(self):
         if self.relative_floor < 0 or self.additive_noise_sigma < 0:
             raise PicmodError("floor and noise sigma must be >= 0")
 
     def measure(self, true_power, rng: np.random.Generator | None = None):
-        """Measured power: floor-clamped, noise added, clipped at zero."""
+        """Measured power: floored, noise added, clipped at zero."""
         p = np.asarray(true_power, dtype=float)
         if np.any(p < 0):
             raise PicmodError("true_power must be >= 0")
-        if self.clamp:
-            p = np.maximum(p, self.relative_floor)
+        p = np.maximum(p, self.relative_floor)
         if self.additive_noise_sigma > 0:
             if rng is None:
                 raise PicmodError("additive detector noise needs an rng")

@@ -1,6 +1,7 @@
 """Configuration schema, serialization, and the CLI surface."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from picmod import calibration, experiments
 from picmod.cli import main
 from picmod.config import ExperimentConfig
-from picmod.core import power_split_for_er
+from picmod.core import power_split_for_er, sweep_channel
 from picmod.errors import ConfigError, PicmodError
 from picmod.serialize import config_hash, fmt, write_csv
 
@@ -76,6 +77,30 @@ class TestConfigSchema:
         again = ExperimentConfig.load(out)
         assert again.data == config_795.data
         assert again.hash == config_795.hash
+
+    def test_clamp_key_rejected(self, base_data, tmp_path):
+        # Every detector reading is floored; there is no unclamped detector.
+        base_data["detector"]["clamp"] = True
+        with pytest.raises(ConfigError, match=r"unknown keys \['clamp'\]"):
+            ExperimentConfig(base_data)
+        path = tmp_path / "clamp.yaml"
+        path.write_text(yaml.safe_dump(base_data))
+        res = CliRunner().invoke(main, ["sweep", "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+
+    def test_ideal_detector_is_a_zero_floor(self, base_data, tmp_path):
+        base_data["detector"]["sweep_floor_db"] = float("-inf")
+        cfg = ExperimentConfig(base_data)
+        cfg.save(tmp_path / "ideal.yaml")
+        again = ExperimentConfig.load(tmp_path / "ideal.yaml")
+        assert again.data == cfg.data and again.hash == cfg.hash
+        detector = again.sweep_detector()
+        assert detector.relative_floor == 0.0
+        channel = again.channels()[0]
+        ideal = sweep_channel(channel, 0.0, 2 * channel.v_pi, 241, detector=detector)
+        bare = sweep_channel(channel, 0.0, 2 * channel.v_pi, 241)
+        for f in dataclasses.fields(bare):
+            assert np.array_equal(getattr(ideal, f.name), getattr(bare, f.name)), f.name
 
     def test_hash_changes_with_content(self, base_data, config_795):
         base_data["seed"] = 43

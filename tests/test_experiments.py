@@ -1,8 +1,11 @@
 """Experiments as library functions: a report and tables, and no files."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from picmod.config import ExperimentConfig
 from picmod.errors import PicmodError
 from picmod.experiments import run_crosstalk, run_pulse, run_sweep
 from picmod.waveforms import on_hold_samples, switch_off_target_phase
@@ -59,3 +62,15 @@ def test_naive_and_optimized_pulses_hold_on_equally_long(config_795):
     phase, switch_time = switch_off_target_phase(response, 52e-9, 1e-6)
     assert switch_time == n_on * response.sample_period
     assert np.all(phase[:n_on] == np.pi) and phase[n_on] < np.pi
+
+
+def test_optimized_verdict_is_the_solutions_convergence(config_795):
+    # With a 47 ns settle window the drive meets the target at
+    # 47.00000000000001 ns: within predistort's grid tolerance, so the
+    # solution converged and the report passes.
+    data = copy.deepcopy(config_795.data)
+    data["predistortion"]["settle_window_us"] = 0.047
+    report, _ = run_pulse(ExperimentConfig(data), "optimized")
+    t_floor = next(m.value for m in report.metrics if m.name == "time_to_target")
+    assert t_floor > 47.0 and t_floor == pytest.approx(47.0)
+    assert report.passed

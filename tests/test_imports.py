@@ -1,4 +1,5 @@
-"""Every module under src/picmod references each name it imports, and
+"""Every module under src/picmod references each name it imports, the
+package references each module-level private name it defines, and
 neither importing picmod nor running any subcommand loads scipy."""
 
 import ast
@@ -42,6 +43,50 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """Private (single-underscore) names bound at a module's top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:name` for each private module-level name that no module of
+    `sources` (module name -> source) reads, by name, attribute or import."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return sorted(
+        f"{mod}:{name}" for mod, tree in trees.items() for name in private_names(tree) - used
+    )
+
+
+def test_checker_finds_unused_private_names():
+    sources = {
+        "a": "_LIMIT = 3\n_seen: int = 0\ndef _helper():\n    return _LIMIT\n"
+             "class _Box:\n    pass\n__all__ = []\n",
+        "b": "from a import _helper\nimport a\n_x = a._Box\n_y = 1\n_x = _y\n",
+    }
+    assert unused_private_names(sources) == ["a:_seen", "b:_x"]
+
+
+def test_package_reads_its_private_names():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unused_private_names(sources) == []
 
 
 # Runs in a fresh interpreter; prints the scipy modules loaded after the

@@ -11,8 +11,11 @@ from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
 from picmod.errors import LockDivergedError, PicmodError
 from picmod.lock import (
+    ER_SAMPLE_EVERY,
+    LOCKED_MARGIN_DB,
     LockController,
     LockRunResult,
+    _correction_path,
     noisy_pulse_experiment,
     run_lock,
 )
@@ -34,17 +37,13 @@ def per_stage_transmission(channel, phase):
     return out
 
 
-def reference_run_lock(
-    channel, noise, controller, duration, detector, engaged=True,
-    er_sample_every=60, locked_margin_db=5.0, initial_offset=0.0,
-):
+def reference_run_lock(channel, noise, controller, duration, detector, engaged=True):
     """Oracle: one Python iteration per update doing every step of the run.
 
     The dither measurements draw from ("lock", "dither-detector") and the
     ER samples and mean leakage from ("lock", "er-detector"); without
-    detector noise neither stream is read. A clamping or noisy detector
-    reads an OFF power at or below its floor as the floor (any other
-    detector reads one at or below 0 as 0), and each ER sample so read
+    detector noise neither stream is read. An OFF power at or below the
+    detector's floor reads as the floor, and each ER sample so read
     counts as detector-limited.
     """
     dt = 1.0 / controller.update_rate
@@ -57,7 +56,7 @@ def reference_run_lock(
         duration,
         dt,
         rng=derive_rng(noise.seed, "lock", "bias-drift"),
-    ) + initial_offset
+    )
 
     peak = per_stage_transmission(channel, math.pi)
     floor = detector.relative_floor
@@ -67,11 +66,10 @@ def reference_run_lock(
     def meas(power):
         if noisy:
             return detector.measure(power, rng=dither_rng)
-        return power if power > floor or not detector.clamp else floor
+        return power if power > floor else floor
 
     def off_reading(reading):
-        read_floor = floor if detector.clamp or noisy else 0.0
-        return (read_floor, 1) if reading <= read_floor else (reading, 0)
+        return (floor, 1) if reading <= floor else (reading, 0)
 
     correction = 0.0
     integ = 0.0
@@ -101,7 +99,7 @@ def reference_run_lock(
         eps = drift[k] + correction
         p_off = per_stage_transmission(channel, eps) / peak
         leak_sum += p_off
-        if k % er_sample_every == 0:
+        if k % ER_SAMPLE_EVERY == 0:
             p_off_meas, at_floor = off_reading(detector.measure(p_off, rng=er_rng))
             limited += at_floor
             p_on_meas = detector.measure(
@@ -116,11 +114,10 @@ def reference_run_lock(
     return LockRunResult(
         times=times,
         er_db=ers,
-        locked_fraction=float(np.mean(ers >= er_static - locked_margin_db)),
+        locked_fraction=float(np.mean(ers >= er_static - LOCKED_MARGIN_DB)),
         er_mean_db=float(np.mean(ers)),
         er_std_db=float(np.std(ers)),
         er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
-        engaged=engaged,
         final_error_rad=float(drift[n_updates - 1] + correction),
         detector_limited_samples=limited,
     )
@@ -183,17 +180,15 @@ class TestRunLock:
 
     def test_null_seeking_from_static_offset(self, channel):
         # The cascade null is quartic, so the dither gradient vanishes as
-        # error^3: the controller reaches the locked band (< 0.05 rad)
-        # within 50 updates and the sub-dither regime within 500.
-        quiet = NoiseModel(bias_drift=OuParams(0.0, 1.0), seed=0)
-        short = run_lock(
-            channel, quiet, LockController(), 50 / 5.0, DET, initial_offset=0.3
+        # error^3: against a constant 0.3 rad bias error the controller
+        # reaches the locked band (< 0.05 rad) within 50 updates and the
+        # sub-dither regime within 500.
+        peak = float(channel.power_at_phase(math.pi))
+        path = _correction_path(
+            channel, np.full(500, 0.3), peak, LockController(), DET, rng=None
         )
-        assert abs(short.final_error_rad) < 0.05
-        long = run_lock(
-            channel, quiet, LockController(), 500 / 5.0, DET, initial_offset=0.3
-        )
-        assert abs(long.final_error_rad) < 1e-3
+        assert abs(0.3 + path[49]) < 0.05
+        assert abs(0.3 + path[-1]) < 1e-3
 
     def test_locked_20h_statistics(self, channel, drift_noise):
         res = run_lock(channel, drift_noise, LockController(), 20 * 3600.0, DET)
@@ -211,24 +206,17 @@ class TestRunLock:
     def test_unstable_gains_abort(self, channel, drift_noise):
         bad = LockController(gain_p=-500.0, gain_i=0.0, max_step=1.0)
         with pytest.raises(LockDivergedError):
-            run_lock(
-                channel, drift_noise, bad, 3600.0, DET, initial_offset=0.2
-            )
+            run_lock(channel, drift_noise, bad, 3600.0, DET)
 
     def test_duration_too_short(self, channel, drift_noise):
         with pytest.raises(PicmodError):
             run_lock(channel, drift_noise, LockController(), 0.01, DET)
 
-    def test_er_stride_validated(self, channel, drift_noise):
-        with pytest.raises(PicmodError):
-            run_lock(channel, drift_noise, LockController(), 60.0, DET, er_sample_every=0)
-
-    @pytest.mark.parametrize("clamp", [True, False])
-    def test_noise_at_off_power_reads_detector_floor(self, channel, drift_noise, clamp):
+    def test_noise_at_off_power_reads_detector_floor(self, channel, drift_noise):
         # Noise of 1e-7 on a locked OFF power of about 7e-8 takes some OFF
         # readings to the floor or below: they read as the floor (80 dB ER
         # here) and count as detector-limited, never as +inf dB.
-        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-7, clamp=clamp)
+        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-7)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = run_lock(channel, drift_noise, LockController(), 1800.0, det)
@@ -287,20 +275,18 @@ class TestRunLockOracle:
         )
 
     def test_quiet_static_offset(self, channel):
-        quiet = NoiseModel(bias_drift=OuParams(0.0, 1.0), seed=0)
+        # A drift this slow is a static bias error: 0.276 rad on seed 7,
+        # which the lock pulls in from.
+        quiet = NoiseModel(bias_drift=OuParams(0.3, 1e9), seed=7)
         args = (channel, quiet, LockController(), 100.0, DET)
-        assert_same_run(
-            run_lock(*args, initial_offset=0.3),
-            reference_run_lock(*args, initial_offset=0.3),
-        )
+        assert_same_run(run_lock(*args), reference_run_lock(*args))
 
     @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
-    def test_unclamped_detector(self, channel, drift_noise, engaged):
-        det = DetectorModel(relative_floor=1e-4, clamp=False)
-        args = (channel, drift_noise, LockController(), 1800.0, det)
+    def test_ideal_detector(self, channel, drift_noise, engaged):
+        # A zero floor reads every power as it is.
+        args = (channel, drift_noise, LockController(), 1800.0, DetectorModel())
         assert_same_run(
-            run_lock(*args, engaged=engaged, er_sample_every=7),
-            reference_run_lock(*args, engaged=engaged, er_sample_every=7),
+            run_lock(*args, engaged=engaged), reference_run_lock(*args, engaged=engaged)
         )
 
     @pytest.mark.parametrize(
@@ -319,9 +305,9 @@ class TestRunLockOracle:
         bad = LockController(gain_p=-500.0, gain_i=0.0, max_step=1.0)
         args = (channel, drift_noise, bad, 3600.0, DET)
         with pytest.raises(LockDivergedError) as want:
-            reference_run_lock(*args, initial_offset=0.2)
+            reference_run_lock(*args)
         with pytest.raises(LockDivergedError) as got:
-            run_lock(*args, initial_offset=0.2)
+            run_lock(*args)
         assert str(got.value) == str(want.value)
 
 
@@ -333,13 +319,22 @@ class TestNoisyDetectorStreams:
         assert_same_run(run_lock(*args), run_lock(*args))
 
     def test_control_loop_independent_of_er_sampling(self, channel, drift_noise):
-        # The ER sampler draws from its own stream, so how often it samples
-        # cannot change what the dither measurements see.
-        args = (channel, drift_noise, LockController(), 3600.0, self.DET_NOISY)
-        dense = run_lock(*args, er_sample_every=1)
-        sparse = run_lock(*args, er_sample_every=60)
-        assert dense.er_db.size == 18000 and sparse.er_db.size == 300
-        assert dense.final_error_rad == sparse.final_error_rad
+        # The ER sampler draws from its own stream: the control loop alone,
+        # fed the dither stream after the two static readings, ends at the
+        # run's final error.
+        controller = LockController()
+        res = run_lock(channel, drift_noise, controller, 3600.0, self.DET_NOISY)
+        drift = sample_ou_path(
+            0.3, 600.0, 3600.0, 0.2, rng=derive_rng(drift_noise.seed, "lock", "bias-drift")
+        )[:18000]
+        dither_rng = derive_rng(drift_noise.seed, "lock", "dither-detector")
+        dither_rng.normal(0.0, self.DET_NOISY.additive_noise_sigma, size=2)
+        path = _correction_path(
+            channel, drift, float(channel.power_at_phase(math.pi)), controller,
+            self.DET_NOISY, dither_rng,
+        )
+        assert res.er_db.size == 300
+        assert res.final_error_rad == float(drift[-1] + path[-1])
 
 
 SPEC = PulseSpec(on_level=74.7, off_level=0.0, on_duration=0.5e-6, period=1e-6)
@@ -377,6 +372,17 @@ class TestNoisyPulseExperiment:
             channel, SPEC, drift_noise, 50, response=fo_response
         )
         assert np.allclose(fast.areas[5:], full.areas[5:], atol=2e-4)
+
+    def test_trace_needs_one_block(self, channel, drift_noise, fo_response):
+        with pytest.raises(PicmodError, match="n_blocks == 1"):
+            noisy_pulse_experiment(
+                channel, SPEC, drift_noise, 50, n_blocks=2, response=fo_response
+            )
+
+    def test_trace_length_limited(self, channel, drift_noise, fo_response):
+        # 1000 samples a pulse: 4001 pulses are one pulse over the limit.
+        with pytest.raises(PicmodError, match="limited to"):
+            noisy_pulse_experiment(channel, SPEC, drift_noise, 4001, response=fo_response)
 
     def test_normalized_mean_is_one(self, channel, drift_noise):
         stats = noisy_pulse_experiment(channel, SPEC, drift_noise, 400)

@@ -123,10 +123,6 @@ class TestDetector:
         det = DetectorModel(relative_floor=1e-8)
         assert det.measure(1e-9) == 1e-8
 
-    def test_clamp_disabled(self):
-        det = DetectorModel(relative_floor=1e-8, clamp=False)
-        assert det.measure(1e-9) == 1e-9
-
     def test_floor_idempotence(self):
         det = DetectorModel(relative_floor=1e-8)
         once = det.measure(3e-9)

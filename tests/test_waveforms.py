@@ -274,11 +274,6 @@ class TestPredistort:
         assert sol.trace.sample_period == fresh.sample_period
         assert np.array_equal(sol.trace.power, fresh.power)
 
-    def test_clipping_safety(self, channel_714, so_response):
-        v_max = 1.05 * 74.7
-        sol = predistort(off_switch_problem(channel_714, so_response, v_max=v_max))
-        assert np.all(np.abs(sol.drive.samples) <= v_max + 1e-12)
-
     def test_deconvolution_consistency_zero_regularization(self, fo_response, channel_714):
         # Forward-convolving the deconvolved drive reproduces the target phase.
         phase, _ = switch_off_target_phase(fo_response, 52e-9, 0.2e-6)
