@@ -9,6 +9,7 @@ embedded in every output artifact for provenance.
 from __future__ import annotations
 
 import copy
+import math
 from pathlib import Path
 
 import yaml
@@ -29,6 +30,8 @@ def _number(lo=None, hi=None, integer=False):
         if isinstance(value, bool) or not ok_type:
             kind = "integer" if integer else "number"
             raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+        if math.isnan(value):
+            raise ConfigError(f"{path}: expected a number, got NaN")
         if lo is not None and value < lo:
             raise ConfigError(f"{path}: {value} below minimum {lo}")
         if hi is not None and value > hi:
@@ -90,7 +93,6 @@ SCHEMA = {
     "detector": {
         "sweep_floor_db": _number(hi=0.0),
         "onchip_floor_db": _number(hi=0.0),
-        "additive_noise_sigma": _number(lo=0.0),
     },
     "noise": {
         "bias_drift_sigma_rad": _number(lo=0.0),
@@ -245,11 +247,7 @@ class ExperimentConfig:
         )
 
     def _detector(self, floor_key: str) -> DetectorModel:
-        det = self.data["detector"]
-        return DetectorModel(
-            relative_floor=10.0 ** (det[floor_key] / 10.0),
-            additive_noise_sigma=det["additive_noise_sigma"],
-        )
+        return DetectorModel(10.0 ** (self.data["detector"][floor_key] / 10.0))
 
     def sweep_detector(self) -> DetectorModel:
         return self._detector("sweep_floor_db")

@@ -184,14 +184,13 @@ def sweep_channel(
     v_stop: float,
     n_points: int,
     detector=None,
-    rng=None,
 ) -> SweepResult:
     """Sweep the channel over a uniform voltage grid (equal drive per stage).
 
-    If a detector model is supplied, every point passes through it (its
-    floor plus optional additive noise) before normalization, and the
-    reported ER is the measured one. The sweep is `detector_limited` when
-    the detector's lowest reading is at or below its floor.
+    If a detector model is supplied, every point is read through it
+    (floored) before normalization, and the reported ER is the measured
+    one. The sweep is `detector_limited` when the detector's lowest
+    reading is at or below its floor.
     """
     if n_points < 3:
         raise PicmodError("n_points must be >= 3")
@@ -202,7 +201,7 @@ def sweep_channel(
     detector_limited = False
     if detector is not None:
         peak = float(np.max(trans))
-        measured = detector.measure(trans / peak, rng=rng)
+        measured = detector.measure(trans / peak)
         detector_limited = bool(np.min(measured) <= detector.relative_floor)
         trans = measured * peak
     peak = float(np.max(trans))

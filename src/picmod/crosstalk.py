@@ -90,13 +90,11 @@ def crosstalk_matrix(
     t_on: float = 1.0,
     t_off: float = 0.0,
     detector=None,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Pairwise victim outputs in dB relative to the aggressor ON output.
 
     Diagonal entries are 0 dB (the aggressor itself). With a detector the
-    values are measured through it: floor-clamped, plus additive noise
-    drawn from rng.
+    values are read through it, floored at its relative_floor.
     """
     if not (0.0 < t_on <= 1.0 and 0.0 <= t_off <= 1.0):
         raise PicmodError("t_off must lie in [0,1] and t_on in (0,1]")
@@ -113,7 +111,7 @@ def crosstalk_matrix(
     out_v = in_v * t_v + leak
     rel = out_v / t_on
     if detector is not None:
-        rel = detector.measure(rel, rng=rng)
+        rel = detector.measure(rel)
     out = np.array(
         [NEG_INF if r == 0.0 else 10.0 * math.log10(r) for r in rel.ravel().tolist()]
     ).reshape(rel.shape)

@@ -96,12 +96,12 @@ class ActuatorResponse:
             raise PicmodError("impulse kernel must have unit DC gain")
 
 
-def _interp_crossing(t: np.ndarray, y: np.ndarray, level: float, start: int = 0) -> float:
-    """First time y crosses level (upward) at or after index start."""
-    above = y[start:] >= level
+def _interp_crossing(t: np.ndarray, y: np.ndarray, level: float) -> float:
+    """First time y crosses level (upward)."""
+    above = y >= level
     if not np.any(above):
         raise NoTransitionError(f"trace never reaches level {level}")
-    i = start + int(np.argmax(above))
+    i = int(np.argmax(above))
     if i == 0 or y[i] == y[i - 1]:
         return float(t[i])
     frac = (level - y[i - 1]) / (y[i] - y[i - 1])

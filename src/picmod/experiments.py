@@ -14,7 +14,6 @@ from .dynamics import Waveform, measure_rise_time, step_response_trace, trace_op
 from .errors import PicmodError
 from .lock import noisy_pulse_experiment, run_lock
 from .reports import RunReport
-from .rng import derive_rng
 from .waveforms import (
     PredistortionProblem,
     dynamic_extinction,
@@ -37,8 +36,7 @@ def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Ta
     tables = {}
     for ch in (c for c in cfg.channels() if c.channel_index in channels):
         i = ch.channel_index
-        rng = derive_rng(cfg.seed, "sweep", "detector", str(i))
-        result = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, detector=detector, rng=rng)
+        result = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, detector=detector)
         tables[f"sweep_channel_{i}.csv"] = (
             ["voltage_v", "transmission"],
             [result.voltages, result.transmissions],
@@ -187,8 +185,7 @@ def run_crosstalk(cfg: ExperimentConfig, scenario: str) -> tuple[RunReport, Tabl
     graph = cfg.crosstalk_graph()
     er_mean = float(np.mean(cfg.data["chip"]["target_er_db"]))
     t_off = 10.0 ** (-er_mean / 10.0)
-    detector, rng = cfg.onchip_detector(), derive_rng(cfg.seed, "crosstalk", "detector")
-    matrix = crosstalk_matrix(graph, scen, t_on=1.0, t_off=t_off, detector=detector, rng=rng)
+    matrix = crosstalk_matrix(graph, scen, t_on=1.0, t_off=t_off, detector=cfg.onchip_detector())
     report = RunReport(f"crosstalk_{scen.value}", cfg.hash, cfg.seed)
     report.add("nn_mean", nn_mean_db(matrix), "dB")
     if scen is Scenario.C:

@@ -15,12 +15,9 @@ update, as a scalar loop on (c0, c1) from `core.fringe_coeffs` that
 yields the correction trajectory. The off-state powers, the ER samples,
 the mean leakage and the final error are then computed in one go over
 that trajectory; a disengaged run has zero correction and runs no loop.
-The dither measurements and the ER samples draw their detector noise
-from separate labelled streams, so neither depends on the other. The
-detector floors every reading before its noise: an OFF reading at the
-floor counts its ER sample as detector-limited, and a noisy OFF reading
-below it reads as the floor, so noise near the locked OFF power never
-divides by a reading clipped at 0.
+Every reading, dither and ER sample alike, is the true power floored by
+the detector; an ER sample whose OFF reading is the floor counts as
+detector-limited.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ class LockRunResult:
     detector_limited_samples: int = 0  # ER samples whose OFF reading is the floor
 
 
-def _correction_path(channel, drift, peak, controller, detector, rng) -> np.ndarray:
+def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
     """Bias correction after each update: the dither/PI recurrence.
 
     Each update measures the channel at eps +/- dither (one math.cos per
@@ -90,10 +87,6 @@ def _correction_path(channel, drift, peak, controller, detector, rng) -> np.ndar
     gain_p, gain_i = controller.gain_p, controller.gain_i
     i_lim, s_lim = controller.integrator_limit, controller.max_step
     floor = detector.relative_floor
-    sigma = detector.additive_noise_sigma
-    noisy = sigma > 0
-    if noisy:  # one draw per dither point, in measurement order
-        draws = iter(memoryview(rng.normal(0.0, sigma, size=2 * drift.size)))
     cos = math.cos
 
     correction = 0.0
@@ -115,9 +108,6 @@ def _correction_path(channel, drift, peak, controller, detector, rng) -> np.ndar
             p_plus = floor
         if not p_minus > floor:
             p_minus = floor
-        if noisy:
-            p_plus = max(p_plus + next(draws), 0.0)
-            p_minus = max(p_minus + next(draws), 0.0)
         grad = (p_plus - p_minus) / (2.0 * d)
         integ += gain_i * grad
         integ = min(max(integ, -i_lim), i_lim)
@@ -145,40 +135,28 @@ def run_lock(
 
     With engaged=False the controller is bypassed but the identical drift
     path (same seed) is replayed, so ON/OFF comparisons are paired.
-    A noisy detector with a zero floor raises PicmodError: an OFF reading
-    clipped at 0 would have no floor to read as. So does a perfect null
-    read as 0, which the static ER would divide by.
+    A perfect null read as 0, which the static ER would divide by, raises
+    PicmodError.
     """
     dt = 1.0 / controller.update_rate
     n_updates = int(round(duration * controller.update_rate))
     if n_updates < 1:
         raise PicmodError("duration shorter than one controller update")
-    if detector.additive_noise_sigma > 0 and detector.relative_floor == 0:
-        raise PicmodError("a noisy detector needs a positive relative_floor")
-    drift_rng = derive_rng(noise.seed, "lock", "bias-drift")
-    dither_rng = derive_rng(noise.seed, "lock", "dither-detector")
-    er_rng = derive_rng(noise.seed, "lock", "er-detector")
     drift = sample_ou_path(
         noise.bias_drift.sigma,
         noise.bias_drift.correlation_time,
         duration,
         dt,
-        rng=drift_rng,
+        rng=derive_rng(noise.seed, "lock", "bias-drift"),
     )[:n_updates]
 
     peak = float(channel.power_at_phase(math.pi))
-    # A noisy OFF reading below the floor reads as the floor.
-    floor = detector.relative_floor
-    on_static = detector.measure(1.0, rng=dither_rng)
-    off_static = max(detector.measure(channel.power_at_phase(0.0) / peak, rng=dither_rng), floor)
+    on_static = detector.measure(1.0)
+    off_static = detector.measure(channel.power_at_phase(0.0) / peak)
     if off_static == 0.0:
         raise PicmodError("the channel's null reads 0: it needs a positive relative_floor")
     er_static = 10.0 * math.log10(on_static / off_static)
-    correction = (
-        _correction_path(channel, drift, peak, controller, detector, dither_rng)
-        if engaged
-        else 0.0
-    )
+    correction = _correction_path(channel, drift, peak, controller, detector) if engaged else 0.0
 
     # Everything else is a function of the bias error after each update.
     eps = drift + correction
@@ -186,14 +164,12 @@ def run_lock(
     leak_sum = np.cumsum(p_off)[-1]  # sequential, like a running +=
     ks = np.arange(0, n_updates, ER_SAMPLE_EVERY)
     sampled = np.stack([p_off[ks], channel.power_at_phase(math.pi + eps[ks]) / peak], axis=1)
-    # Row-major draws: OFF then ON at each sample, as the samples are taken.
-    off_meas, on_meas = detector.measure(sampled, rng=er_rng).T
-    limited = int(np.count_nonzero(off_meas <= floor))
-    off_meas = np.maximum(off_meas, floor)
+    off_meas, on_meas = detector.measure(sampled).T
+    limited = int(np.count_nonzero(off_meas <= detector.relative_floor))
     # Scalar log10: numpy's array log10 differs from it in the last bit.
     ers = np.array([10.0 * math.log10(r) for r in (on_meas / off_meas).tolist()])
     locked_fraction = float(np.mean(ers >= er_static - LOCKED_MARGIN_DB))
-    mean_leak = max(detector.measure(leak_sum / n_updates, rng=er_rng), floor)
+    mean_leak = detector.measure(leak_sum / n_updates)
     return LockRunResult(
         times=ks * dt,
         er_db=ers,

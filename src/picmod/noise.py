@@ -127,25 +127,19 @@ def sample_ou_path(
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Reads the true power floored at relative_floor, plus optional
-    additive noise clipped at 0; a zero floor is an ideal detector."""
+    """Reads the true power floored at relative_floor; a zero floor is an
+    ideal detector."""
 
     relative_floor: float = 0.0  # linear power
-    additive_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.relative_floor < 0 or self.additive_noise_sigma < 0:
-            raise PicmodError("floor and noise sigma must be >= 0")
+        if self.relative_floor < 0:
+            raise PicmodError("relative_floor must be >= 0")
 
-    def measure(self, true_power, rng: np.random.Generator | None = None):
-        """Measured power: floored, noise added, clipped at zero."""
+    def measure(self, true_power):
+        """Measured power: the true power, floored."""
         p = np.asarray(true_power, dtype=float)
         if np.any(p < 0):
             raise PicmodError("true_power must be >= 0")
         p = np.maximum(p, self.relative_floor)
-        if self.additive_noise_sigma > 0:
-            if rng is None:
-                raise PicmodError("additive detector noise needs an rng")
-            p = p + rng.normal(0.0, self.additive_noise_sigma, size=p.shape)
-            p = np.maximum(p, 0.0)
         return float(p) if p.ndim == 0 else p

@@ -122,18 +122,6 @@ class TestCrosstalkMatrix:
         assert np.allclose(off_diag, -80.0)
         assert np.allclose(np.diag(m), 0.0)
 
-    def test_detector_noise_drawn_from_rng(self, graph):
-        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-9)
-        with pytest.raises(PicmodError, match="needs an rng"):
-            crosstalk_matrix(graph, Scenario.A, T_ON, T_OFF, detector=det)
-        runs = [
-            crosstalk_matrix(graph, Scenario.A, T_ON, T_OFF, detector=det,
-                             rng=np.random.default_rng(seed))
-            for seed in (1, 1, 2)
-        ]
-        assert np.array_equal(runs[0], runs[1])
-        assert not np.array_equal(runs[0], runs[2])
-
     def test_reciprocity_before_clamping(self, graph):
         m = crosstalk_matrix(graph, Scenario.A, T_ON, T_OFF)
         assert np.allclose(m, m.T, atol=1e-12)

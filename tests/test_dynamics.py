@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from picmod.config import ExperimentConfig
-from picmod.core import channel_transmission_equal, make_calibrated_channel
+from picmod.core import channel_transmission_equal
 from picmod.dynamics import (
     DIRECT_KERNEL_LIMIT,
     _brent_root,

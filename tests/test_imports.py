@@ -1,6 +1,7 @@
-"""Every module under src/picmod references each name it imports, the
-package references each module-level private name it defines, and
-neither importing picmod nor running any subcommand loads scipy."""
+"""Every module under src/picmod and tests references each name it
+imports, the package references each module-level private name it
+defines, and neither importing picmod nor running any subcommand loads
+scipy."""
 
 import ast
 import json
@@ -11,10 +12,12 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "picmod"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "picmod"
 
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +43,11 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["field", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES],
+)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
 

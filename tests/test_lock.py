@@ -1,7 +1,6 @@
 """Bias-lock controller and long-run pulse stability experiments."""
 
 import math
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -40,16 +39,12 @@ def per_stage_transmission(channel, phase):
 def reference_run_lock(channel, noise, controller, duration, detector, engaged=True):
     """Oracle: one Python iteration per update doing every step of the run.
 
-    The dither measurements draw from ("lock", "dither-detector") and the
-    ER samples and mean leakage from ("lock", "er-detector"); without
-    detector noise neither stream is read. An OFF power at or below the
-    detector's floor reads as the floor, and each ER sample so read
-    counts as detector-limited.
+    Every reading is the power floored at the detector's relative_floor,
+    and each ER sample whose OFF power is at or below the floor counts as
+    detector-limited.
     """
     dt = 1.0 / controller.update_rate
     n_updates = int(round(duration * controller.update_rate))
-    dither_rng = derive_rng(noise.seed, "lock", "dither-detector")
-    er_rng = derive_rng(noise.seed, "lock", "er-detector")
     drift = sample_ou_path(
         noise.bias_drift.sigma,
         noise.bias_drift.correlation_time,
@@ -60,16 +55,10 @@ def reference_run_lock(channel, noise, controller, duration, detector, engaged=T
 
     peak = per_stage_transmission(channel, math.pi)
     floor = detector.relative_floor
-    noisy = detector.additive_noise_sigma > 0
     d = controller.dither_amplitude
 
     def meas(power):
-        if noisy:
-            return detector.measure(power, rng=dither_rng)
         return power if power > floor else floor
-
-    def off_reading(reading):
-        return (floor, 1) if reading <= floor else (reading, 0)
 
     correction = 0.0
     integ = 0.0
@@ -78,7 +67,7 @@ def reference_run_lock(channel, noise, controller, duration, detector, engaged=T
     leak_sum = 0.0
     limited = 0
     on_static = meas(1.0)
-    off_static, _ = off_reading(meas(per_stage_transmission(channel, 0.0) / peak))
+    off_static = meas(per_stage_transmission(channel, 0.0) / peak)
     er_static = 10.0 * math.log10(on_static / off_static)
     for k in range(n_updates):
         eps = drift[k] + correction
@@ -100,17 +89,14 @@ def reference_run_lock(channel, noise, controller, duration, detector, engaged=T
         p_off = per_stage_transmission(channel, eps) / peak
         leak_sum += p_off
         if k % ER_SAMPLE_EVERY == 0:
-            p_off_meas, at_floor = off_reading(detector.measure(p_off, rng=er_rng))
-            limited += at_floor
-            p_on_meas = detector.measure(
-                per_stage_transmission(channel, math.pi + eps) / peak, rng=er_rng
-            )
+            limited += int(p_off <= floor)
+            p_on_meas = meas(per_stage_transmission(channel, math.pi + eps) / peak)
             times.append(k * dt)
-            ers.append(10.0 * math.log10(p_on_meas / p_off_meas))
+            ers.append(10.0 * math.log10(p_on_meas / meas(p_off)))
 
     times = np.asarray(times)
     ers = np.asarray(ers)
-    mean_leak, _ = off_reading(detector.measure(leak_sum / n_updates, rng=er_rng))
+    mean_leak = meas(leak_sum / n_updates)
     return LockRunResult(
         times=times,
         er_db=ers,
@@ -184,9 +170,7 @@ class TestRunLock:
         # reaches the locked band (< 0.05 rad) within 50 updates and the
         # sub-dither regime within 500.
         peak = float(channel.power_at_phase(math.pi))
-        path = _correction_path(
-            channel, np.full(500, 0.3), peak, LockController(), DET, rng=None
-        )
+        path = _correction_path(channel, np.full(500, 0.3), peak, LockController(), DET)
         assert abs(0.3 + path[49]) < 0.05
         assert abs(0.3 + path[-1]) < 1e-3
 
@@ -212,32 +196,18 @@ class TestRunLock:
         with pytest.raises(PicmodError):
             run_lock(channel, drift_noise, LockController(), 0.01, DET)
 
-    def test_noise_at_off_power_reads_detector_floor(self, channel, drift_noise):
-        # Noise of 1e-7 on a locked OFF power of about 7e-8 takes some OFF
-        # readings to the floor or below: they read as the floor (80 dB ER
-        # here) and count as detector-limited, never as +inf dB.
-        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            res = run_lock(channel, drift_noise, LockController(), 1800.0, det)
-        assert res.er_db.size == 150
-        assert np.isfinite(res.er_db).all() and res.er_db.max() == pytest.approx(80.0)
-        assert math.isfinite(res.er_mean_db) and math.isfinite(res.er_std_db)
-        assert math.isfinite(res.er_time_avg_db)
-        at_floor = np.count_nonzero(res.er_db > 80.0 - 1e-3)
-        assert res.detector_limited_samples == at_floor > 0
-
-    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
-    def test_noisy_detector_without_floor_rejected(self, channel, engaged):
-        # A reading clipped at 0 has no floor to read as. Without the check,
-        # engaged runs on 9 of these seeds raised ZeroDivisionError and the
-        # other 11 returned +inf ER samples with a NaN std; disengaged runs
-        # also raised ValueError from log10(0).
-        det = DetectorModel(relative_floor=0.0, additive_noise_sigma=1e-7)
-        for seed in range(20):
-            noise = NoiseModel(bias_drift=OuParams(0.01, 600.0), seed=seed)
-            with pytest.raises(PicmodError, match="positive relative_floor"):
-                run_lock(channel, noise, LockController(), 1800.0, det, engaged=engaged)
+    @pytest.mark.parametrize(
+        "engaged, n_limited", [(True, 82), (False, 2)], ids=["engaged", "disengaged"]
+    )
+    def test_floor_above_off_power_limits_er(self, channel, drift_noise, engaged, n_limited):
+        # A floor of 1e-7 sits above the locked OFF power (about 7e-8):
+        # an OFF reading at the floor gives a 70 dB ER sample, which counts
+        # as detector-limited.
+        det = DetectorModel(1e-7)
+        res = run_lock(channel, drift_noise, LockController(), 1800.0, det, engaged=engaged)
+        assert res.er_db.size == 150 and res.er_db.max() == pytest.approx(70.0, abs=1e-3)
+        assert res.er_db.max() <= 70.0
+        assert res.detector_limited_samples == n_limited
 
     @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
     def test_perfect_null_without_floor_rejected(self, engaged):
@@ -289,14 +259,10 @@ class TestRunLockOracle:
             run_lock(*args, engaged=engaged), reference_run_lock(*args, engaged=engaged)
         )
 
-    @pytest.mark.parametrize(
-        "engaged, sigma",
-        [(True, 1e-9), (False, 1e-9), (True, 1e-7), (False, 1e-7)],
-        ids=["engaged", "disengaged", "engaged-at-off-power", "disengaged-at-off-power"],
-    )
-    def test_noisy_detector(self, channel, drift_noise, engaged, sigma):
-        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=sigma)
-        args = (channel, drift_noise, LockController(), 1800.0, det)
+    @pytest.mark.parametrize("engaged", [True, False], ids=["engaged", "disengaged"])
+    def test_floor_above_off_power(self, channel, drift_noise, engaged):
+        # The dither readings and most locked ER samples read the floor.
+        args = (channel, drift_noise, LockController(), 1800.0, DetectorModel(1e-7))
         assert_same_run(
             run_lock(*args, engaged=engaged), reference_run_lock(*args, engaged=engaged)
         )
@@ -309,32 +275,6 @@ class TestRunLockOracle:
         with pytest.raises(LockDivergedError) as got:
             run_lock(*args)
         assert str(got.value) == str(want.value)
-
-
-class TestNoisyDetectorStreams:
-    DET_NOISY = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-9)
-
-    def test_same_seed_reproduces_bit_for_bit(self, channel, drift_noise):
-        args = (channel, drift_noise, LockController(), 3600.0, self.DET_NOISY)
-        assert_same_run(run_lock(*args), run_lock(*args))
-
-    def test_control_loop_independent_of_er_sampling(self, channel, drift_noise):
-        # The ER sampler draws from its own stream: the control loop alone,
-        # fed the dither stream after the two static readings, ends at the
-        # run's final error.
-        controller = LockController()
-        res = run_lock(channel, drift_noise, controller, 3600.0, self.DET_NOISY)
-        drift = sample_ou_path(
-            0.3, 600.0, 3600.0, 0.2, rng=derive_rng(drift_noise.seed, "lock", "bias-drift")
-        )[:18000]
-        dither_rng = derive_rng(drift_noise.seed, "lock", "dither-detector")
-        dither_rng.normal(0.0, self.DET_NOISY.additive_noise_sigma, size=2)
-        path = _correction_path(
-            channel, drift, float(channel.power_at_phase(math.pi)), controller,
-            self.DET_NOISY, dither_rng,
-        )
-        assert res.er_db.size == 300
-        assert res.final_error_rad == float(drift[-1] + path[-1])
 
 
 SPEC = PulseSpec(on_level=74.7, off_level=0.0, on_duration=0.5e-6, period=1e-6)

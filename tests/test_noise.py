@@ -128,20 +128,6 @@ class TestDetector:
         once = det.measure(3e-9)
         assert det.measure(once) == once
 
-    def test_monotonicity_fixed_noise_draw(self):
-        det = DetectorModel(relative_floor=1e-8, additive_noise_sigma=1e-3)
-        p = np.linspace(0, 1, 200)
-        rng1 = derive_rng(5, "mono")
-        rng2 = derive_rng(5, "mono")
-        m1 = det.measure(p, rng=rng1)
-        m2 = det.measure(p + 1e-4, rng=rng2)
-        assert np.all(m2 >= m1)
-
     def test_negative_power_rejected(self):
         with pytest.raises(PicmodError):
             DetectorModel().measure(-1.0)
-
-    def test_noise_requires_rng(self):
-        det = DetectorModel(additive_noise_sigma=0.1)
-        with pytest.raises(PicmodError):
-            det.measure(1.0)

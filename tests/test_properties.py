@@ -20,7 +20,7 @@ from picmod.core import (
     sweep_channel,
 )
 from picmod.crosstalk import Scenario, crosstalk_matrix, nearest_neighbor_graph, nn_mean_db
-from picmod.dynamics import KernelKind, Waveform, convolve_causal, synthesize_kernel
+from picmod.dynamics import KernelKind, convolve_causal, synthesize_kernel
 from picmod.noise import DetectorModel, sample_ou_path
 from picmod.rng import derive_rng
 

@@ -18,7 +18,6 @@ from picmod.dynamics import (
     ActuatorResponse,
     KernelKind,
     OpticalTrace,
-    Waveform,
     convolve_causal,
     step_response_trace,
     trace_optical,
