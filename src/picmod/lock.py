@@ -18,6 +18,9 @@ that trajectory; a disengaged run has zero correction and runs no loop.
 Every reading, dither and ER sample alike, is the true power floored by
 the detector; an ER sample whose OFF reading is the floor counts as
 detector-limited.
+
+A pulse train's actuator output is convolved once over its settling
+periods, and its pulse areas are integrated chunk by chunk.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModulatorChannel, fringe_coeffs
-from .dynamics import OpticalTrace, convolve_causal
+from .dynamics import convolve_causal
 from .errors import LockDivergedError, PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .rng import derive_rng
-from .waveforms import PulseSpec, make_pulse_train, pulse_areas
+from .waveforms import PulseSpec, make_pulse_train, normalized_areas, period_areas
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,9 @@ class PulseStats:
 # run with (calibrated against run_lock tracking error).
 LOCKED_RESIDUAL = OuParams(sigma=0.009, correlation_time=1.0)
 
-# Longest optical trace a pulse experiment samples, in samples.
+# Longest optical trace a pulse experiment samples: a bound on run time, not memory.
 MAX_TRACE_SAMPLES = 4_000_000
+_TRACE_CHUNK_SAMPLES = 1 << 16  # trace-path chunk: 512 KiB temporaries stay in cache
 
 
 def _on_transmission(channel, bias_eps, vpi_rel_drift):
@@ -221,10 +225,11 @@ def noisy_pulse_experiment(
     pulses. The bias lock is engaged, so the bias motion is its residual
     (LOCKED_RESIDUAL) rather than the free drift. Given an actuator
     response, a single-block run of at most MAX_TRACE_SAMPLES samples is
-    integrated from a fully sampled optical trace; any other run given a
-    response raises PicmodError. Without one, areas come from the
-    per-pulse closed form (the pulse shape is common to all pulses, so
-    areas scale exactly with the per-pulse factors).
+    integrated from its optical trace, the actuator output convolved once
+    over its settling periods and the areas integrated chunk by chunk; any
+    other run given a response raises PicmodError. Without one, areas come
+    from the per-pulse closed form (the pulse shape is common to all
+    pulses, so areas scale exactly with the per-pulse factors).
     """
     if n_pulses < 1 or n_blocks < 1:
         raise PicmodError("need n_pulses >= 1 and n_blocks >= 1")
@@ -258,16 +263,22 @@ def noisy_pulse_experiment(
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
 
     if response is not None:
-        train = make_pulse_train(spec, total, response.sample_period)
-        v_eff = convolve_causal(train.samples, response.impulse_kernel)
-        phase = (
-            math.pi * v_eff / (channel.v_pi * np.repeat(1.0 + delta, n_period))
-            + np.repeat(eps, n_period)
-        )
-        power = channel.power_at_phase(phase) / channel.power_at_phase(math.pi)
-        power = power * np.repeat(jitter, n_period)
-        trace = OpticalTrace(response.sample_period, power)
-        areas = pulse_areas(trace, spec)
+        kernel, dt = response.impulse_kernel, response.sample_period
+        # From period ceil((k - 1) / n_period) on, a k-tap kernel sees the
+        # same input history in every period, so its output repeats exactly.
+        pulse = make_pulse_train(spec, 1, dt).samples  # GridError off the sample grid
+        n_head = min(total, -(-(kernel.size - 1) // n_period) + 1)
+        head = convolve_causal(np.tile(pulse, n_head), kernel).reshape(n_head, n_period)
+        on_power = channel.power_at_phase(math.pi)
+        areas = np.empty(total)
+        rows = max(1, _TRACE_CHUNK_SAMPLES // n_period)
+        for start in range(0, total, rows):
+            p = np.arange(start, min(start + rows, total))
+            v_eff = head[np.minimum(p, n_head - 1)]
+            phase = math.pi * v_eff / (channel.v_pi * (1.0 + delta[p, None])) + eps[p, None]
+            power = channel.power_at_phase(phase) / on_power * jitter[p, None]
+            areas[p] = period_areas(power, dt)
+        areas = normalized_areas(areas)
     else:
         on_factor = _on_transmission(channel, eps, delta) / _on_transmission(channel, 0.0, 0.0)
         factors = jitter * on_factor

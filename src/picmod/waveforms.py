@@ -35,8 +35,8 @@ class PulseSpec:
 
 def _grid_count(duration: float, dt: float, what: str) -> int:
     n = duration / dt
-    if abs(n - round(n)) > 1e-9 * max(n, 1.0):
-        raise GridError(f"{what} {duration:.6g} s is not an integer number of samples")
+    if round(n) < 1 or abs(n - round(n)) > 1e-9 * max(n, 1.0):
+        raise GridError(f"{what} {duration:.6g} s is not a positive integer number of samples")
     return int(round(n))
 
 
@@ -242,7 +242,16 @@ def pulse_areas(trace: OpticalTrace, spec: PulseSpec) -> np.ndarray:
             f"trace length {n} is not an integer number of {n_period}-sample periods"
         )
     pulses = trace.power.reshape(-1, n_period)
-    areas = np.trapezoid(pulses, dx=trace.sample_period, axis=1)
+    return normalized_areas(period_areas(pulses, trace.sample_period))
+
+
+def period_areas(pulses: np.ndarray, sample_period: float) -> np.ndarray:
+    """Trapezoidal area of each row of a (pulses, samples per period) array."""
+    return np.trapezoid(pulses, dx=sample_period, axis=1)
+
+
+def normalized_areas(areas: np.ndarray) -> np.ndarray:
+    """Pulse areas divided by their mean, which must not be zero."""
     mean = areas.mean()
     if mean == 0:
         raise PicmodError("zero mean pulse area")

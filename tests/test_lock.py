@@ -1,6 +1,7 @@
 """Bias-lock controller and long-run pulse stability experiments."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
-from picmod.errors import LockDivergedError, PicmodError
+from picmod.dynamics import DIRECT_KERNEL_LIMIT, OpticalTrace, convolve_causal
+from picmod.errors import GridError, LockDivergedError, PicmodError
 from picmod.lock import (
+    _TRACE_CHUNK_SAMPLES,
     ER_SAMPLE_EVERY,
     LOCKED_MARGIN_DB,
+    LOCKED_RESIDUAL,
     LockController,
     LockRunResult,
     _correction_path,
@@ -20,7 +24,7 @@ from picmod.lock import (
 )
 from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from picmod.rng import derive_rng
-from picmod.waveforms import PulseSpec
+from picmod.waveforms import PulseSpec, make_pulse_train, pulse_areas
 
 from conftest import CONFIG_DIR
 
@@ -304,8 +308,8 @@ class TestNoisyPulseExperiment:
         assert np.array_equal(a.areas, b.areas)
 
     def test_trace_path_agrees_with_fast_path(self, channel, drift_noise, fo_response):
-        # The fully sampled optical-trace path and the per-pulse closed
-        # form integrate the same physics; with a fast actuator the areas
+        # The optical-trace path and the per-pulse closed form
+        # integrate the same physics; with a fast actuator the areas
         # agree to the startup transient.
         fast = noisy_pulse_experiment(channel, SPEC, drift_noise, 50)
         full = noisy_pulse_experiment(
@@ -327,3 +331,90 @@ class TestNoisyPulseExperiment:
     def test_normalized_mean_is_one(self, channel, drift_noise):
         stats = noisy_pulse_experiment(channel, SPEC, drift_noise, 400)
         assert stats.areas.mean() == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_trace_areas(channel, spec, noise, n_pulses, response):
+    """Oracle: the trace path over the full train, held at once.
+
+    The whole square train is convolved with the kernel, and the per-pulse
+    drifts and jitter are repeated over every sample of their period
+    before the optics and the per-period trapezoid.
+    """
+    dt = response.sample_period
+    n_period = int(round(spec.period / dt))
+    duration = (n_pulses - 1) * spec.period
+    bias = LOCKED_RESIDUAL if noise.bias_drift.sigma > 0 else noise.bias_drift
+    eps = sample_ou_path(
+        bias.sigma,
+        bias.correlation_time,
+        duration,
+        spec.period,
+        rng=derive_rng(noise.seed, "pulse-experiment", "bias-drift"),
+    )[:n_pulses]
+    delta = sample_ou_path(
+        noise.v_pi_drift.sigma,
+        noise.v_pi_drift.correlation_time,
+        duration,
+        spec.period,
+        rng=derive_rng(noise.seed, "pulse-experiment", "vpi-drift"),
+    )[:n_pulses]
+    jitter_rng = derive_rng(noise.seed, "pulse-experiment", "amplitude-jitter")
+    jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(n_pulses)
+
+    train = make_pulse_train(spec, n_pulses, dt)
+    v_eff = convolve_causal(train.samples, response.impulse_kernel)
+    phase = (
+        math.pi * v_eff / (channel.v_pi * np.repeat(1.0 + delta, n_period))
+        + np.repeat(eps, n_period)
+    )
+    power = channel.power_at_phase(phase) / channel.power_at_phase(math.pi)
+    power = power * np.repeat(jitter, n_period)
+    return pulse_areas(OpticalTrace(dt, power), spec)
+
+
+CHUNK_ROWS = _TRACE_CHUNK_SAMPLES // 1000  # pulses per chunk at SPEC's 1000 samples
+
+
+class TestTracePathOracle:
+    """The trace path must return what the full-train trace returns."""
+
+    @pytest.mark.parametrize("seed", [5, 42])
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_shipped_configs(self, nm, seed):
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        args = (cfg.channels()[0], cfg.pulse_spec(), cfg.noise_model(seed=seed), 1000)
+        got = noisy_pulse_experiment(*args, response=cfg.actuator())
+        assert np.array_equal(got.areas, reference_trace_areas(*args, cfg.actuator()))
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3, CHUNK_ROWS, CHUNK_ROWS + 1, 1000, 4000])
+    def test_pulse_counts(self, channel, drift_noise, fo_response, n_pulses):
+        args = (channel, SPEC, drift_noise, n_pulses)
+        got = noisy_pulse_experiment(*args, response=fo_response)
+        assert np.array_equal(got.areas, reference_trace_areas(*args, fo_response))
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3, 200])
+    def test_kernel_longer_than_a_period(self, channel, drift_noise, so_response, n_pulses):
+        # The FFT branch runs over a shorter head than the full train, so
+        # only the last bits may differ.
+        assert so_response.impulse_kernel.size > max(1000, DIRECT_KERNEL_LIMIT)
+        args = (channel, SPEC, drift_noise, n_pulses)
+        got = noisy_pulse_experiment(*args, response=so_response)
+        want = reference_trace_areas(*args, so_response)
+        np.testing.assert_allclose(got.areas, want, rtol=1e-12, atol=0.0)
+
+    def test_longest_trace_memory(self, channel, drift_noise, fo_response):
+        # 4000 pulses of 1000 samples is MAX_TRACE_SAMPLES; the full train
+        # held at once peaks above 150 MB.
+        tracemalloc.start()
+        try:
+            noisy_pulse_experiment(channel, SPEC, drift_noise, 4000, response=fo_response)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("period", [1.0005e-6, 1e-19], ids=["off-grid", "sub-sample"])
+    def test_period_off_sample_grid(self, channel, drift_noise, fo_response, period):
+        spec = PulseSpec(on_level=74.7, off_level=0.0, on_duration=period / 2, period=period)
+        with pytest.raises(GridError, match="period"):
+            noisy_pulse_experiment(channel, spec, drift_noise, 10, response=fo_response)

@@ -66,8 +66,12 @@ class TestMakePulseTrain:
     def test_zero_pulses_is_empty(self):
         assert make_pulse_train(SPEC_1US, 0, 1e-9).samples.size == 0
 
-    def test_off_grid_period_rejected(self):
-        spec = PulseSpec(1.0, 0.0, 0.5e-9, 1.5e-9)
+    @pytest.mark.parametrize(
+        "on_duration, period", [(0.5e-9, 1.5e-9), (2e-20, 1e-19), (1e-20, 1e-6)]
+    )
+    def test_off_grid_period_rejected(self, on_duration, period):
+        # Off the grid, or shorter than one sample (0 samples is no pulse).
+        spec = PulseSpec(1.0, 0.0, on_duration, period)
         with pytest.raises(GridError):
             make_pulse_train(spec, 3, 1e-9)
 
@@ -308,3 +312,7 @@ class TestPulseAreas:
     def test_partial_period_rejected(self):
         with pytest.raises(GridError):
             pulse_areas(OpticalTrace(1e-9, np.ones(1500)), SPEC_1US)
+
+    def test_zero_mean_area_rejected(self):
+        with pytest.raises(PicmodError, match="zero mean pulse area"):
+            pulse_areas(OpticalTrace(1e-9, np.zeros(2000)), SPEC_1US)
