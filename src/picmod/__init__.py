@@ -57,7 +57,6 @@ from .waveforms import (
     dynamic_extinction,
     make_pulse_train,
     predistort,
-    pulse_areas,
     switch_off_target_phase,
     target_phase_from_power,
 )

@@ -59,4 +59,4 @@ def calibrate(config: ExperimentConfig) -> tuple[ExperimentConfig, RunReport]:
 
     report.add("link_budget_mean", calibrated.link_budget_db(), "dB")
     report.add("er_mean", float(np.mean(chip_cfg["target_er_db"])), "dB")
-    return calibrated, report.finish()
+    return calibrated, report

@@ -81,18 +81,19 @@ def main():
 
 def experiment(*options):
     """Register `run(cfg, **options) -> (report, tables)` as a subcommand
-    with --config, --out, --seed and `options`. It writes each table to
-    --out (a config as YAML, others as CSV) and then the report, prints the
-    summary, and exits 1 when a check failed.
+    with --config, --out, --seed and `options`. Once run returns, it
+    creates --out, writes each table there (a config as YAML, others as
+    CSV) and then the report, prints the summary, and exits 1 when a check
+    failed.
     """
 
     def register(run):
         @functools.wraps(run)
         def command(config, out, seed, **opts):
             cfg = _load_config(config, seed)
+            report, tables = run(cfg, **opts)
             out_dir = Path(out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            report, tables = run(cfg, **opts)
             for name, table in tables.items():
                 if isinstance(table, ExperimentConfig):
                     table.save(out_dir / name)

@@ -3,7 +3,8 @@
 The piezo actuator is a causal impulse-response kernel with unit DC gain
 mapping drive voltage to optical phase (scaled by pi/v_pi). Optics are
 quasi-static: transmission follows the instantaneous phase sample by
-sample.
+sample. A drive holds a level for `on_hold_samples` before it switches,
+long enough for the actuator to settle.
 
 Everything here runs on numpy and the standard library. `synthesize_kernel`
 solves for the time constant with `_brent_root`, Brent's bracketing root
@@ -13,6 +14,7 @@ finder.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,12 +110,18 @@ def _interp_crossing(t: np.ndarray, y: np.ndarray, level: float) -> float:
     return float(t[i - 1] + frac * (t[i] - t[i - 1]))
 
 
-def _step_rise_time(step: np.ndarray, dt: float) -> float:
-    """10-90% rise time of a unit-settling step response."""
-    t = np.arange(step.size) * dt
-    final = 1.0
-    t10 = _interp_crossing(t, step, 0.1 * final)
-    t90 = _interp_crossing(t, step, 0.9 * final)
+def _rise_time(y: np.ndarray, dt: float, start: float, final: float) -> float:
+    """10-90% rise time of the edge of y (sampled at dt) from start to final.
+
+    A falling edge is measured as the rising edge of -y; crossing times
+    are linearly interpolated.
+    """
+    sign = 1.0 if final > start else -1.0
+    span = sign * (final - start)
+    t = np.arange(y.size) * dt
+    y = y if sign > 0 else -y
+    t10 = _interp_crossing(t, y, sign * start + 0.1 * span)
+    t90 = _interp_crossing(t, y, sign * start + 0.9 * span)
     return t90 - t10
 
 
@@ -216,30 +224,25 @@ def synthesize_kernel(
         )
     dt = sample_period
 
+    # Each kind sets its kernel builder and its root bracket (lo, hi, xtol).
     if kind is KernelKind.FIRST_ORDER:
         tau0 = rise_time_10_90 / math.log(9.0)
-
-        def err(tau):
-            k = _first_order_kernel(tau, dt)
-            return _step_rise_time(np.cumsum(k), dt) - rise_time_10_90
-
-        tau = _brent_root(err, 0.2 * tau0, 5.0 * tau0, 1e-6 * tau0)
-        kernel = _first_order_kernel(tau, dt)
+        build = functools.partial(_first_order_kernel, dt=dt)
+        bracket = (0.2 * tau0, 5.0 * tau0, 1e-6 * tau0)
     elif kind is KernelKind.SECOND_ORDER:
         if damping_ratio is None or not 0.0 < damping_ratio < 1.0:
             raise PicmodError("SECOND_ORDER kernel needs damping_ratio in (0,1)")
         w0 = 1.5 / rise_time_10_90
-
-        def err(w):
-            k = _second_order_kernel(w, damping_ratio, dt)
-            return _step_rise_time(np.cumsum(k), dt) - rise_time_10_90
-
-        omega_n = _brent_root(err, 0.3 * w0, 6.0 * w0, 1e-8 * w0)
-        kernel = _second_order_kernel(omega_n, damping_ratio, dt)
+        build = functools.partial(_second_order_kernel, zeta=damping_ratio, dt=dt)
+        bracket = (0.3 * w0, 6.0 * w0, 1e-8 * w0)
     else:
         raise PicmodError(f"unknown kernel kind {kind}")
 
-    achieved = _step_rise_time(np.cumsum(kernel), dt)
+    def step_rise(kernel):
+        return _rise_time(np.cumsum(kernel), dt, 0.0, 1.0)
+
+    kernel = build(_brent_root(lambda x: step_rise(build(x)) - rise_time_10_90, *bracket))
+    achieved = step_rise(kernel)
     if abs(achieved - rise_time_10_90) > 0.02 * rise_time_10_90:
         raise PicmodError(
             f"kernel synthesis missed rise-time target: {achieved} vs {rise_time_10_90}"
@@ -285,6 +288,13 @@ def trace_optical(
     return OpticalTrace(sample_period=drive.sample_period, power=np.asarray(power))
 
 
+def on_hold_samples(response: ActuatorResponse) -> int:
+    """Samples a drive holds a level for the actuator to settle: the
+    kernel length plus 2, or 5 rise times, whichever is longer."""
+    dt = response.sample_period
+    return max(response.impulse_kernel.size + 2, int(round(5 * response.rise_time_10_90 / dt)))
+
+
 def step_response_trace(
     channel: ModulatorChannel,
     response: ActuatorResponse,
@@ -293,12 +303,11 @@ def step_response_trace(
 ) -> OpticalTrace:
     """Optical trace of a settled voltage step, starting just before the step.
 
-    The pre-step level is held long enough for the actuator to settle
-    (kernel length or 10 rise times, whichever is longer), so the returned
+    The pre-step level is held for `on_hold_samples`, so the returned
     trace is free of the startup transient.
     """
     dt = response.sample_period
-    n_settle = max(response.impulse_kernel.size + 2, int(10 * response.rise_time_10_90 / dt))
+    n_settle = on_hold_samples(response)
     n_after = max(int(20 * response.rise_time_10_90 / dt), 64)
     samples = np.concatenate([np.full(n_settle, v_from), np.full(n_after, v_to)])
     trace = trace_optical(channel, response, Waveform(dt, samples))
@@ -315,18 +324,7 @@ def measure_rise_time(trace: OpticalTrace) -> float:
     if power.size < 3:
         raise NoTransitionError("trace too short")
     start = float(power[0])
-    tail = power[-max(power.size // 10, 3):]
-    settled = float(np.median(tail))
-    span = settled - start
-    floor_scale = max(abs(settled), abs(start), 1e-30)
-    if abs(span) < 1e-9 * floor_scale:
+    settled = float(np.median(power[-max(power.size // 10, 3):]))
+    if abs(settled - start) < 1e-9 * max(abs(settled), abs(start), 1e-30):
         raise NoTransitionError("no transition found (flat trace)")
-    y = power if span > 0 else -power
-    lo = (start if span > 0 else -start) + 0.1 * abs(span)
-    hi = (start if span > 0 else -start) + 0.9 * abs(span)
-    t = trace.times()
-    t10 = _interp_crossing(t, y, lo)
-    t90 = _interp_crossing(t, y, hi)
-    if t90 < t10:
-        raise NoTransitionError("transition is not monotone on average")
-    return t90 - t10
+    return _rise_time(power, trace.sample_period, start, settled)

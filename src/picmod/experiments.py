@@ -10,14 +10,19 @@ from .config import ExperimentConfig
 from .core import sweep_channel
 from .crosstalk import Scenario, crosstalk_matrix, nn_mean_db, predict_scenario_c_db
 from .beams import make_beam_array, site_leakage_report, target_plane_profile
-from .dynamics import Waveform, measure_rise_time, step_response_trace, trace_optical
+from .dynamics import (
+    Waveform,
+    measure_rise_time,
+    on_hold_samples,
+    step_response_trace,
+    trace_optical,
+)
 from .errors import PicmodError
 from .lock import noisy_pulse_experiment, run_lock
 from .reports import RunReport
 from .waveforms import (
     PredistortionProblem,
     dynamic_extinction,
-    on_hold_samples,
     predistort,
     switch_off_target_phase,
 )

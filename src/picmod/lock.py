@@ -20,7 +20,8 @@ the detector; an ER sample whose OFF reading is the floor counts as
 detector-limited.
 
 A pulse train's actuator output is convolved once over its settling
-periods, and its pulse areas are integrated chunk by chunk.
+periods and its areas integrated chunk by chunk (without an actuator, in
+closed form); either way the areas are divided by their nonzero mean.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .dynamics import convolve_causal
 from .errors import LockDivergedError, PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .rng import derive_rng
-from .waveforms import PulseSpec, make_pulse_train, normalized_areas, period_areas
+from .waveforms import PulseSpec, make_pulse_train
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,6 @@ MAX_TRACE_SAMPLES = 4_000_000
 _TRACE_CHUNK_SAMPLES = 1 << 16  # trace-path chunk: 512 KiB temporaries stay in cache
 
 
-def _on_transmission(channel, bias_eps, vpi_rel_drift):
-    phase = math.pi / (1.0 + np.asarray(vpi_rel_drift)) + np.asarray(bias_eps)
-    return channel.power_at_phase(phase)
-
-
 def noisy_pulse_experiment(
     channel: ModulatorChannel,
     spec: PulseSpec,
@@ -262,6 +258,7 @@ def noisy_pulse_experiment(
     )[:total]
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
 
+    on_power = channel.power_at_phase(math.pi)
     if response is not None:
         kernel, dt = response.impulse_kernel, response.sample_period
         # From period ceil((k - 1) / n_period) on, a k-tap kernel sees the
@@ -269,7 +266,6 @@ def noisy_pulse_experiment(
         pulse = make_pulse_train(spec, 1, dt).samples  # GridError off the sample grid
         n_head = min(total, -(-(kernel.size - 1) // n_period) + 1)
         head = convolve_causal(np.tile(pulse, n_head), kernel).reshape(n_head, n_period)
-        on_power = channel.power_at_phase(math.pi)
         areas = np.empty(total)
         rows = max(1, _TRACE_CHUNK_SAMPLES // n_period)
         for start in range(0, total, rows):
@@ -277,12 +273,13 @@ def noisy_pulse_experiment(
             v_eff = head[np.minimum(p, n_head - 1)]
             phase = math.pi * v_eff / (channel.v_pi * (1.0 + delta[p, None])) + eps[p, None]
             power = channel.power_at_phase(phase) / on_power * jitter[p, None]
-            areas[p] = period_areas(power, dt)
-        areas = normalized_areas(areas)
+            areas[p] = np.trapezoid(power, dx=dt, axis=1)
     else:
-        on_factor = _on_transmission(channel, eps, delta) / _on_transmission(channel, 0.0, 0.0)
-        factors = jitter * on_factor
-        areas = factors / factors.mean()
+        areas = jitter * (channel.power_at_phase(math.pi / (1.0 + delta) + eps) / on_power)
+    mean = areas.mean()
+    if mean == 0:
+        raise PicmodError("zero mean pulse area")
+    areas = areas / mean
 
     blocks = areas.reshape(n_blocks, n_pulses)
     block_means = blocks.mean(axis=1, keepdims=True)

@@ -39,9 +39,8 @@ class RunReport:
         checked = [m.passed for m in self.metrics if m.passed is not None]
         return all(checked) if checked else True
 
-    def finish(self) -> "RunReport":
+    def finish(self) -> None:
         self.wall_time_s = time.perf_counter() - self._t0
-        return self
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,5 @@
-"""Drive-waveform synthesis: pulse trains, pre-distortion, pulse analysis.
+"""Drive-waveform synthesis: pulse trains, pre-distortion, switch-off targets
+and the dynamic extinction of a switch-off.
 
 Pre-distortion solves for the drive that makes the actuator's phase output
 follow a target trajectory: one Tikhonov-regularized frequency-domain
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModulatorChannel, fringe_coeffs
-from .dynamics import ActuatorResponse, OpticalTrace, Waveform, trace_optical
+from .dynamics import ActuatorResponse, OpticalTrace, Waveform, on_hold_samples, trace_optical
 from .errors import GridError, PicmodError, UnachievableTargetError
 
 
@@ -210,14 +211,6 @@ def predistort(problem: PredistortionProblem) -> PredistortionSolution:
     )
 
 
-def on_hold_samples(response: ActuatorResponse) -> int:
-    """Samples a drive holds ON before a switch-off, long enough for the
-    actuator to settle: the kernel length plus 2, or 5 rise times,
-    whichever is longer."""
-    dt = response.sample_period
-    return max(response.impulse_kernel.size + 2, int(round(5 * response.rise_time_10_90 / dt)))
-
-
 def switch_off_target_phase(
     response: ActuatorResponse, ramp_time: float, settle_window: float
 ) -> tuple[np.ndarray, float]:
@@ -231,28 +224,3 @@ def switch_off_target_phase(
     ramp = 0.5 * (1.0 + np.cos(np.pi * np.arange(1, n_ramp + 1) / n_ramp))
     phase = np.concatenate([np.full(n_pre, np.pi), np.pi * ramp, np.zeros(n_post)])
     return phase, n_pre * dt
-
-
-def pulse_areas(trace: OpticalTrace, spec: PulseSpec) -> np.ndarray:
-    """Per-pulse trapezoidal areas normalized to the ensemble mean."""
-    n_period = _grid_count(spec.period, trace.sample_period, "period")
-    n = trace.power.size
-    if n == 0 or n % n_period != 0:
-        raise GridError(
-            f"trace length {n} is not an integer number of {n_period}-sample periods"
-        )
-    pulses = trace.power.reshape(-1, n_period)
-    return normalized_areas(period_areas(pulses, trace.sample_period))
-
-
-def period_areas(pulses: np.ndarray, sample_period: float) -> np.ndarray:
-    """Trapezoidal area of each row of a (pulses, samples per period) array."""
-    return np.trapezoid(pulses, dx=sample_period, axis=1)
-
-
-def normalized_areas(areas: np.ndarray) -> np.ndarray:
-    """Pulse areas divided by their mean, which must not be zero."""
-    mean = areas.mean()
-    if mean == 0:
-        raise PicmodError("zero mean pulse area")
-    return areas / mean

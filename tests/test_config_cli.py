@@ -209,14 +209,15 @@ class TestCli:
 
     def test_error_mid_experiment_writes_no_tables(self, config_path_795, tmp_path, monkeypatch):
         # The lock runs finish before the pulse experiment fails; their
-        # time series is not written, since tables are written on return.
+        # time series is not written, and --out is not even created, since
+        # the output directory and its tables are written on return.
         def fail(*args, **kwargs):
             raise PicmodError("pulse experiment failed")
 
         monkeypatch.setattr(experiments, "noisy_pulse_experiment", fail)
         with pytest.raises(PicmodError, match="pulse experiment failed"):
             run_cli("stability", "--config", config_path_795, "--out", str(tmp_path / "out"))
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_outputs_and_summary(self, config_path_795, tmp_path):
         res = run_cli(
@@ -260,6 +261,15 @@ class TestCli:
              "--active", "single:nope"],
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["sweep", "--channels", "99"], ["beams", "--active", "single:9"]]
+    )
+    def test_usage_error_creates_no_output_dir(self, config_path_795, tmp_path, args):
+        out = tmp_path / "out"
+        res = CliRunner().invoke(main, [*args, "--config", config_path_795, "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -11,12 +11,16 @@ from picmod.core import channel_transmission_equal
 from picmod.dynamics import (
     DIRECT_KERNEL_LIMIT,
     _brent_root,
+    _first_order_kernel,
+    _interp_crossing,
+    _second_order_kernel,
     ActuatorResponse,
     KernelKind,
     OpticalTrace,
     Waveform,
     convolve_causal,
     measure_rise_time,
+    on_hold_samples,
     step_response_trace,
     synthesize_kernel,
     trace_optical,
@@ -74,6 +78,35 @@ def kernel_cases():
             for zeta in (0.2, 0.5, 0.9):
                 cases.append((KernelKind.SECOND_ORDER, rise, dt, zeta))
     return cases
+
+
+def two_closure_kernel(kind, rise, dt, zeta):
+    """Oracle: the kernel solve with one rise-time closure and one root
+    solve per kind, on a step response assumed to settle at 1."""
+
+    def step_rise(kernel):
+        step, t = np.cumsum(kernel), np.arange(kernel.size) * dt
+        return _interp_crossing(t, step, 0.9) - _interp_crossing(t, step, 0.1)
+
+    if kind is KernelKind.FIRST_ORDER:
+        tau0 = rise / math.log(9.0)
+
+        def err(tau):
+            return step_rise(_first_order_kernel(tau, dt)) - rise
+
+        return _first_order_kernel(_brent_root(err, 0.2 * tau0, 5.0 * tau0, 1e-6 * tau0), dt)
+    w0 = 1.5 / rise
+
+    def err(w):
+        return step_rise(_second_order_kernel(w, zeta, dt)) - rise
+
+    return _second_order_kernel(_brent_root(err, 0.3 * w0, 6.0 * w0, 1e-8 * w0), zeta, dt)
+
+
+@pytest.mark.parametrize("kind, rise, dt, zeta", kernel_cases())
+def test_kernel_equals_two_closure_solve(kind, rise, dt, zeta):
+    got = synthesize_kernel(kind, rise, dt, damping_ratio=zeta).impulse_kernel
+    assert np.array_equal(got, two_closure_kernel(kind, rise, dt, zeta))
 
 
 class TestBrentRoot:
@@ -230,6 +263,52 @@ class TestTraceOptical:
         trace = step_response_trace(ideal_channel, so_response, 74.7, 0.0)
         post = trace.power[2:]
         assert np.max(post[200:]) > 1e-6  # ringing persists past the edge
+
+
+def ten_rise_hold_step(channel, response, v_from, v_to):
+    """Oracle: step_response_trace's power with the pre-step level held
+    for the kernel length plus 2 or 10 rise times, whichever is longer."""
+    dt = response.sample_period
+    n_settle = max(response.impulse_kernel.size + 2, int(10 * response.rise_time_10_90 / dt))
+    n_after = max(int(20 * response.rise_time_10_90 / dt), 64)
+    samples = np.concatenate([np.full(n_settle, v_from), np.full(n_after, v_to)])
+    return trace_optical(channel, response, Waveform(dt, samples)).power[n_settle - 2:]
+
+
+def actuator(rise, zeta):
+    if zeta is None:
+        return synthesize_kernel(KernelKind.FIRST_ORDER, rise, 1e-9)
+    return synthesize_kernel(KernelKind.SECOND_ORDER, rise, 1e-9, damping_ratio=zeta)
+
+
+class TestSettleHold:
+    """step_response_trace holds for on_hold_samples; the trace is the one
+    a longer 10-rise-time hold gives."""
+
+    @pytest.mark.parametrize("steps", [(0.5, 0.51), (1.0, 0.0)], ids=["small", "off"])
+    @pytest.mark.parametrize("zeta", [None, 0.3, 0.95, 0.999])
+    @pytest.mark.parametrize("rise", [4e-9, 10e-9, 26e-9])
+    def test_unchanged(self, channel_714, rise, zeta, steps):
+        response = actuator(rise, zeta)
+        v_from, v_to = (f * channel_714.v_pi for f in steps)
+        got = step_response_trace(channel_714, response, v_from, v_to)
+        want = ten_rise_hold_step(channel_714, response, v_from, v_to)
+        if response.impulse_kernel.size < DIRECT_KERNEL_LIMIT:
+            assert np.array_equal(got.power, want)
+        else:  # the FFT length follows the hold length
+            np.testing.assert_allclose(got.power, want, rtol=1e-12, atol=0.0)
+
+    def test_shorter_hold_on_fft_branch(self, channel_714):
+        # A slow, nearly critically damped kernel: 10 rise times outlast
+        # the kernel, so the two holds differ and only rounding may move.
+        response = actuator(60e-9, 0.95)
+        assert response.impulse_kernel.size >= DIRECT_KERNEL_LIMIT
+        dt = response.sample_period
+        assert on_hold_samples(response) < int(10 * response.rise_time_10_90 / dt)
+        v_from, v_to = 0.5 * channel_714.v_pi, 0.51 * channel_714.v_pi
+        got = step_response_trace(channel_714, response, v_from, v_to)
+        want = ten_rise_hold_step(channel_714, response, v_from, v_to)
+        np.testing.assert_allclose(got.power, want, rtol=1e-12, atol=0.0)
 
 
 class TestMeasureRiseTime:

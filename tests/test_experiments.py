@@ -8,7 +8,8 @@ import pytest
 from picmod.config import ExperimentConfig
 from picmod.errors import PicmodError
 from picmod.experiments import run_crosstalk, run_pulse, run_sweep
-from picmod.waveforms import on_hold_samples, switch_off_target_phase
+from picmod.dynamics import on_hold_samples
+from picmod.waveforms import switch_off_target_phase
 
 
 def test_experiments_return_tables_and_write_no_files(config_1013, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Every module under src/picmod and tests references each name it
 imports, the package references each module-level private name it
-defines, and neither importing picmod nor running any subcommand loads
+defines, another module or the benchmark references each public function
+it defines, and neither importing picmod nor running any subcommand loads
 scipy."""
 
 import ast
@@ -64,19 +65,24 @@ def private_names(tree: ast.Module) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names a syntax tree reads: by name, as an attribute or by import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """`module:name` for each private module-level name that no module of
     `sources` (module name -> source) reads, by name, attribute or import."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(a.name for a in node.names)
+    used = set().union(*(referenced_names(tree) for tree in trees.values()))
     return sorted(
         f"{mod}:{name}" for mod, tree in trees.items() for name in private_names(tree) - used
     )
@@ -94,6 +100,45 @@ def test_checker_finds_unused_private_names():
 def test_package_reads_its_private_names():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def unreferenced_functions(package: dict[str, str], others: list[str]) -> list[str]:
+    """`module:name` for each undecorated public module-level function of
+    `package` (module name -> source) that nothing references but its own
+    body: no other top-level statement of `package` and no source in
+    `others`. Decorated functions, such as click commands, are registered
+    by their decorator and exempt."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    refs = [(stmt, referenced_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    outside = set().union(*(referenced_names(ast.parse(src)) for src in others))
+    return sorted(
+        f"{mod}:{node.name}"
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.decorator_list
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in names for stmt, names in refs if stmt is not node)
+    )
+
+
+def test_checker_finds_unreferenced_functions():
+    package = {
+        "a": "def used():\n    pass\ndef lonely():\n    lonely()\n"
+             "def helper():\n    pass\nX = helper()\n"
+             "@register\ndef command():\n    pass\ndef _private():\n    pass\n",
+        "b": "from a import used\ndef benched():\n    pass\ndef dead():\n    pass\n",
+    }
+    assert unreferenced_functions(package, ["import b\nb.benched()\n"]) == ["a:lonely", "b:dead"]
+
+
+def test_package_functions_have_callers():
+    """Each public function is reached from elsewhere in the package or
+    from the benchmark; __init__'s re-exports do not count."""
+    package = {p.stem: p.read_text() for p in MODULES}
+    perfbench = [p.read_text() for p in (TESTS.parent / "perfbench").glob("*.py")]
+    assert unreferenced_functions(package, perfbench) == []
 
 
 # Runs in a fresh interpreter; prints the scipy modules loaded after the

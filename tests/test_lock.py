@@ -9,7 +9,7 @@ import pytest
 
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
-from picmod.dynamics import DIRECT_KERNEL_LIMIT, OpticalTrace, convolve_causal
+from picmod.dynamics import DIRECT_KERNEL_LIMIT, OpticalTrace, convolve_causal, trace_optical
 from picmod.errors import GridError, LockDivergedError, PicmodError
 from picmod.lock import (
     _TRACE_CHUNK_SAMPLES,
@@ -24,7 +24,7 @@ from picmod.lock import (
 )
 from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from picmod.rng import derive_rng
-from picmod.waveforms import PulseSpec, make_pulse_train, pulse_areas
+from picmod.waveforms import PulseSpec, make_pulse_train
 
 from conftest import CONFIG_DIR
 
@@ -331,6 +331,54 @@ class TestNoisyPulseExperiment:
     def test_normalized_mean_is_one(self, channel, drift_noise):
         stats = noisy_pulse_experiment(channel, SPEC, drift_noise, 400)
         assert stats.areas.mean() == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_mean_area_rejected(self, ideal_channel, fo_response):
+        # A dark drive holds the ideal channel at its exact null, so every
+        # pulse area on the trace path is 0.
+        dark = PulseSpec(on_level=0.0, off_level=0.0, on_duration=0.5e-6, period=1e-6)
+        with pytest.raises(PicmodError, match="zero mean pulse area"):
+            noisy_pulse_experiment(
+                ideal_channel, dark, NoiseModel(seed=0), 10, response=fo_response
+            )
+
+
+def pulse_areas(trace, spec):
+    """Oracle: trapezoidal area of each whole period of a trace, divided by
+    their mean."""
+    n_period = int(round(spec.period / trace.sample_period))
+    if trace.power.size == 0 or trace.power.size % n_period != 0:
+        raise GridError(f"trace length {trace.power.size} is not whole {n_period}-sample periods")
+    areas = np.trapezoid(trace.power.reshape(-1, n_period), dx=trace.sample_period, axis=1)
+    return areas / areas.mean()
+
+
+class TestPulseAreas:
+    """The oracle itself, on traces whose areas are known."""
+
+    def test_noiseless_train_all_unity(self, fo_response, channel_714):
+        train = make_pulse_train(SPEC, 8, 1e-9)
+        trace = trace_optical(channel_714, fo_response, train)
+        areas = pulse_areas(trace, SPEC)
+        assert np.allclose(areas[1:], 1.0, atol=1e-6)  # first pulse has startup
+        assert areas.mean() == pytest.approx(1.0, abs=1e-12)
+
+    def test_multiplicative_noise_translates_to_area_std(self):
+        rng = np.random.default_rng(17)
+        n = 1000
+        base = np.concatenate([np.ones(500), np.zeros(500)])
+        jitter = 1 + 0.001 * rng.standard_normal(n)
+        power = np.concatenate([base * j for j in jitter])
+        areas = pulse_areas(OpticalTrace(1e-9, power), SPEC)
+        assert np.std(areas) == pytest.approx(0.001, rel=0.1)
+
+    def test_single_pulse(self):
+        power = np.concatenate([np.ones(500), np.zeros(500)])
+        areas = pulse_areas(OpticalTrace(1e-9, power), SPEC)
+        assert areas.tolist() == [1.0]
+
+    def test_partial_period_rejected(self):
+        with pytest.raises(GridError):
+            pulse_areas(OpticalTrace(1e-9, np.ones(1500)), SPEC)
 
 
 def reference_trace_areas(channel, spec, noise, n_pulses, response):

@@ -30,7 +30,6 @@ from picmod.waveforms import (
     dynamic_extinction,
     make_pulse_train,
     predistort,
-    pulse_areas,
     switch_off_target_phase,
     target_phase_from_power,
 )
@@ -284,35 +283,3 @@ class TestPredistort:
         back = convolve_causal(u, fo_response.impulse_kernel)
         interior = slice(fo_response.impulse_kernel.size, phase.size)
         assert np.max(np.abs(back[interior] - phase[interior])) < 1e-8
-
-
-class TestPulseAreas:
-    def test_noiseless_train_all_unity(self, fo_response, channel_714):
-        train = make_pulse_train(SPEC_1US, 8, 1e-9)
-        # prepend a settled period so every pulse sees identical history
-        trace = trace_optical(channel_714, fo_response, train)
-        areas = pulse_areas(trace, SPEC_1US)
-        assert np.allclose(areas[1:], 1.0, atol=1e-6)  # first pulse has startup
-        assert areas.mean() == pytest.approx(1.0, abs=1e-12)
-
-    def test_multiplicative_noise_translates_to_area_std(self):
-        rng = np.random.default_rng(17)
-        n = 1000
-        base = np.concatenate([np.ones(500), np.zeros(500)])
-        jitter = 1 + 0.001 * rng.standard_normal(n)
-        power = np.concatenate([base * j for j in jitter])
-        areas = pulse_areas(OpticalTrace(1e-9, power), SPEC_1US)
-        assert np.std(areas) == pytest.approx(0.001, rel=0.1)
-
-    def test_single_pulse(self):
-        power = np.concatenate([np.ones(500), np.zeros(500)])
-        areas = pulse_areas(OpticalTrace(1e-9, power), SPEC_1US)
-        assert areas.tolist() == [1.0]
-
-    def test_partial_period_rejected(self):
-        with pytest.raises(GridError):
-            pulse_areas(OpticalTrace(1e-9, np.ones(1500)), SPEC_1US)
-
-    def test_zero_mean_area_rejected(self):
-        with pytest.raises(PicmodError, match="zero mean pulse area"):
-            pulse_areas(OpticalTrace(1e-9, np.zeros(2000)), SPEC_1US)
