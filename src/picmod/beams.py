@@ -59,7 +59,7 @@ def make_beam_array(
     if not active:
         raise PicmodError("active set must be non-empty")
     if any(not 0 <= i < n_beams for i in active):
-        raise PicmodError("active index out of range")
+        raise PicmodError(f"active sites must lie in [0, {n_beams - 1}]")
     amps = np.zeros(n_beams, dtype=complex)
     leak_amp = math.sqrt(10.0 ** (nn_leak_db / 10.0))
     for i in active:

@@ -5,7 +5,7 @@ Each experiment subcommand loads a YAML configuration (--config, with
 or `picmod.calibration`, writes the experiment's tables and a JSON run
 report into --out, and prints the report's summary. `report` tabulates the
 run reports in a directory. Exit codes: 0 all checks passed, 1 a check
-failed, 2 usage or configuration error.
+failed, 2 a usage error, a configuration error or any other picmod error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import click
 from . import __version__
 from .calibration import calibrate as run_calibrate
 from .config import ExperimentConfig
-from .errors import ConfigError, PicmodError
+from .errors import PicmodError
 from .experiments import run_beams, run_crosstalk, run_pulse, run_stability, run_sweep
 from .reports import load_report
 from .serialize import write_csv
@@ -28,44 +28,24 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _load_config(path, seed):
-    try:
-        cfg = ExperimentConfig.load(path)
-        if seed is not None:
-            cfg = cfg.with_seed(seed)
-    except ConfigError as exc:
-        # Configuration problems exit with the usage code (2).
-        raise click.UsageError(str(exc))
-    return cfg
-
-
-def _parse_channels(spec: str, n: int) -> list[int]:
+def _parse_indices(option: str, spec: str, n: int) -> list[int]:
+    """Index grammar: all | comma-separated indices. The experiment checks
+    that the indices are in range and not empty."""
     if spec == "all":
         return list(range(n))
     try:
-        idx = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
-        raise click.UsageError(f"--channels: cannot parse {spec!r}")
-    if not idx or any(not 0 <= i < n for i in idx):
-        raise click.UsageError(f"--channels: indices must lie in [0, {n - 1}]")
-    return idx
+        raise click.UsageError(f"{option}: cannot parse {spec!r}")
 
 
 def _parse_active(spec: str, n: int) -> list[int]:
-    """Active-site grammar: all | evens | odds | single:<i> | i,j,k."""
+    """Active-site grammar: all | evens | odds | comma-separated indices."""
     if spec == "evens":
         return list(range(0, n, 2))
     if spec == "odds":
         return list(range(1, n, 2))
-    if spec.startswith("single:"):
-        try:
-            i = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise click.UsageError(f"--active: cannot parse {spec!r}")
-        if not 0 <= i < n:
-            raise click.UsageError(f"--active: site {i} out of range")
-        return [i]
-    return _parse_channels(spec, n)
+    return _parse_indices("--active", spec, n)
 
 
 config_opt = click.option("--config", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -84,23 +64,31 @@ def experiment(*options):
     with --config, --out, --seed and `options`. Once run returns, it
     creates --out, writes each table there (a config as YAML, others as
     CSV) and then the report, prints the summary, and exits 1 when a check
-    failed.
+    failed. Any PicmodError is printed and exits 2; one raised before run
+    returns (a bad config, an index out of range, an unreachable target)
+    leaves --out uncreated.
     """
 
     def register(run):
         @functools.wraps(run)
         def command(config, out, seed, **opts):
-            cfg = _load_config(config, seed)
-            report, tables = run(cfg, **opts)
-            out_dir = Path(out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for name, table in tables.items():
-                if isinstance(table, ExperimentConfig):
-                    table.save(out_dir / name)
-                else:
-                    write_csv(out_dir / name, *table)
-            report.finish()
-            report.save(out_dir / f"{report.experiment_kind}_report.json")
+            try:
+                cfg = ExperimentConfig.load(config)
+                if seed is not None:
+                    cfg = cfg.with_seed(seed)
+                report, tables = run(cfg, **opts)
+                out_dir = Path(out)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                for name, table in tables.items():
+                    if isinstance(table, ExperimentConfig):
+                        table.save(out_dir / name)
+                    else:
+                        write_csv(out_dir / name, *table)
+                report.finish()
+                report.save(out_dir / f"{report.experiment_kind}_report.json")
+            except PicmodError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_USAGE)
             click.echo("\n".join(report.summary_lines()))
             if not report.passed:
                 sys.exit(EXIT_CHECK_FAILED)
@@ -123,7 +111,7 @@ def calibrate(cfg):
 @experiment(click.option("--channels", default="all", show_default=True))
 def sweep(cfg, channels):
     """DC voltage sweeps: per-channel fringe CSV, fitted v_pi, and ER."""
-    return run_sweep(cfg, _parse_channels(channels, cfg.data["chip"]["n_channels"]))
+    return run_sweep(cfg, _parse_indices("--channels", channels, cfg.data["chip"]["n_channels"]))
 
 
 @experiment(
@@ -165,7 +153,7 @@ def crosstalk(cfg, scenario):
         "--active",
         default="all",
         show_default=True,
-        help="Active sites: all | evens | odds | single:<i> | comma-separated indices.",
+        help="Active sites: all | evens | odds | comma-separated indices.",
     )
 )
 def beams(cfg, active):
@@ -216,9 +204,6 @@ def _run():
         sys.exit(EXIT_USAGE)
     except click.ClickException as exc:
         exc.show()
-        sys.exit(EXIT_USAGE)
-    except (ConfigError, PicmodError) as exc:
-        click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 
 

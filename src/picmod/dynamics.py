@@ -57,10 +57,6 @@ class Waveform:
             raise PicmodError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.sample_period
-
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) * self.sample_period
 
@@ -85,11 +81,9 @@ class OpticalTrace:
 class ActuatorResponse:
     """Causal impulse kernel with unit DC gain at a fixed sample period."""
 
-    kind: KernelKind
     rise_time_10_90: float
     sample_period: float
     impulse_kernel: np.ndarray
-    damping_ratio: float | None = None
 
     def __post_init__(self):
         kernel = np.asarray(self.impulse_kernel, dtype=float)
@@ -248,11 +242,9 @@ def synthesize_kernel(
             f"kernel synthesis missed rise-time target: {achieved} vs {rise_time_10_90}"
         )
     return ActuatorResponse(
-        kind=kind,
         rise_time_10_90=rise_time_10_90,
         sample_period=sample_period,
         impulse_kernel=kernel,
-        damping_ratio=damping_ratio,
     )
 
 

@@ -6,8 +6,9 @@ voltage data. For a fixed v_pi the model is linear in the equivalent basis
 over w with an exact linear least-squares solve inside. The search runs in
 two steps: one batched scan of the residual over a geometric grid of w
 (`_scan_sse`), then a bounded refinement around the best grid point with
-`_linear_solve`, which also gives the returned coefficients. The
-refinement is `_bounded_brent`, Brent's bounded minimiser.
+`_linear_solve`, whose residual at the refined w is the returned RMS
+misfit. The refinement is `_bounded_brent`, Brent's bounded minimiser.
+`fit_v_pi` returns v_pi = pi/w and that residual.
 
 The scan projects the data onto an orthonormal basis of [1, cos wV,
 sin wV] for every grid w (`_scan_basis`, Gram-Schmidt vectorised over the
@@ -40,9 +41,6 @@ _REFINE_MAXFUN = 500
 @dataclass(frozen=True)
 class VpiFit:
     v_pi: float
-    bias_phase: float
-    amplitude: float
-    floor: float
     residual: float  # RMS misfit
 
 
@@ -201,7 +199,7 @@ def _sign_or_one(v: float) -> float:
 
 
 def fit_v_pi(voltages, transmissions) -> VpiFit:
-    """Fit the sin^2 transfer model and return the calibrated parameters.
+    """Fit the sin^2 transfer model and return v_pi and the RMS residual.
 
     Raises InsufficientFringeError when the data is degenerate or spans
     less than half a fringe, FitError on non-convergence.
@@ -235,20 +233,12 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     if not ok:
         raise FitError("v_pi search did not converge")
     coef, sse = _linear_solve(volts, trans, omega)
-    a0, a1, a2 = coef
-    half_amp = math.hypot(a1, a2)
-    if half_amp < 1e-9 * max(scale, 1.0):
+    # The fringe's half amplitude is the norm of its cos and sin coefficients.
+    if math.hypot(coef[1], coef[2]) < 1e-9 * max(scale, 1.0):
         raise InsufficientFringeError("fitted fringe amplitude is degenerate")
     v_pi = math.pi / omega
     if v_pi > span:
         raise InsufficientFringeError(
             f"data spans {span:.3g} V, less than half a fringe of fitted v_pi {v_pi:.3g} V"
         )
-    theta0 = 0.5 * math.atan2(a2, -a1)
-    return VpiFit(
-        v_pi=v_pi,
-        bias_phase=theta0,
-        amplitude=2.0 * half_amp,
-        floor=float(a0 - half_amp),
-        residual=math.sqrt(sse / volts.size),
-    )
+    return VpiFit(v_pi=v_pi, residual=math.sqrt(sse / volts.size))

@@ -3,6 +3,9 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,8 @@ from picmod.errors import ConfigError, PicmodError
 from picmod.serialize import config_hash, fmt, write_csv
 
 from conftest import CONFIG_DIR
+
+SRC = CONFIG_DIR.parents[1]
 
 
 @pytest.fixture()
@@ -215,8 +220,9 @@ class TestCli:
             raise PicmodError("pulse experiment failed")
 
         monkeypatch.setattr(experiments, "noisy_pulse_experiment", fail)
-        with pytest.raises(PicmodError, match="pulse experiment failed"):
-            run_cli("stability", "--config", config_path_795, "--out", str(tmp_path / "out"))
+        res = run_cli("stability", "--config", config_path_795, "--out", str(tmp_path / "out"))
+        assert res.exit_code == 2
+        assert "pulse experiment failed" in res.stderr
         assert not (tmp_path / "out").exists()
 
     def test_sweep_outputs_and_summary(self, config_path_795, tmp_path):
@@ -247,7 +253,7 @@ class TestCli:
         assert (tmp_path / "crosstalk_C.csv").exists()
 
     def test_beams_patterns(self, config_path_795, tmp_path):
-        for pattern in ("all", "evens", "odds", "single:3", "0,4"):
+        for pattern in ("all", "evens", "odds", "3", "0,4"):
             res = run_cli(
                 "beams", "--config", config_path_795, "--out", str(tmp_path),
                 "--active", pattern,
@@ -258,12 +264,13 @@ class TestCli:
         res = CliRunner().invoke(
             main,
             ["beams", "--config", config_path_795, "--out", str(tmp_path),
-             "--active", "single:nope"],
+             "--active", "foo"],
         )
         assert res.exit_code == 2
+        assert "--active: cannot parse 'foo'" in res.stderr
 
     @pytest.mark.parametrize(
-        "args", [["sweep", "--channels", "99"], ["beams", "--active", "single:9"]]
+        "args", [["sweep", "--channels", "0;1"], ["beams", "--active", "1-3"]]
     )
     def test_usage_error_creates_no_output_dir(self, config_path_795, tmp_path, args):
         out = tmp_path / "out"
@@ -311,6 +318,60 @@ class TestCli:
         assert strip_wall_time(out1 / "sweep_report.json") == strip_wall_time(
             out2 / "sweep_report.json"
         )
+
+
+def target_er_300_db(data):
+    data["chip"]["target_er_db"] = [300.0] * data["chip"]["n_channels"]
+
+
+def drop_lock_section(data):
+    del data["lock"]
+
+
+def run_on(experiment, *args):
+    return lambda path: experiment(ExperimentConfig.load(path), *args)
+
+
+# (CLI arguments, edit of the 795 nm config data, the library call on the
+# edited config that raises the error the CLI must report).
+LIBRARY_ERRORS = {
+    "unreachable_er": (["calibrate"], target_er_300_db, run_on(calibration.calibrate)),
+    "channel_out_of_range": (
+        ["sweep", "--channels", "99"], None, run_on(experiments.run_sweep, [99])
+    ),
+    "site_out_of_range": (["beams", "--active", "9"], None, run_on(experiments.run_beams, [9])),
+    "missing_key": (["sweep"], drop_lock_section, ExperimentConfig.load),
+    "no_site": (["beams", "--active", ","], None, run_on(experiments.run_beams, [])),
+}
+
+
+@pytest.mark.parametrize("args, edit, library", LIBRARY_ERRORS.values(), ids=LIBRARY_ERRORS)
+def test_entry_points_agree_on_library_errors(base_data, tmp_path, args, edit, library):
+    """`main` in process and `python -m picmod.cli` in a fresh process both
+    exit 2 on a library error, print its message on stderr and create no
+    --out directory."""
+    if edit is not None:
+        edit(base_data)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(base_data))
+    with pytest.raises(PicmodError) as raised:
+        library(config)
+    message = str(raised.value)
+
+    cli_args = [*args, "--config", str(config), "--out"]
+    in_process = CliRunner().invoke(main, [*cli_args, str(tmp_path / "main_out")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "picmod.cli", *cli_args, str(tmp_path / "module_out")],
+        capture_output=True, text=True, env=env,
+    )
+    for out, code, stderr in [
+        ("main_out", in_process.exit_code, in_process.stderr),
+        ("module_out", child.returncode, child.stderr),
+    ]:
+        assert code == 2, (out, stderr)
+        assert message in stderr, (out, stderr)
+        assert not (tmp_path / out).exists()
 
 
 # (subcommand args, report name, artifacts besides the report). At 1013 nm

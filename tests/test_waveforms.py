@@ -16,7 +16,6 @@ from picmod.core import (
 )
 from picmod.dynamics import (
     ActuatorResponse,
-    KernelKind,
     OpticalTrace,
     convolve_causal,
     step_response_trace,
@@ -207,9 +206,7 @@ class TestPredistort:
         assert sol.iterations == 0
 
     def test_identity_kernel_is_exact(self, channel_714):
-        ident = ActuatorResponse(
-            KernelKind.FIRST_ORDER, 2e-9, 1e-9, np.array([1.0])
-        )
+        ident = ActuatorResponse(2e-9, 1e-9, np.array([1.0]))
         phase = np.concatenate([np.full(50, math.pi), np.zeros(1050)])
         problem = PredistortionProblem(
             target_phase=phase,
