@@ -117,8 +117,7 @@ def target_plane_profile(array: BeamArray, x_samples) -> BeamProfile:
 @dataclass(frozen=True)
 class SiteLeakage:
     site: int
-    leakage_db: float  # raw model value relative to the active-site peak
-    reported_db: float  # floor-clamped
+    reported_db: float  # relative to the active-site peak, floor-clamped
     floor_limited: bool
 
 
@@ -137,7 +136,6 @@ def site_leakage_report(array: BeamArray) -> list[SiteLeakage]:
         report.append(
             SiteLeakage(
                 site=site,
-                leakage_db=db,
                 reported_db=max(db, array.measurement_floor_db),
                 floor_limited=limited,
             )

@@ -29,14 +29,15 @@ EXIT_USAGE = 2
 
 
 def _parse_indices(option: str, spec: str, n: int) -> list[int]:
-    """Index grammar: all | comma-separated indices. The experiment checks
-    that the indices are in range and not empty."""
+    """Index grammar: all | comma-separated indices. Raises PicmodError on
+    any other spec, so the experiment runner reports it as it reports the
+    experiment's own checks that the indices are in range and not empty."""
     if spec == "all":
         return list(range(n))
     try:
         return [int(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
-        raise click.UsageError(f"{option}: cannot parse {spec!r}")
+        raise PicmodError(f"{option}: cannot parse {spec!r}")
 
 
 def _parse_active(spec: str, n: int) -> list[int]:
@@ -65,8 +66,8 @@ def experiment(*options):
     creates --out, writes each table there (a config as YAML, others as
     CSV) and then the report, prints the summary, and exits 1 when a check
     failed. Any PicmodError is printed and exits 2; one raised before run
-    returns (a bad config, an index out of range, an unreachable target)
-    leaves --out uncreated.
+    returns (a bad config, an unparsable or out-of-range index, an
+    unreachable target) leaves --out uncreated.
     """
 
     def register(run):

@@ -4,15 +4,18 @@ Fits T(V) = A*sin^2(pi*V/(2*v_pi) + theta0) + floor to transmission-vs-
 voltage data. For a fixed v_pi the model is linear in the equivalent basis
 [1, cos(wV), sin(wV)] with w = pi/v_pi, so the fit reduces to a 1-D search
 over w with an exact linear least-squares solve inside. The search runs in
-two steps: one batched scan of the residual over a geometric grid of w
+two steps: one scan of the residual over a geometric grid of w
 (`_scan_sse`), then a bounded refinement around the best grid point with
 `_linear_solve`, whose residual at the refined w is the returned RMS
 misfit. The refinement is `_bounded_brent`, Brent's bounded minimiser.
 `fit_v_pi` returns v_pi = pi/w and that residual.
 
-The scan projects the data onto an orthonormal basis of [1, cos wV,
-sin wV] for every grid w (`_scan_basis`, Gram-Schmidt vectorised over the
-grid). That basis depends only on the voltages, so it is cached per
+The scan needs no solve per grid point. `_scan_basis` holds, for every
+grid w, an orthonormal basis of [1, cos wV, sin wV]: Gram-Schmidt
+vectorised over the grid gives a centred cos row and a sin row orthogonal
+to it. With c the centred data, the residual at w is then
+c.c - (q_cos.c)^2 - (q_sin.c)^2, two matrix-vector products for the whole
+grid. That basis depends only on the voltages, so it is cached per
 voltage grid: every channel of a chip is swept on one grid, and only its
 first fit builds the basis. A cached grid of N voltages holds two
 512 x N float64 arrays, 2*512*N*8 bytes (about 2 MB at N = 241), and at
@@ -29,8 +32,6 @@ import numpy as np
 
 from .errors import FitError, InsufficientFringeError
 
-# Grid rows times samples per block of the scan: temporaries of 64 KiB each.
-_SCAN_BLOCK_ELEMENTS = 1 << 13
 # Voltage grids whose scan basis is kept: calibrate and sweep fit every
 # channel of a chip on one grid, and one process sees at most a few chips.
 _SCAN_BASIS_GRIDS = 4
@@ -74,45 +75,32 @@ def _scan_basis(volts: bytes, omegas: bytes) -> tuple[np.ndarray, np.ndarray]:
     omegas = np.frombuffer(omegas)
     n = volts.size
     tol = np.finfo(float).eps * n * math.sqrt(n)
-    rows = max(1, _SCAN_BLOCK_ELEMENTS // n)
-    q_cos = np.empty((omegas.size, n))
-    q_sin = np.empty((omegas.size, n))
-    for start in range(0, omegas.size, rows):
-        phase = np.outer(omegas[start : start + rows], volts)
-        basis = []
-        for col in (np.cos(phase), np.sin(phase, out=phase)):
-            col -= col.mean(axis=1, keepdims=True)
-            for q in basis:
-                col -= _row_dot(q, col) * q
-            norm = np.sqrt(_row_dot(col, col))
-            col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > tol)
-            basis.append(col)
-        q_cos[start : start + rows], q_sin[start : start + rows] = basis
-    q_cos.flags.writeable = False
-    q_sin.flags.writeable = False
+    phase = np.outer(omegas, volts)
+    basis = []
+    for col in (np.cos(phase), np.sin(phase, out=phase)):
+        col -= col.mean(axis=1, keepdims=True)
+        for q in basis:
+            col -= _row_dot(q, col) * q
+        norm = np.sqrt(_row_dot(col, col))
+        col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > tol)
+        col.flags.writeable = False
+        basis.append(col)
+    q_cos, q_sin = basis
     return q_cos, q_sin
 
 
 def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of `_linear_solve` at every omega, batched.
+    """Residual sum of squares of `_linear_solve` at every omega.
 
     Equal to `_linear_solve(volts, trans, w)[1]` for each w up to rounding.
-    The residual is centred (projects out the constant column), then its
-    components along the cached orthonormal cos and sin rows of
-    `_scan_basis` are projected out in turn.
+    The rows of `_scan_basis` are orthonormal and orthogonal to the
+    constant column, so for the centred data c the residual at each w is
+    c.c less the squares of c's components along its cos and sin rows.
     """
     volts = np.asarray(volts, dtype=float)
     q_cos, q_sin = _scan_basis(volts.tobytes(), np.asarray(omegas, dtype=float).tobytes())
     centred = trans - trans.mean()
-    rows = max(1, _SCAN_BLOCK_ELEMENTS // volts.size)
-    sses = np.empty(q_cos.shape[0])
-    for start in range(0, sses.size, rows):
-        block = slice(start, start + rows)
-        resid = np.broadcast_to(centred, q_cos[block].shape)
-        for q in (q_cos[block], q_sin[block]):
-            resid = resid - _row_dot(q, resid) * q
-        sses[block] = _row_dot(resid, resid)[:, 0]
-    return sses
+    return centred @ centred - (q_cos @ centred) ** 2 - (q_sin @ centred) ** 2
 
 
 def _bounded_brent(f, lo: float, hi: float, xatol: float):

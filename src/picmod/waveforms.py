@@ -93,7 +93,6 @@ class DynamicExtinction:
 
     times: np.ndarray  # seconds after the switch
     envelope: np.ndarray  # linear power relative to the pre-switch ON level
-    on_level: float
 
     def time_to(self, threshold: float) -> tuple[float, bool]:
         """First time the envelope stays below threshold for good.
@@ -126,7 +125,7 @@ def dynamic_extinction(trace: OpticalTrace, switch_time: float) -> DynamicExtinc
     post = trace.power[idx:]
     envelope = np.maximum.accumulate(post[::-1])[::-1] / on_level
     times = np.arange(post.size) * dt
-    return DynamicExtinction(times=times, envelope=envelope, on_level=on_level)
+    return DynamicExtinction(times=times, envelope=envelope)
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,7 @@ class TestAcceptance:
     def test_09_beam_delivery(self):
         array = make_beam_array(8, [0], pitch=4.33, nn_leak_db=-50.8)
         leaks = {l.site: l for l in site_leakage_report(array)}
-        nn = leaks[1].leakage_db
+        nn = leaks[1].reported_db
         tail_db = 10 * math.log10(
             intensity_profile(make_beam_array(8, [0], nn_leak_db=-1000.0), [4.33])[0]
         )

@@ -20,7 +20,7 @@ class TestSingleActiveChannel:
     def test_nn_leakage_level(self):
         array = make_beam_array(8, [0], pitch=PITCH, nn_leak_db=-50.8)
         leaks = {l.site: l for l in site_leakage_report(array)}
-        assert leaks[1].leakage_db == pytest.approx(-50.8, abs=0.2)
+        assert leaks[1].reported_db == pytest.approx(-50.8, abs=0.2)
         assert not leaks[1].floor_limited
 
     def test_pure_gaussian_tail_negligible(self):
@@ -60,8 +60,8 @@ class TestPatterns:
         array = make_beam_array(8, [0, 2, 4, 6], pitch=PITCH, nn_leak_db=-50.8)
         leaks = {l.site: l for l in site_leakage_report(array)}
         for site in (1, 3, 5):
-            assert -51.3 <= leaks[site].leakage_db <= -50.8 + 6.1
-        assert leaks[7].leakage_db == pytest.approx(-50.8, abs=0.2)
+            assert -51.3 <= leaks[site].reported_db <= -50.8 + 6.1
+        assert leaks[7].reported_db == pytest.approx(-50.8, abs=0.2)
 
 
 class TestValidation:

@@ -163,16 +163,6 @@ class TestBatchedScan:
         assert not ok[-1] and ok[:-1].all()
         assert np.max(np.abs(fast - slow)[ok]) <= 1e-9 * np.dot(trans, trans)
 
-    def test_block_boundaries_do_not_matter(self, monkeypatch):
-        volts, trans = noisy_sweeps(1)[0]
-        grid = scan_grid(volts)
-        whole = _scan_sse(volts, trans, grid)
-        monkeypatch.setattr("picmod.fitting._SCAN_BLOCK_ELEMENTS", 7 * volts.size)
-        # The basis is cached per grid: clear it so the new blocks build it.
-        _scan_basis.cache_clear()
-        assert np.array_equal(_scan_sse(volts, trans, grid), whole)
-        assert _scan_basis.cache_info().misses == 1
-
 
 class TestScanBasisCache:
     """The scan basis is built once per voltage grid and shared read-only."""

@@ -16,7 +16,7 @@ import pytest
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "picmod"
 
-# __init__.py imports names only to re-export them.
+# __init__.py imports its submodules only to bind them as package attributes.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
@@ -135,10 +135,31 @@ def test_checker_finds_unreferenced_functions():
 
 def test_package_functions_have_callers():
     """Each public function is reached from elsewhere in the package or
-    from the benchmark; __init__'s re-exports do not count."""
+    from the benchmark."""
     package = {p.stem: p.read_text() for p in MODULES}
     perfbench = [p.read_text() for p in (TESTS.parent / "perfbench").glob("*.py")]
     assert unreferenced_functions(package, perfbench) == []
+
+
+# The submodules the benchmark reads as `picmod.<name>` after a bare
+# `import picmod`.
+SUBMODULES = [
+    "beams", "calibration", "config", "core", "crosstalk", "dynamics", "errors",
+    "fitting", "lock", "noise", "reports", "serialize", "waveforms",
+]
+
+
+def test_import_picmod_binds_its_submodules():
+    """A bare `import picmod` makes each submodule an attribute of the
+    package. It runs in a fresh interpreter, because in this one the other
+    tests have already imported every submodule."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    missing = "import sys, picmod\nprint(*(m for m in sys.argv[1:] if not hasattr(picmod, m)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", missing, *SUBMODULES],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.split() == []
 
 
 # Runs in a fresh interpreter; prints the scipy modules loaded after the
