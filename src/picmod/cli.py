@@ -170,14 +170,15 @@ def report(path):
     target = Path(path)
     files = sorted(target.glob("*_report.json")) if target.is_dir() else [target]
     if not files:
-        raise click.UsageError(f"no run reports found in {target}")
+        click.echo(f"error: no run reports found in {target}", err=True)
+        sys.exit(EXIT_USAGE)
     any_failed = False
     bad = []
     for f in files:
         try:
             data = load_report(f)
-        except (PicmodError, ValueError) as exc:
-            bad.append(f"{f}: {exc}")
+        except PicmodError as exc:
+            bad.append(exc)
             continue
         status = "PASS" if data["passed"] else "FAIL"
         any_failed = any_failed or not data["passed"]
@@ -190,8 +191,8 @@ def report(path):
             if m["passed"] is False:
                 click.echo(f"  FAIL  {m['name']}: {m['value']:.6g} {m['units']}"
                            f" (require {m['threshold']})")
-    for line in bad:
-        click.echo(f"ERROR  {line}", err=True)
+    for exc in bad:
+        click.echo(f"error: {exc}", err=True)
     if bad:
         sys.exit(EXIT_USAGE)
     if any_failed:

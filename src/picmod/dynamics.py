@@ -7,8 +7,8 @@ sample. A drive holds a level for `on_hold_samples` before it switches,
 long enough for the actuator to settle.
 
 Everything here runs on numpy and the standard library. `synthesize_kernel`
-solves for the time constant with `_brent_root`, Brent's bracketing root
-finder.
+solves for the time constant with `fitting._brent_root`, Brent's bracketing
+root finder, which `fit_v_pi` also uses.
 """
 
 from __future__ import annotations
@@ -22,17 +22,13 @@ import numpy as np
 
 from .core import ModulatorChannel, channel_transmission_equal
 from .errors import GridError, NoTransitionError, PicmodError
+from .fitting import _brent_root
 
 # Kernels shorter than this use direct convolution, longer ones numpy's
 # real FFT on a zero-padded power-of-two length; both agree within 1e-10.
 DIRECT_KERNEL_LIMIT = 512
 
 _TAIL_MASS = 1e-12
-
-# Brent root finder: relative tolerance 4 eps and at most 100 iterations,
-# the defaults of the reference implementation of the published algorithm.
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAXITER = 100
 
 
 class KernelKind(enum.Enum):
@@ -143,61 +139,6 @@ def _second_order_kernel(omega_n: float, zeta: float, dt: float) -> np.ndarray:
     kernel = np.exp(-zeta * omega_n * t) * np.sin(omega_d * t)
     kernel = _trim_tail(kernel)
     return kernel / kernel.sum()
-
-
-def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    Each step takes an inverse-quadratic or secant step inside the bracket
-    when it shrinks fast enough, else bisects. Every step is the reference
-    implementation's, so the tests require the same float from both. Stops
-    when the bracket is below xtol + rtol*|x| with rtol = 4 eps. Raises
-    PicmodError when f(xa) and f(xb) have the same sign, when f is NaN,
-    or after 100 iterations without convergence.
-    """
-    # xcur is the best estimate, xpre the one before it and xblk the end of
-    # the bracket opposite xcur; spre and scur are the last two steps.
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise PicmodError("root finder: function value is NaN")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise PicmodError(f"root finder: f({xa:.6g}) and f({xb:.6g}) have the same sign")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise PicmodError("root finder: function value is NaN")
-    raise PicmodError(f"root finder did not converge in {_BRENT_MAXITER} iterations")
 
 
 def synthesize_kernel(

@@ -1,14 +1,22 @@
-"""Half-wave-voltage calibration fit.
+"""Half-wave-voltage calibration fit, and the package's root finder.
 
 Fits T(V) = A*sin^2(pi*V/(2*v_pi) + theta0) + floor to transmission-vs-
 voltage data. For a fixed v_pi the model is linear in the equivalent basis
 [1, cos(wV), sin(wV)] with w = pi/v_pi, so the fit reduces to a 1-D search
-over w with an exact linear least-squares solve inside. The search runs in
-two steps: one scan of the residual over a geometric grid of w
-(`_scan_sse`), then a bounded refinement around the best grid point with
-`_linear_solve`, whose residual at the refined w is the returned RMS
-misfit. The refinement is `_bounded_brent`, Brent's bounded minimiser.
-`fit_v_pi` returns v_pi = pi/w and that residual.
+over w with an exact linear least-squares solve inside (`_linear_solve`).
+The search runs in two steps: one scan of the residual over a geometric
+grid of w (`_scan_sse`), then a root of the residual's slope in w between
+the best grid point's neighbours. `fit_v_pi` returns v_pi = pi/w and the
+RMS misfit at that root.
+
+The slope needs no second solve. The fitted coefficients minimise the
+residual at each w, so its derivative is that of the residual with the
+coefficients held (the envelope theorem): for residual r and fitted cos
+and sin coefficients b_cos and b_sin,
+dSSE/dw = 2 r.(V * (b_cos sin wV - b_sin cos wV)).
+The root is found by `_brent_root`, Brent's bracketing root finder, which
+`dynamics.synthesize_kernel` also uses. It lives here because `core`
+imports this module and `dynamics` imports `core`.
 
 The scan needs no solve per grid point. `_scan_basis` holds, for every
 grid w, an orthonormal basis of [1, cos wV, sin wV]: Gram-Schmidt
@@ -30,13 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InsufficientFringeError
+from .errors import FitError, InsufficientFringeError, PicmodError
 
 # Voltage grids whose scan basis is kept: calibrate and sweep fit every
 # channel of a chip on one grid, and one process sees at most a few chips.
 _SCAN_BASIS_GRIDS = 4
-# Bounded refinement: at most this many function evaluations.
-_REFINE_MAXFUN = 500
+# Brent root finder: relative tolerance 4 eps and at most 100 iterations,
+# the defaults of the reference implementation of the published algorithm.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -46,12 +56,14 @@ class VpiFit:
 
 
 def _linear_solve(volts: np.ndarray, trans: np.ndarray, omega: float):
-    basis = np.column_stack(
-        [np.ones_like(volts), np.cos(omega * volts), np.sin(omega * volts)]
-    )
+    """Least squares on [1, cos wV, sin wV] at one w: the coefficients, the
+    residual sum of squares and its slope in w (see the module docstring)."""
+    cos, sin = np.cos(omega * volts), np.sin(omega * volts)
+    basis = np.column_stack([np.ones_like(volts), cos, sin])
     coef, _, _, _ = np.linalg.lstsq(basis, trans, rcond=None)
     resid = trans - basis @ coef
-    return coef, float(np.sum(resid**2))
+    slope = 2.0 * resid @ (volts * (coef[1] * sin - coef[2] * cos))
+    return coef, float(np.sum(resid**2)), float(slope)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,94 +115,67 @@ def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.nd
     return centred @ centred - (q_cos @ centred) ** 2 - (q_sin @ centred) ** 2
 
 
-def _bounded_brent(f, lo: float, hi: float, xatol: float):
-    """Minimise f on [lo, hi] by Brent's method (golden section steps with
-    parabolic interpolation, Brent 1973, ch. 5).
+def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
-    Every step and comparison is the reference bounded minimiser's, so
-    the tests require the same x, fun and nfev from both. Returns
-    (x, fun, nfev, ok); ok is False after _REFINE_MAXFUN evaluations or
-    when x or f is NaN.
+    Each step takes an inverse-quadratic or secant step inside the bracket
+    when it shrinks fast enough, else bisects. Every step is the reference
+    implementation's, so the tests require the same float from both. Stops
+    when the bracket is below xtol + rtol*|x| with rtol = 4 eps. Raises
+    PicmodError when f(xa) and f(xb) have the same sign, when f is NaN,
+    or after 100 iterations without convergence.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    nfev = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    ok = True
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # Parabola through the three best points.
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _sign_or_one(xm - xf)
+    # xcur is the best estimate, xpre the one before it and xblk the end of
+    # the bracket opposite xcur; spre and scur are the last two steps.
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise PicmodError("root finder: function value is NaN")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise PicmodError(f"root finder: f({xa:.6g}) and f({xb:.6g}) have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
             else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        nfev += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+                spre = scur = sbis
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if nfev >= _REFINE_MAXFUN:
-            ok = False
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        ok = False
-    return xf, fx, nfev, ok
-
-
-def _sign_or_one(v: float) -> float:
-    """The sign of v as +-1.0, and 1.0 for v == 0 (either signed zero)."""
-    return 1.0 if v == 0.0 else math.copysign(1.0, v)
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise PicmodError("root finder: function value is NaN")
+    raise PicmodError(f"root finder did not converge in {_BRENT_MAXITER} iterations")
 
 
 def fit_v_pi(voltages, transmissions) -> VpiFit:
     """Fit the sin^2 transfer model and return v_pi and the RMS residual.
 
-    Raises InsufficientFringeError when the data is degenerate or spans
-    less than half a fringe, FitError on non-convergence.
+    Raises FitError on malformed samples, and InsufficientFringeError when
+    the data is degenerate, spans less than half a fringe, or has its least
+    residual at the edge of the scan.
     """
     volts = np.asarray(voltages, dtype=float)
     trans = np.asarray(transmissions, dtype=float)
@@ -209,18 +194,22 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     omega_lo = 0.5 * math.pi / span
     omega_hi = math.pi / max(dv, 1e-12 * span)
 
-    # Coarse scan, then local refinement of the fringe frequency.
+    # Coarse scan, then the root of the residual's slope between the best
+    # grid point's neighbours.
     grid = np.geomspace(omega_lo, omega_hi, 512)
     sses = _scan_sse(volts, trans, grid)
     best = int(np.argmin(sses))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, grid.size - 1)])
-    omega, _, _, ok = _bounded_brent(
-        lambda w: _linear_solve(volts, trans, w)[1], lo, hi, 1e-12 * (hi - lo) + 1e-15
-    )
-    if not ok:
-        raise FitError("v_pi search did not converge")
-    coef, sse = _linear_solve(volts, trans, omega)
+    try:
+        omega = _brent_root(
+            lambda w: _linear_solve(volts, trans, w)[2], lo, hi, 1e-12 * (hi - lo)
+        )
+    except PicmodError as exc:
+        # A slope of one sign across the bracket: the least residual is at
+        # the edge of the scan, so the data holds no resolvable fringe.
+        raise InsufficientFringeError(f"no residual minimum inside the v_pi scan: {exc}") from exc
+    coef, sse, _ = _linear_solve(volts, trans, omega)
     # The fringe's half amplitude is the norm of its cos and sin coefficients.
     if math.hypot(coef[1], coef[2]) < 1e-9 * max(scale, 1.0):
         raise InsufficientFringeError("fitted fringe amplitude is degenerate")

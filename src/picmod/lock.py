@@ -12,9 +12,10 @@ error eps is `ModulatorChannel.power_at_phase(eps)`: the stage fringe
 c0 + c1*cos(eps) cascaded over the identical stages. The lock keeps no
 transfer model of its own. Only the dither/PI recurrence runs once per
 update, as a scalar loop on (c0, c1) from `core.fringe_coeffs` that
-yields the correction trajectory. The off-state powers, the ER samples,
-the mean leakage and the final error are then computed in one go over
-that trajectory; a disengaged run has zero correction and runs no loop.
+yields the correction trajectory. The ER samples and the final error are
+then computed in one go from that trajectory, the optics only at the
+updates that take an ER sample; a disengaged run has zero correction and
+runs no loop.
 Every reading, dither and ER sample alike, is the true power floored by
 the detector; an ER sample whose OFF reading is the floor counts as
 detector-limited.
@@ -71,7 +72,6 @@ class LockRunResult:
     locked_fraction: float
     er_mean_db: float
     er_std_db: float
-    er_time_avg_db: float  # ER of the time-averaged leakage power
     final_error_rad: float = 0.0  # residual bias error at the last update
     detector_limited_samples: int = 0  # ER samples whose OFF reading is the floor
 
@@ -160,28 +160,28 @@ def run_lock(
     if off_static == 0.0:
         raise PicmodError("the channel's null reads 0: it needs a positive relative_floor")
     er_static = 10.0 * math.log10(on_static / off_static)
-    correction = _correction_path(channel, drift, peak, controller, detector) if engaged else 0.0
+    if engaged:
+        correction = _correction_path(channel, drift, peak, controller, detector)
+    else:
+        correction = np.zeros(n_updates)
 
-    # Everything else is a function of the bias error after each update.
-    eps = drift + correction
-    p_off = channel.power_at_phase(eps) / peak
-    leak_sum = np.cumsum(p_off)[-1]  # sequential, like a running +=
+    # Everything else is a function of the bias error after each update,
+    # needed only at the ER samples and the last update.
     ks = np.arange(0, n_updates, ER_SAMPLE_EVERY)
-    sampled = np.stack([p_off[ks], channel.power_at_phase(math.pi + eps[ks]) / peak], axis=1)
-    off_meas, on_meas = detector.measure(sampled).T
+    eps = drift[ks] + correction[ks]
+    off_meas = detector.measure(channel.power_at_phase(eps) / peak)
+    on_meas = detector.measure(channel.power_at_phase(math.pi + eps) / peak)
     limited = int(np.count_nonzero(off_meas <= detector.relative_floor))
     # Scalar log10: numpy's array log10 differs from it in the last bit.
     ers = np.array([10.0 * math.log10(r) for r in (on_meas / off_meas).tolist()])
     locked_fraction = float(np.mean(ers >= er_static - LOCKED_MARGIN_DB))
-    mean_leak = detector.measure(leak_sum / n_updates)
     return LockRunResult(
         times=ks * dt,
         er_db=ers,
         locked_fraction=locked_fraction,
         er_mean_db=float(np.mean(ers)),
         er_std_db=float(np.std(ers)),
-        er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
-        final_error_rad=float(eps[-1]),
+        final_error_rad=float(drift[-1] + correction[-1]),
         detector_limited_samples=limited,
     )
 

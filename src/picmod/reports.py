@@ -68,8 +68,13 @@ class RunReport:
 
 
 def load_report(path) -> dict:
-    data = json.loads(Path(path).read_text())
+    """The run report saved at path. Raises PicmodError, naming the path,
+    when the file is not JSON or not a run report."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise PicmodError(f"{path} is not a run report ({exc})") from exc
     for key in ("experiment_kind", "config_hash", "metrics", "passed"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise PicmodError(f"{path} is not a run report (missing {key!r})")
     return data

@@ -305,6 +305,21 @@ class TestCli:
     def test_report_empty_dir_exits_2(self, tmp_path):
         res = CliRunner().invoke(main, ["report", str(tmp_path)])
         assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: no run reports found in {tmp_path}")
+        assert "Usage:" not in res.stderr
+
+    def test_report_unreadable_reports_exit_2(self, tmp_path):
+        # An empty object, text that is not JSON, and JSON that is no object.
+        paths = [tmp_path / f"{name}_report.json" for name in "abc"]
+        for path, text in zip(paths, ("{}", "not json", "3")):
+            path.write_text(text)
+        res = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert res.exit_code == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == len(paths)
+        for line, path in zip(lines, paths):
+            assert line.startswith(f"error: {path} is not a run report")
+            assert line.count(str(path)) == 1
 
     def test_determinism_byte_identical(self, config_path_795, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import channel_transmission_equal
 from picmod.dynamics import (
     DIRECT_KERNEL_LIMIT,
-    _brent_root,
     _first_order_kernel,
     _interp_crossing,
     _second_order_kernel,
@@ -26,6 +26,7 @@ from picmod.dynamics import (
     trace_optical,
 )
 from picmod.errors import GridError, NoTransitionError, PicmodError
+from picmod.fitting import _brent_root
 
 from conftest import CONFIG_DIR
 
@@ -110,23 +111,40 @@ def test_kernel_equals_two_closure_solve(kind, rise, dt, zeta):
     assert np.array_equal(got, two_closure_kernel(kind, rise, dt, zeta))
 
 
+def record_roots(monkeypatch, target):
+    """Replace the root finder at target by one that records each root it
+    returns next to brentq's root of the same problem."""
+    calls = []
+
+    def recording(f, xa, xb, xtol):
+        root = _brent_root(f, xa, xb, xtol)
+        calls.append((root, brentq(f, xa, xb, xtol=xtol)))
+        return root
+
+    monkeypatch.setattr(target, recording)
+    return calls
+
+
 class TestBrentRoot:
-    """The root finder against scipy's brentq, which implements the same
-    published algorithm: the roots must be the same floats."""
+    """The package's one root finder against scipy's brentq, which
+    implements the same published algorithm: the roots must be the same
+    floats, in kernel synthesis and in the v_pi fit alike."""
 
     @pytest.mark.parametrize("kind, rise, dt, zeta", kernel_cases())
     def test_equals_brentq_in_kernel_synthesis(self, kind, rise, dt, zeta, monkeypatch):
-        calls = []
-
-        def recording(f, xa, xb, xtol):
-            root = _brent_root(f, xa, xb, xtol)
-            calls.append((root, brentq(f, xa, xb, xtol=xtol)))
-            return root
-
-        monkeypatch.setattr("picmod.dynamics._brent_root", recording)
+        calls = record_roots(monkeypatch, "picmod.dynamics._brent_root")
         synthesize_kernel(kind, rise, dt, damping_ratio=zeta)
         assert len(calls) == 1
         assert calls[0][0] == calls[0][1]
+
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_equals_brentq_in_v_pi_fit(self, nm, monkeypatch):
+        calls = record_roots(monkeypatch, "picmod.fitting._brent_root")
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        calibrate(cfg)
+        assert len(calls) == cfg.data["chip"]["n_channels"]
+        for root, want in calls:
+            assert root == want
 
     @pytest.mark.parametrize("f, xa, xb", [
         (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # Brent's own example

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
 from picmod.errors import FitError, InsufficientFringeError
-from picmod.experiments import run_sweep
 from picmod.fitting import (
     _SCAN_BASIS_GRIDS,
-    _bounded_brent,
     _linear_solve,
     _scan_basis,
     _scan_sse,
@@ -80,7 +77,7 @@ class TestDegenerateInputs:
 
     def test_less_than_half_fringe(self):
         volts = np.linspace(0, 10, 50)  # tiny arc of a 74.7 V fringe
-        with pytest.raises(InsufficientFringeError):
+        with pytest.raises(InsufficientFringeError, match="inside the v_pi scan"):
             fit_v_pi(volts, sin2(volts, 74.7))
 
     def test_too_few_samples(self):
@@ -202,57 +199,43 @@ class TestScanBasisCache:
         assert _scan_basis.cache_info().currsize == _SCAN_BASIS_GRIDS
 
 
-def scipy_bounded(f, lo, hi, xatol, maxiter=500):
-    """Reference: scipy's bounded minimiser as (x, fun, nfev, success)."""
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol, "maxiter": maxiter})
-    return float(res.x), float(res.fun), res.nfev, bool(res.success)
+def scipy_refined_omega(volts, trans):
+    """Reference: scipy's bounded minimiser of `_linear_solve`'s residual
+    between the neighbours of the best scan point, as fit_v_pi brackets it."""
+    grid = scan_grid(volts)
+    best = int(np.argmin(_scan_sse(volts, trans, grid)))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    res = minimize_scalar(lambda w: _linear_solve(volts, trans, w)[1], bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-12 * (hi - lo) + 1e-15})
+    assert res.success
+    return float(res.x)
 
 
-class TestBoundedBrent:
-    """The bounded minimiser against scipy's, which runs the same steps:
-    x, fun and nfev must be equal."""
+class TestSlopeRefinement:
+    """fit_v_pi refines w to the root of `_linear_solve`'s residual slope."""
+
+    @pytest.mark.parametrize("volts, trans", shipped_sweeps())
+    def test_slope_matches_central_difference(self, volts, trans):
+        fitted = math.pi / fit_v_pi(volts, trans).v_pi
+        for omega in fitted * np.array([0.98, 0.995, 1.005, 1.02]):
+            h = 1e-6 * omega
+            diff = (_linear_solve(volts, trans, omega + h)[1]
+                    - _linear_solve(volts, trans, omega - h)[1]) / (2.0 * h)
+            assert _linear_solve(volts, trans, omega)[2] == pytest.approx(diff, rel=1e-6)
 
     @pytest.mark.parametrize("nm", [420, 795, 1013])
-    def test_equals_scipy_on_calibrate_and_sweep(self, nm, monkeypatch):
-        calls = []
-
-        def recording(f, lo, hi, xatol):
-            got = _bounded_brent(f, lo, hi, xatol)
-            calls.append((got, scipy_bounded(f, lo, hi, xatol)))
-            return got
-
-        monkeypatch.setattr("picmod.fitting._bounded_brent", recording)
+    def test_noise_free_sweeps_recover_configured_v_pi(self, nm):
         cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
-        calibrate(cfg)
-        run_sweep(cfg, list(range(cfg.data["chip"]["n_channels"])))
-        assert len(calls) == 2 * cfg.data["chip"]["n_channels"]
-        for got, want in calls:
-            assert got == want
+        for ch in cfg.channels():
+            res = sweep_channel(ch, 0.0, 2 * ch.v_pi, 241)
+            assert res.fitted_v_pi == pytest.approx(ch.v_pi, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("f, lo, hi", [
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
-        (lambda x: math.cos(x), 0.0, 2.0 * math.pi),
-        (lambda x: x, -1.0, 1.0),  # minimum on the bound
-        (lambda x: abs(x - 1e-3), -2.0, 5.0),
-    ])
-    def test_equals_scipy_on_smooth_functions(self, f, lo, hi):
-        assert _bounded_brent(f, lo, hi, 1e-12) == scipy_bounded(f, lo, hi, 1e-12)
-
-    def test_evaluation_limit_is_not_ok(self, monkeypatch):
-        monkeypatch.setattr("picmod.fitting._REFINE_MAXFUN", 4)
-        got = _bounded_brent(math.cos, 0.0, 2.0 * math.pi, 1e-12)
-        assert got == scipy_bounded(math.cos, 0.0, 2.0 * math.pi, 1e-12, maxiter=4)
-        assert got[2:] == (4, False)
-
-    def test_nan_is_not_ok(self):
-        f = lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2  # noqa: E731
-        got = _bounded_brent(f, 0.0, 1.0, 1e-12)
-        assert got == scipy_bounded(f, 0.0, 1.0, 1e-12)
-        assert got[3] is False
-
-    def test_fit_raises_when_search_is_cut_short(self, monkeypatch):
-        monkeypatch.setattr("picmod.fitting._REFINE_MAXFUN", 2)
-        volts = np.linspace(0, 160, 201)
-        with pytest.raises(FitError, match="did not converge"):
-            fit_v_pi(volts, sin2(volts, 74.7))
+    @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps())
+    def test_agrees_with_scipy_bounded_minimiser(self, volts, trans):
+        omega = math.pi / fit_v_pi(volts, trans).v_pi
+        ref = scipy_refined_omega(volts, trans)
+        assert omega == pytest.approx(ref, rel=1e-7, abs=0.0)
+        # No larger up to the residual's own rounding: at the minimum, values
+        # one ulp of w apart scatter by up to 4e-15 relative.
+        sse, ref_sse = _linear_solve(volts, trans, omega)[1], _linear_solve(volts, trans, ref)[1]
+        assert sse <= ref_sse * (1.0 + 1e-14)

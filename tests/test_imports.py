@@ -200,8 +200,8 @@ COMMANDS = [
 
 def test_scipy_off_the_import_path(tmp_path):
     """No step of a run loads scipy: not `import picmod` or `picmod.cli`,
-    and not any subcommand. The root finder, the bounded minimiser and the
-    OU filter are picmod's own; scipy is only the tests' reference for them.
+    and not any subcommand. The root finder and the OU filter are picmod's
+    own; scipy is only the tests' reference for them.
     """
     config = SRC / "configs" / "pic_795nm.yaml"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

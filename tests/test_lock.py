@@ -68,7 +68,6 @@ def reference_run_lock(channel, noise, controller, duration, detector, engaged=T
     integ = 0.0
     times = []
     ers = []
-    leak_sum = 0.0
     limited = 0
     on_static = meas(1.0)
     off_static = meas(per_stage_transmission(channel, 0.0) / peak)
@@ -90,9 +89,8 @@ def reference_run_lock(channel, noise, controller, duration, detector, engaged=T
                     f"(unstable gains?)"
                 )
         eps = drift[k] + correction
-        p_off = per_stage_transmission(channel, eps) / peak
-        leak_sum += p_off
         if k % ER_SAMPLE_EVERY == 0:
+            p_off = per_stage_transmission(channel, eps) / peak
             limited += int(p_off <= floor)
             p_on_meas = meas(per_stage_transmission(channel, math.pi + eps) / peak)
             times.append(k * dt)
@@ -100,14 +98,12 @@ def reference_run_lock(channel, noise, controller, duration, detector, engaged=T
 
     times = np.asarray(times)
     ers = np.asarray(ers)
-    mean_leak = meas(leak_sum / n_updates)
     return LockRunResult(
         times=times,
         er_db=ers,
         locked_fraction=float(np.mean(ers >= er_static - LOCKED_MARGIN_DB)),
         er_mean_db=float(np.mean(ers)),
         er_std_db=float(np.std(ers)),
-        er_time_avg_db=float(-10.0 * math.log10(mean_leak)),
         final_error_rad=float(drift[n_updates - 1] + correction),
         detector_limited_samples=limited,
     )
