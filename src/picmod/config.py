@@ -288,9 +288,4 @@ class ExperimentConfig:
     def pulse_spec(self, block: bool = False) -> PulseSpec:
         pl = self.data["pulse"]
         period = pl["block_period_ms"] * 1e-3 if block else pl["period_us"] * 1e-6
-        return PulseSpec(
-            on_level=self.data["chip"]["v_pi_volts"],
-            off_level=0.0,
-            on_duration=pl["duty"] * period,
-            period=period,
-        )
+        return PulseSpec(on_duration=pl["duty"] * period, period=period)

@@ -1,15 +1,17 @@
 """On-chip inter-channel leakage model.
 
-Each channel pair carries two coupling coefficients: power injected
-upstream of the victim's modulator (attenuated by the victim's modulator
-state) and power injected downstream of it (always passed). On-chip
-contributions add incoherently; the three standard measurement scenarios
-differ only in the victim's optical input and modulator state.
+Each channel pair carries two coupling coefficients, linear fractions of
+the aggressor's power: power injected upstream of the victim's modulator
+(attenuated by the victim's modulator state) and power injected
+downstream of it (always passed). Couplings are given in dB and converted
+once, when the graph is built. On-chip contributions add incoherently;
+the three standard measurement scenarios differ only in the victim's
+optical input and modulator state.
 
 `crosstalk_matrix` evaluates every aggressor/victim pair at once from the
-closed form (in_v*T_v + lin(before)*T_v + lin(after)) / t_on. The tests
-spell the same sum out channel by channel, one pair at a time, as its
-reference.
+closed form (in_v*T_v + before*T_v + after) / t_on and reports it in dB.
+The tests spell the same sum out channel by channel, one pair at a time,
+as its reference.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ import numpy as np
 
 from .errors import PicmodError
 
-NEG_INF = float("-inf")
-
-
 class Scenario(enum.Enum):
     """Victim configuration: A = dark/OFF, B = dark/ON, C = lit/OFF."""
 
@@ -35,22 +34,22 @@ class Scenario(enum.Enum):
 
 @dataclass(frozen=True)
 class CrosstalkGraph:
-    """Pairwise dB power couplings, split by injection point."""
+    """Pairwise linear power couplings in [0, 1], split by injection point."""
 
     n_channels: int
-    coupling_before_db: np.ndarray  # [i][j]: i leaks into j upstream of j's modulator
-    coupling_after_db: np.ndarray  # [i][j]: downstream of j's modulator
+    coupling_before: np.ndarray  # [i][j]: i leaks into j upstream of j's modulator
+    coupling_after: np.ndarray  # [i][j]: downstream of j's modulator
 
     def __post_init__(self):
-        for name in ("coupling_before_db", "coupling_after_db"):
+        for name in ("coupling_before", "coupling_after"):
             m = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, m)
             if m.shape != (self.n_channels, self.n_channels):
                 raise PicmodError(f"{name} must be {self.n_channels}x{self.n_channels}")
-            if not np.all(np.isneginf(np.diag(m))):
-                raise PicmodError(f"{name} diagonal must be -inf (no self-coupling)")
-            if np.any(m > 0):
-                raise PicmodError(f"{name} entries must be <= 0 dB")
+            if np.any(np.diag(m) != 0.0):
+                raise PicmodError(f"{name} diagonal must be 0 (no self-coupling)")
+            if not np.all((m >= 0.0) & (m <= 1.0)):
+                raise PicmodError(f"{name} entries must lie in [0, 1]")
 
 
 def nearest_neighbor_graph(
@@ -60,28 +59,15 @@ def nearest_neighbor_graph(
     before_nnn_db: float = -90.0,
     after_nnn_db: float = -90.0,
 ) -> CrosstalkGraph:
-    """Symmetric graph with NN and NNN couplings, nothing beyond."""
-    before = np.full((n_channels, n_channels), NEG_INF)
-    after = np.full((n_channels, n_channels), NEG_INF)
-    for i in range(n_channels):
-        for j in range(n_channels):
-            if abs(i - j) == 1:
-                before[i, j] = before_nn_db
-                after[i, j] = after_nn_db
-            elif abs(i - j) == 2:
-                before[i, j] = before_nnn_db
-                after[i, j] = after_nnn_db
-    return CrosstalkGraph(n_channels, before, after)
+    """Symmetric graph with NN and NNN couplings given in dB, nothing beyond."""
+    dist = np.abs(np.subtract.outer(np.arange(n_channels), np.arange(n_channels)))
 
+    def couplings(nn_db, nnn_db):
+        return np.select([dist == 1, dist == 2], [10.0 ** (nn_db / 10.0), 10.0 ** (nnn_db / 10.0)])
 
-def _lin(db: float) -> float:
-    return 0.0 if db == NEG_INF else 10.0 ** (db / 10.0)
-
-
-def _lin_matrix(db: np.ndarray) -> np.ndarray:
-    # Entry by entry: numpy's array power can differ from the scalar one in
-    # the last bit, and the matrix must equal the per-pair sum.
-    return np.array([_lin(v) for v in db.ravel().tolist()]).reshape(db.shape)
+    return CrosstalkGraph(
+        n_channels, couplings(before_nn_db, before_nnn_db), couplings(after_nn_db, after_nnn_db)
+    )
 
 
 def crosstalk_matrix(
@@ -105,15 +91,13 @@ def crosstalk_matrix(
         Scenario.B: (0.0, t_on),
         Scenario.C: (1.0, t_off),
     }[scenario]
-    lin_before = _lin_matrix(graph.coupling_before_db)
-    lin_after = _lin_matrix(graph.coupling_after_db)
-    leak = lin_before * t_v + lin_after
+    leak = graph.coupling_before * t_v + graph.coupling_after
     out_v = in_v * t_v + leak
     rel = out_v / t_on
     if detector is not None:
         rel = detector.measure(rel)
     out = np.array(
-        [NEG_INF if r == 0.0 else 10.0 * math.log10(r) for r in rel.ravel().tolist()]
+        [-math.inf if r == 0.0 else 10.0 * math.log10(r) for r in rel.ravel().tolist()]
     ).reshape(rel.shape)
     np.fill_diagonal(out, 0.0)
     return out

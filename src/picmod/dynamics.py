@@ -38,7 +38,7 @@ class KernelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Waveform:
-    """Uniformly sampled drive-voltage time series."""
+    """Uniformly sampled time series: a drive voltage or an optical trace."""
 
     sample_period: float
     samples: np.ndarray
@@ -55,22 +55,6 @@ class Waveform:
 
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) * self.sample_period
-
-
-@dataclass(frozen=True)
-class OpticalTrace:
-    """Normalized optical power on the same grid as the driving waveform."""
-
-    sample_period: float
-    power: np.ndarray
-
-    def __post_init__(self):
-        if self.sample_period <= 0:
-            raise PicmodError("sample_period must be positive")
-        object.__setattr__(self, "power", np.asarray(self.power, dtype=float))
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.power.size) * self.sample_period
 
 
 @dataclass(frozen=True)
@@ -206,7 +190,7 @@ def trace_optical(
     channel: ModulatorChannel,
     response: ActuatorResponse,
     drive: Waveform,
-) -> OpticalTrace:
+) -> Waveform:
     """Time-resolved optical power for a drive applied to every stage.
 
     The actuator filters the voltage (phase is linear in voltage, so
@@ -217,8 +201,7 @@ def trace_optical(
         raise GridError("kernel and drive sample periods differ")
     v_eff = convolve_causal(drive.samples, response.impulse_kernel)
     power = channel_transmission_equal(channel, v_eff, include_loss=False)
-    power = power / channel.max_transmission()
-    return OpticalTrace(sample_period=drive.sample_period, power=np.asarray(power))
+    return Waveform(drive.sample_period, power / channel.max_transmission())
 
 
 def on_hold_samples(response: ActuatorResponse) -> int:
@@ -233,7 +216,7 @@ def step_response_trace(
     response: ActuatorResponse,
     v_from: float,
     v_to: float,
-) -> OpticalTrace:
+) -> Waveform:
     """Optical trace of a settled voltage step, starting just before the step.
 
     The pre-step level is held for `on_hold_samples`, so the returned
@@ -244,16 +227,16 @@ def step_response_trace(
     n_after = max(int(20 * response.rise_time_10_90 / dt), 64)
     samples = np.concatenate([np.full(n_settle, v_from), np.full(n_after, v_to)])
     trace = trace_optical(channel, response, Waveform(dt, samples))
-    return OpticalTrace(dt, trace.power[n_settle - 2:])
+    return Waveform(dt, trace.samples[n_settle - 2:])
 
 
-def measure_rise_time(trace: OpticalTrace) -> float:
+def measure_rise_time(trace: Waveform) -> float:
     """10-90% rise time of the settled transition in a trace.
 
     Thresholds are taken on the settled span (initial sample to the median
     of the final 10%); crossing times are linearly interpolated.
     """
-    power = trace.power
+    power = trace.samples
     if power.size < 3:
         raise NoTransitionError("trace too short")
     start = float(power[0])

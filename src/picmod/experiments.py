@@ -10,20 +10,14 @@ from .config import ExperimentConfig
 from .core import sweep_channel
 from .crosstalk import Scenario, crosstalk_matrix, nn_mean_db, predict_scenario_c_db
 from .beams import make_beam_array, site_leakage_report, target_plane_profile
-from .dynamics import (
-    Waveform,
-    measure_rise_time,
-    on_hold_samples,
-    step_response_trace,
-    trace_optical,
-)
+from .dynamics import Waveform, measure_rise_time, on_hold_samples, step_response_trace
 from .errors import PicmodError
 from .lock import noisy_pulse_experiment, run_lock
 from .reports import RunReport
 from .waveforms import (
     PredistortionProblem,
-    dynamic_extinction,
     predistort,
+    simulate_switch_off,
     switch_off_target_phase,
 )
 
@@ -75,14 +69,11 @@ def run_pulse(cfg: ExperimentConfig, mode: str) -> tuple[RunReport, Tables]:
     report = RunReport(f"pulse_{mode}", cfg.hash, cfg.seed)
 
     if mode == "naive":
+        # A square step, v_pi to 0: its trace ends with the settle window.
         n_pre = on_hold_samples(response)
         n_post = int(round(settle / dt))
-        samples = np.concatenate([np.full(n_pre, channel.v_pi), np.zeros(n_post)])
-        drive = Waveform(dt, samples)
-        trace = trace_optical(channel, response, drive)
-        ext = dynamic_extinction(trace, n_pre * dt)
-        t_floor, reached = ext.time_to(target)
-        floor = float(ext.envelope[-1])
+        drive = Waveform(dt, np.concatenate([np.full(n_pre, channel.v_pi), np.zeros(n_post)]))
+        result = simulate_switch_off(channel, response, drive, n_pre * dt, settle, target)
     else:
         phase, switch_time = switch_off_target_phase(response, pd["ramp_time_ns"] * 1e-9, settle)
         problem = PredistortionProblem(
@@ -95,10 +86,7 @@ def run_pulse(cfg: ExperimentConfig, mode: str) -> tuple[RunReport, Tables]:
             settle_window=settle,
             extinction_target=target,
         )
-        solution = predistort(problem)
-        drive, trace = solution.drive, solution.trace
-        t_floor, reached = solution.time_to_floor, solution.converged
-        floor = solution.achieved_floor
+        result = predistort(problem)
 
     rise = measure_rise_time(
         step_response_trace(channel, response, 0.5 * channel.v_pi, 0.51 * channel.v_pi)
@@ -106,14 +94,15 @@ def run_pulse(cfg: ExperimentConfig, mode: str) -> tuple[RunReport, Tables]:
     report.add("small_signal_rise", rise * 1e9, "ns")
     report.add(
         "extinction_floor",
-        floor,
+        result.achieved_floor,
         "relative power",
         threshold=f"<= {target:g} within the settle window" if mode == "optimized" else None,
-        passed=reached if mode == "optimized" else None,
+        passed=result.converged if mode == "optimized" else None,
     )
-    report.add("time_to_target", t_floor * 1e9, "ns")
+    report.add("time_to_target", result.time_to_floor * 1e9, "ns")
+    trace, drive = result.trace, result.drive
     tables = {
-        f"pulse_{mode}_trace.csv": (["time_s", "value"], [trace.times(), trace.power]),
+        f"pulse_{mode}_trace.csv": (["time_s", "value"], [trace.times(), trace.samples]),
         f"pulse_{mode}_drive.csv": (["time_s", "voltage_v"], [drive.times(), drive.samples]),
     }
     return report, tables

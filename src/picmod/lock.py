@@ -37,7 +37,7 @@ from .dynamics import convolve_causal
 from .errors import LockDivergedError, PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .rng import derive_rng
-from .waveforms import PulseSpec, make_pulse_train
+from .waveforms import PulseSpec, pulse_period
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,9 @@ def noisy_pulse_experiment(
 ) -> PulseStats:
     """Pulse-area statistics of a noisy pulse train.
 
-    Per-pulse multiplicative amplitude jitter plus slow bias and v_pi
-    drift act on the train; areas are reported per block of n_pulses
+    Each pulse drives the channel from 0 to its v_pi and back on the timing
+    of spec. Per-pulse multiplicative amplitude jitter plus slow bias and
+    v_pi drift act on the train; areas are reported per block of n_pulses
     pulses. The bias lock is engaged, so the bias motion is its residual
     (LOCKED_RESIDUAL) rather than the free drift. Given an actuator
     response, a single-block run of at most MAX_TRACE_SAMPLES samples is
@@ -231,13 +232,14 @@ def noisy_pulse_experiment(
         raise PicmodError("need n_pulses >= 1 and n_blocks >= 1")
     total = n_pulses * n_blocks
     if response is not None:
-        n_period = int(round(spec.period / response.sample_period))
+        kernel, dt = response.impulse_kernel, response.sample_period
+        pulse = pulse_period(spec, channel.v_pi, dt).samples  # GridError off the sample grid
+        n_period = pulse.size
         if n_blocks != 1:
             raise PicmodError("an optical trace needs n_blocks == 1")
         if total * n_period > MAX_TRACE_SAMPLES:
             raise PicmodError(f"an optical trace is limited to {MAX_TRACE_SAMPLES} samples")
-    dt_pulse = spec.period
-    duration = (total - 1) * dt_pulse
+    duration = (total - 1) * spec.period
 
     jitter_rng = derive_rng(noise.seed, "pulse-experiment", "amplitude-jitter")
     bias_rng = derive_rng(noise.seed, "pulse-experiment", "bias-drift")
@@ -247,23 +249,21 @@ def noisy_pulse_experiment(
     # there is no drift to track.
     bias_params = LOCKED_RESIDUAL if noise.bias_drift.sigma > 0 else noise.bias_drift
     eps = sample_ou_path(
-        bias_params.sigma, bias_params.correlation_time, duration, dt_pulse, rng=bias_rng
+        bias_params.sigma, bias_params.correlation_time, duration, spec.period, rng=bias_rng
     )[:total]
     delta = sample_ou_path(
         noise.v_pi_drift.sigma,
         noise.v_pi_drift.correlation_time,
         duration,
-        dt_pulse,
+        spec.period,
         rng=vpi_rng,
     )[:total]
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
 
     on_power = channel.power_at_phase(math.pi)
     if response is not None:
-        kernel, dt = response.impulse_kernel, response.sample_period
         # From period ceil((k - 1) / n_period) on, a k-tap kernel sees the
         # same input history in every period, so its output repeats exactly.
-        pulse = make_pulse_train(spec, 1, dt).samples  # GridError off the sample grid
         n_head = min(total, -(-(kernel.size - 1) // n_period) + 1)
         head = convolve_causal(np.tile(pulse, n_head), kernel).reshape(n_head, n_period)
         areas = np.empty(total)

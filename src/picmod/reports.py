@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import PicmodError
@@ -69,12 +69,20 @@ class RunReport:
 
 def load_report(path) -> dict:
     """The run report saved at path. Raises PicmodError, naming the path,
-    when the file is not JSON or not a run report."""
+    when the file cannot be read, is not JSON or is not a run report."""
     try:
         data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise PicmodError(f"{path} cannot be read ({exc.strerror})") from exc
     except ValueError as exc:
         raise PicmodError(f"{path} is not a run report ({exc})") from exc
     for key in ("experiment_kind", "config_hash", "metrics", "passed"):
         if not isinstance(data, dict) or key not in data:
             raise PicmodError(f"{path} is not a run report (missing {key!r})")
+    # The report table reads every field of every metric.
+    keys = [f.name for f in fields(Metric)]
+    if not isinstance(data["metrics"], list) or not all(
+        isinstance(m, dict) and all(k in m for k in keys) for m in data["metrics"]
+    ):
+        raise PicmodError(f"{path} is not a run report (metrics must be objects with {keys})")
     return data

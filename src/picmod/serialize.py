@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import OpticalTrace, Waveform
+from .dynamics import Waveform
 from .errors import PicmodError
 
 
@@ -93,6 +93,5 @@ def config_hash(data: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_trace_csv(path, trace: OpticalTrace | Waveform) -> None:
-    values = trace.power if isinstance(trace, OpticalTrace) else trace.samples
-    write_csv(path, ["time_s", "value"], [trace.times(), values])
+def write_trace_csv(path, trace: Waveform) -> None:
+    write_csv(path, ["time_s", "value"], [trace.times(), trace.samples])

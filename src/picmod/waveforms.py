@@ -1,11 +1,11 @@
-"""Drive-waveform synthesis: pulse trains, pre-distortion, switch-off targets
-and the dynamic extinction of a switch-off.
+"""Drive-waveform synthesis: pulse timing, pre-distortion, switch-off targets
+and the one switch-off check.
 
 Pre-distortion solves for the drive that makes the actuator's phase output
 follow a target trajectory: one Tikhonov-regularized frequency-domain
-deconvolution, clipped to the drive limit. The reported extinction floor
-is recomputed by an independent forward simulation of the returned drive
-through the full nonlinear optical model.
+deconvolution, clipped to the drive limit. `simulate_switch_off` checks
+every switch-off drive, pre-distorted or a square step, by a forward
+simulation through the full nonlinear optical model.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModulatorChannel, fringe_coeffs
-from .dynamics import ActuatorResponse, OpticalTrace, Waveform, on_hold_samples, trace_optical
+from .dynamics import ActuatorResponse, Waveform, on_hold_samples, trace_optical
 from .errors import GridError, PicmodError, UnachievableTargetError
 
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Periodic ON/OFF drive pulse description."""
+    """Timing of a periodic pulse: ON for on_duration in every period."""
 
-    on_level: float
-    off_level: float
     on_duration: float
     period: float
 
@@ -41,17 +39,14 @@ def _grid_count(duration: float, dt: float, what: str) -> int:
     return int(round(n))
 
 
-def make_pulse_train(spec: PulseSpec, n_pulses: int, sample_period: float) -> Waveform:
-    """Deterministic waveform of n_pulses periods of the pulse spec."""
-    if n_pulses < 0:
-        raise PicmodError("n_pulses must be >= 0")
-    if n_pulses == 0:
-        return Waveform(sample_period, np.empty(0))
+def pulse_period(spec: PulseSpec, v_pi: float, sample_period: float) -> Waveform:
+    """One period of the pulse drive, v_pi while ON and 0 after. Raises
+    GridError unless both durations are whole numbers of samples."""
     n_period = _grid_count(spec.period, sample_period, "period")
     n_on = _grid_count(spec.on_duration, sample_period, "on_duration")
-    one = np.full(n_period, spec.off_level, dtype=float)
-    one[:n_on] = spec.on_level
-    return Waveform(sample_period, np.tile(one, n_pulses))
+    one = np.zeros(n_period)
+    one[:n_on] = v_pi
+    return Waveform(sample_period, one)
 
 
 def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarray:
@@ -101,12 +96,11 @@ class DynamicExtinction:
         """
         below = self.envelope < threshold
         if not np.any(below):
-            window = float(self.times[-1]) if self.times.size else 0.0
-            return window, False
+            return float(self.times[-1]), False
         return float(self.times[int(np.argmax(below))]), True
 
 
-def dynamic_extinction(trace: OpticalTrace, switch_time: float) -> DynamicExtinction:
+def dynamic_extinction(trace: Waveform, switch_time: float) -> DynamicExtinction:
     """Reverse-cumulative-max envelope of post-switch power vs time.
 
     Normalized to the settled ON level just before the switch. The
@@ -114,15 +108,15 @@ def dynamic_extinction(trace: OpticalTrace, switch_time: float) -> DynamicExtinc
     non-increasing worst-case-remaining summary.
     """
     dt = trace.sample_period
-    n = trace.power.size
+    n = trace.samples.size
     idx = int(round(switch_time / dt))
     if not 0 < idx < n:
         raise PicmodError(f"switch_time {switch_time} outside trace")
-    pre = trace.power[max(0, idx - max(8, idx // 4)):idx]
+    pre = trace.samples[max(0, idx - max(8, idx // 4)):idx]
     on_level = float(np.median(pre))
     if on_level <= 0:
         raise PicmodError("pre-switch ON level is not positive")
-    post = trace.power[idx:]
+    post = trace.samples[idx:]
     envelope = np.maximum.accumulate(post[::-1])[::-1] / on_level
     times = np.arange(post.size) * dt
     return DynamicExtinction(times=times, envelope=envelope)
@@ -156,10 +150,10 @@ class PredistortionProblem:
 
 
 @dataclass(frozen=True)
-class PredistortionSolution:
+class SwitchOffResult:
     drive: Waveform
-    trace: OpticalTrace  # the verified optical trace of the drive
-    achieved_floor: float
+    trace: Waveform  # the drive's simulated optical trace
+    achieved_floor: float  # envelope at the end of the settle window
     time_to_floor: float
     converged: bool
     # Never set; perfbench/tracer.py reads it for waveforms.predistort.iterations.
@@ -183,30 +177,51 @@ def _deconvolve(signal: np.ndarray, kernel: np.ndarray, relative_reg: float) -> 
     return u[pad:pad + signal.size]
 
 
-def predistort(problem: PredistortionProblem) -> PredistortionSolution:
-    """Solve for a drive whose optical output meets the extinction target.
+def simulate_switch_off(
+    channel: ModulatorChannel,
+    response: ActuatorResponse,
+    drive: Waveform,
+    switch_time: float,
+    settle_window: float,
+    extinction_target: float,
+) -> SwitchOffResult:
+    """Forward check of a switch-off drive through the full optical model.
 
-    The target phase is deconvolved by the kernel and the drive clipped to
-    +/- v_max; the floor, the time to reach the target and convergence are
-    then read from an independent forward simulation of that drive.
-    """
-    v_pi = problem.channel.v_pi
-    dt = problem.response.sample_period
-    phase_cmd = _deconvolve(
-        problem.target_phase, problem.response.impulse_kernel, problem.regularization
-    )
-    drive = Waveform(dt, np.clip(phase_cmd * v_pi / math.pi, -problem.v_max, problem.v_max))
-
-    trace = trace_optical(problem.channel, problem.response, drive)
-    ext = dynamic_extinction(trace, problem.switch_time)
-    window_idx = min(int(round(problem.settle_window / dt)), ext.envelope.size - 1)
-    t_floor, reached = ext.time_to(problem.extinction_target)
-    return PredistortionSolution(
+    The floor is the extinction envelope settle_window after the switch, or
+    at the trace's end; the drive converged if the envelope falls below
+    extinction_target within the window."""
+    trace = trace_optical(channel, response, drive)
+    ext = dynamic_extinction(trace, switch_time)
+    window_idx = min(int(round(settle_window / drive.sample_period)), ext.envelope.size - 1)
+    t_floor, reached = ext.time_to(extinction_target)
+    return SwitchOffResult(
         drive=drive,
         trace=trace,
         achieved_floor=float(ext.envelope[window_idx]),
         time_to_floor=t_floor,
-        converged=reached and t_floor <= problem.settle_window + 1e-15,
+        converged=reached and t_floor <= settle_window + 1e-15,
+    )
+
+
+def predistort(problem: PredistortionProblem) -> SwitchOffResult:
+    """Solve for a drive whose optical output meets the extinction target.
+
+    The target phase is deconvolved by the kernel and the drive clipped to
+    +/- v_max; the floor, the time to reach the target and convergence are
+    then read from `simulate_switch_off`, an independent forward
+    simulation of that drive.
+    """
+    phase_cmd = _deconvolve(
+        problem.target_phase, problem.response.impulse_kernel, problem.regularization
+    )
+    v_cmd = np.clip(phase_cmd * problem.channel.v_pi / math.pi, -problem.v_max, problem.v_max)
+    return simulate_switch_off(
+        problem.channel,
+        problem.response,
+        Waveform(problem.response.sample_period, v_cmd),
+        problem.switch_time,
+        problem.settle_window,
+        problem.extinction_target,
     )
 
 

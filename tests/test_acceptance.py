@@ -141,8 +141,8 @@ class TestAcceptance:
         )
 
     def test_06_pulse_stability(self, channel_714):
-        spec = PulseSpec(74.7, 0.0, 0.5e-6, 1e-6)
-        block_spec = PulseSpec(74.7, 0.0, 0.5e-3, 1e-3)
+        spec = PulseSpec(0.5e-6, 1e-6)
+        block_spec = PulseSpec(0.5e-3, 1e-3)
         area_stds, block_stds = [], []
         for seed in range(20):
             noise = NoiseModel(

@@ -321,6 +321,28 @@ class TestCli:
             assert line.startswith(f"error: {path} is not a run report")
             assert line.count(str(path)) == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot be read"),  # a directory named like a report
+            ('[{"name": "a"}]', "is not a run report"),  # a metric without its fields
+            ("5", "is not a run report"),  # metrics that are no list
+        ],
+        ids=["directory", "metric-fields", "metrics-not-list"],
+    )
+    def test_report_bad_entries_exit_2(self, tmp_path, content, message):
+        path = tmp_path / "x_report.json"
+        if content is None:
+            path.mkdir()
+        else:
+            report = {"experiment_kind": "k", "config_hash": "h", "passed": True}
+            path.write_text(json.dumps(report)[:-1] + f', "metrics": {content}}}')
+        res = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith(f"error: {path} {message}")
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_determinism_byte_identical(self, config_path_795, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):

@@ -37,10 +37,6 @@ class ChannelState:
             raise PicmodError("modulator_transmission must lie in [0,1]")
 
 
-def lin(db):
-    return 0.0 if db == -math.inf else 10.0 ** (db / 10.0)
-
-
 def victim_output(graph, states, victim):
     """Linear power at the victim's output (incoherent sum of all paths)."""
     if len(states) != graph.n_channels:
@@ -52,8 +48,8 @@ def victim_output(graph, states, victim):
     for i, st in enumerate(states):
         if i == victim or st.optical_input == 0.0:
             continue
-        leak = lin(graph.coupling_before_db[i, victim]) * vs.modulator_transmission
-        leak += lin(graph.coupling_after_db[i, victim])
+        leak = graph.coupling_before[i, victim] * vs.modulator_transmission
+        leak += graph.coupling_after[i, victim]
         out += st.optical_input * leak
     return out
 
@@ -155,13 +151,14 @@ def per_pair_matrix(graph, scenario, t_on, t_off, detector=None):
 
 
 def random_graph(n, seed):
-    """Asymmetric couplings at every distance, some pairs uncoupled."""
+    """Asymmetric linear couplings (-110 to -20 dB) at every distance, some
+    pairs uncoupled (exactly 0)."""
     rng = np.random.default_rng(seed)
     mats = []
     for _ in range(2):
-        m = rng.uniform(-110.0, -20.0, (n, n))
-        m[rng.random((n, n)) < 0.2] = -math.inf
-        np.fill_diagonal(m, -math.inf)
+        m = 10.0 ** rng.uniform(-11.0, -2.0, (n, n))
+        m[rng.random((n, n)) < 0.2] = 0.0
+        np.fill_diagonal(m, 0.0)
         mats.append(m)
     return CrosstalkGraph(n, *mats)
 
@@ -188,17 +185,39 @@ class TestClosedFormMatchesPerPairSum:
 
 
 class TestGraphValidation:
-    def test_diagonal_must_be_neg_inf(self):
-        before = np.zeros((3, 3))
-        with pytest.raises(PicmodError):
-            CrosstalkGraph(3, before, before)
-
-    def test_positive_coupling_rejected(self):
-        m = np.full((3, 3), float("-inf"))
+    def test_nonzero_diagonal_rejected(self):
+        m = np.zeros((3, 3))
         bad = m.copy()
-        bad[0, 1] = 1.0
-        with pytest.raises(PicmodError):
-            CrosstalkGraph(3, bad, m)
+        bad[1, 1] = 1e-9
+        for before, after in ((bad, m), (m, bad)):
+            with pytest.raises(PicmodError, match="diagonal must be 0"):
+                CrosstalkGraph(3, before, after)
+
+    @pytest.mark.parametrize("value", [-1e-12, 1.0 + 1e-12, 10.0, math.nan, math.inf])
+    def test_coupling_outside_unit_interval_rejected(self, value):
+        m = np.zeros((3, 3))
+        bad = m.copy()
+        bad[0, 1] = value
+        for before, after in ((bad, m), (m, bad)):
+            with pytest.raises(PicmodError, match=r"must lie in \[0, 1\]"):
+                CrosstalkGraph(3, before, after)
+
+    def test_unit_interval_ends_accepted(self):
+        m = np.zeros((2, 2))
+        m[0, 1] = 1.0
+        g = CrosstalkGraph(2, m, m.T)
+        assert g.coupling_before[0, 1] == 1.0 and g.coupling_after[1, 0] == 1.0
+
+    def test_nearest_neighbor_graph_is_linear(self):
+        # Each dB input converted by the scalar power 10**(dB/10), nothing
+        # beyond distance 2, and an input of -inf dB is no coupling.
+        g = nearest_neighbor_graph(6, -45.3, -76.2, -60.0, -math.inf)
+        want_before = {1: 10.0 ** (-45.3 / 10.0), 2: 10.0 ** (-60.0 / 10.0)}
+        want_after = {1: 10.0 ** (-76.2 / 10.0), 2: 0.0}
+        for i in range(6):
+            for j in range(6):
+                assert g.coupling_before[i, j] == want_before.get(abs(i - j), 0.0)
+                assert g.coupling_after[i, j] == want_after.get(abs(i - j), 0.0)
 
     def test_channel_state_validation(self):
         with pytest.raises(PicmodError):

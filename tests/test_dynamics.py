@@ -16,7 +16,6 @@ from picmod.dynamics import (
     _second_order_kernel,
     ActuatorResponse,
     KernelKind,
-    OpticalTrace,
     Waveform,
     convolve_causal,
     measure_rise_time,
@@ -242,7 +241,8 @@ class TestConvolveCausal:
 class TestTraceOptical:
     def test_zero_drive_on_nulled_channel(self, ideal_channel, fo_response):
         trace = trace_optical(ideal_channel, fo_response, Waveform(1e-9, np.zeros(100)))
-        assert np.allclose(trace.power, 0.0, atol=1e-15)
+        assert isinstance(trace, Waveform) and trace.sample_period == 1e-9
+        assert np.allclose(trace.samples, 0.0, atol=1e-15)
 
     def test_full_swing_optical_rise_matches_quartic_oracle(self, ideal_channel, fo_response):
         # The optics compress the edge: a full 0 -> v_pi swing through the
@@ -274,13 +274,13 @@ class TestTraceOptical:
         trace = trace_optical(channel_714, fo_response, drive)
         expected = channel_transmission_equal(channel_714, v, include_loss=False)
         expected /= channel_714.max_transmission()
-        assert trace.power[-1] == pytest.approx(expected, abs=1e-9)
+        assert trace.samples[-1] == pytest.approx(expected, abs=1e-9)
 
     def test_naive_second_order_off_switch_rings_above_target(
         self, ideal_channel, so_response
     ):
         trace = step_response_trace(ideal_channel, so_response, 74.7, 0.0)
-        post = trace.power[2:]
+        post = trace.samples[2:]
         assert np.max(post[200:]) > 1e-6  # ringing persists past the edge
 
 
@@ -291,7 +291,7 @@ def ten_rise_hold_step(channel, response, v_from, v_to):
     n_settle = max(response.impulse_kernel.size + 2, int(10 * response.rise_time_10_90 / dt))
     n_after = max(int(20 * response.rise_time_10_90 / dt), 64)
     samples = np.concatenate([np.full(n_settle, v_from), np.full(n_after, v_to)])
-    return trace_optical(channel, response, Waveform(dt, samples)).power[n_settle - 2:]
+    return trace_optical(channel, response, Waveform(dt, samples)).samples[n_settle - 2:]
 
 
 def actuator(rise, zeta):
@@ -313,9 +313,9 @@ class TestSettleHold:
         got = step_response_trace(channel_714, response, v_from, v_to)
         want = ten_rise_hold_step(channel_714, response, v_from, v_to)
         if response.impulse_kernel.size < DIRECT_KERNEL_LIMIT:
-            assert np.array_equal(got.power, want)
+            assert np.array_equal(got.samples, want)
         else:  # the FFT length follows the hold length
-            np.testing.assert_allclose(got.power, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=0.0)
 
     def test_shorter_hold_on_fft_branch(self, channel_714):
         # A slow, nearly critically damped kernel: 10 rise times outlast
@@ -327,28 +327,28 @@ class TestSettleHold:
         v_from, v_to = 0.5 * channel_714.v_pi, 0.51 * channel_714.v_pi
         got = step_response_trace(channel_714, response, v_from, v_to)
         want = ten_rise_hold_step(channel_714, response, v_from, v_to)
-        np.testing.assert_allclose(got.power, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.samples, want, rtol=1e-12, atol=0.0)
 
 
 class TestMeasureRiseTime:
     def test_analytic_first_order_trace(self):
         tau = 26e-9 / math.log(9)
         t = np.arange(0, 300e-9, 1e-9)
-        trace = OpticalTrace(1e-9, 1 - np.exp(-t / tau))
+        trace = Waveform(1e-9, 1 - np.exp(-t / tau))
         assert measure_rise_time(trace) == pytest.approx(26e-9, abs=1e-9)
 
     def test_instantaneous_step(self):
-        trace = OpticalTrace(1e-9, np.concatenate([np.zeros(5), np.ones(50)]))
+        trace = Waveform(1e-9, np.concatenate([np.zeros(5), np.ones(50)]))
         assert measure_rise_time(trace) <= 1e-9
 
     def test_flat_trace(self):
         with pytest.raises(NoTransitionError):
-            measure_rise_time(OpticalTrace(1e-9, np.full(100, 0.5)))
+            measure_rise_time(Waveform(1e-9, np.full(100, 0.5)))
 
     def test_falling_transition(self):
         tau = 10e-9
         t = np.arange(0, 200e-9, 1e-9)
-        trace = OpticalTrace(1e-9, np.exp(-t / tau))
+        trace = Waveform(1e-9, np.exp(-t / tau))
         assert measure_rise_time(trace) == pytest.approx(tau * math.log(9), rel=0.02)
 
 

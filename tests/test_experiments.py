@@ -8,8 +8,8 @@ import pytest
 from picmod.config import ExperimentConfig
 from picmod.errors import PicmodError
 from picmod.experiments import run_crosstalk, run_pulse, run_sweep
-from picmod.dynamics import on_hold_samples
-from picmod.waveforms import switch_off_target_phase
+from picmod.dynamics import Waveform, on_hold_samples, trace_optical
+from picmod.waveforms import dynamic_extinction, simulate_switch_off, switch_off_target_phase
 
 
 def test_experiments_return_tables_and_write_no_files(config_1013, tmp_path, monkeypatch):
@@ -63,6 +63,33 @@ def test_naive_and_optimized_pulses_hold_on_equally_long(config_795):
     phase, switch_time = switch_off_target_phase(response, 52e-9, 1e-6)
     assert switch_time == n_on * response.sample_period
     assert np.all(phase[:n_on] == np.pi) and phase[n_on] < np.pi
+
+
+@pytest.mark.parametrize("nm", [420, 795, 1013])
+def test_naive_pulse_is_the_switch_off_check_of_a_square_step(nm, request):
+    cfg = request.getfixturevalue(f"config_{nm}")
+    channel, response = cfg.channels()[0], cfg.actuator()
+    pd = cfg.data["predistortion"]
+    settle, target = pd["settle_window_us"] * 1e-6, pd["extinction_target"]
+    dt = response.sample_period
+    n_pre = on_hold_samples(response)
+    samples = np.concatenate([np.full(n_pre, channel.v_pi), np.zeros(round(settle / dt))])
+    drive = Waveform(dt, samples)
+    result = simulate_switch_off(channel, response, drive, n_pre * dt, settle, target)
+
+    # The check spelled out: the trace ends with the settle window, so the
+    # floor is the envelope's last sample, and converged is reached.
+    ext = dynamic_extinction(trace_optical(channel, response, drive), n_pre * dt)
+    t_floor, reached = ext.time_to(target)
+    assert result.achieved_floor == ext.envelope[-1]
+    assert (result.time_to_floor, result.converged) == (t_floor, reached)
+
+    report, tables = run_pulse(cfg, "naive")
+    rows = {m.name: m.value for m in report.metrics}
+    assert rows["extinction_floor"] == result.achieved_floor
+    assert rows["time_to_target"] == result.time_to_floor * 1e9
+    assert np.array_equal(tables["pulse_naive_drive.csv"][1][1], samples)
+    assert np.array_equal(tables["pulse_naive_trace.csv"][1][1], result.trace.samples)
 
 
 def test_optimized_verdict_is_the_solutions_convergence(config_795):

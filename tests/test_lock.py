@@ -9,7 +9,7 @@ import pytest
 
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
-from picmod.dynamics import DIRECT_KERNEL_LIMIT, OpticalTrace, convolve_causal, trace_optical
+from picmod.dynamics import DIRECT_KERNEL_LIMIT, Waveform, convolve_causal, trace_optical
 from picmod.errors import GridError, LockDivergedError, PicmodError
 from picmod.lock import (
     _TRACE_CHUNK_SAMPLES,
@@ -24,7 +24,7 @@ from picmod.lock import (
 )
 from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from picmod.rng import derive_rng
-from picmod.waveforms import PulseSpec, make_pulse_train
+from picmod.waveforms import PulseSpec, pulse_period
 
 from conftest import CONFIG_DIR
 
@@ -277,8 +277,8 @@ class TestRunLockOracle:
         assert str(got.value) == str(want.value)
 
 
-SPEC = PulseSpec(on_level=74.7, off_level=0.0, on_duration=0.5e-6, period=1e-6)
-BLOCK_SPEC = PulseSpec(on_level=74.7, off_level=0.0, on_duration=0.5e-3, period=1e-3)
+SPEC = PulseSpec(on_duration=0.5e-6, period=1e-6)
+BLOCK_SPEC = PulseSpec(on_duration=0.5e-3, period=1e-3)
 
 
 class TestNoisyPulseExperiment:
@@ -328,23 +328,33 @@ class TestNoisyPulseExperiment:
         stats = noisy_pulse_experiment(channel, SPEC, drift_noise, 400)
         assert stats.areas.mean() == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_mean_area_rejected(self, ideal_channel, fo_response):
-        # A dark drive holds the ideal channel at its exact null, so every
-        # pulse area on the trace path is 0.
-        dark = PulseSpec(on_level=0.0, off_level=0.0, on_duration=0.5e-6, period=1e-6)
+    @pytest.mark.parametrize("path", ["closed", "trace"])
+    def test_zero_mean_area_rejected(self, fo_response, path):
+        response = fo_response if path == "trace" else None
         with pytest.raises(PicmodError, match="zero mean pulse area"):
             noisy_pulse_experiment(
-                ideal_channel, dark, NoiseModel(seed=0), 10, response=fo_response
+                DarkPulseChannel(), SPEC, NoiseModel(seed=0), 10, response=response
             )
+
+
+class DarkPulseChannel:
+    """Stub channel: an ON level of 1 (power_at_phase of the scalar pi, which
+    the areas are divided by), but no power at any array of pulse phases,
+    so every pulse area is 0."""
+
+    v_pi = 74.7
+
+    def power_at_phase(self, phase):
+        return 1.0 if np.ndim(phase) == 0 else np.zeros(np.shape(phase))
 
 
 def pulse_areas(trace, spec):
     """Oracle: trapezoidal area of each whole period of a trace, divided by
     their mean."""
     n_period = int(round(spec.period / trace.sample_period))
-    if trace.power.size == 0 or trace.power.size % n_period != 0:
-        raise GridError(f"trace length {trace.power.size} is not whole {n_period}-sample periods")
-    areas = np.trapezoid(trace.power.reshape(-1, n_period), dx=trace.sample_period, axis=1)
+    if trace.samples.size == 0 or trace.samples.size % n_period != 0:
+        raise GridError(f"trace length {trace.samples.size} is not whole {n_period}-sample periods")
+    areas = np.trapezoid(trace.samples.reshape(-1, n_period), dx=trace.sample_period, axis=1)
     return areas / areas.mean()
 
 
@@ -352,7 +362,7 @@ class TestPulseAreas:
     """The oracle itself, on traces whose areas are known."""
 
     def test_noiseless_train_all_unity(self, fo_response, channel_714):
-        train = make_pulse_train(SPEC, 8, 1e-9)
+        train = Waveform(1e-9, np.tile(pulse_period(SPEC, 74.7, 1e-9).samples, 8))
         trace = trace_optical(channel_714, fo_response, train)
         areas = pulse_areas(trace, SPEC)
         assert np.allclose(areas[1:], 1.0, atol=1e-6)  # first pulse has startup
@@ -364,23 +374,24 @@ class TestPulseAreas:
         base = np.concatenate([np.ones(500), np.zeros(500)])
         jitter = 1 + 0.001 * rng.standard_normal(n)
         power = np.concatenate([base * j for j in jitter])
-        areas = pulse_areas(OpticalTrace(1e-9, power), SPEC)
+        areas = pulse_areas(Waveform(1e-9, power), SPEC)
         assert np.std(areas) == pytest.approx(0.001, rel=0.1)
 
     def test_single_pulse(self):
         power = np.concatenate([np.ones(500), np.zeros(500)])
-        areas = pulse_areas(OpticalTrace(1e-9, power), SPEC)
+        areas = pulse_areas(Waveform(1e-9, power), SPEC)
         assert areas.tolist() == [1.0]
 
     def test_partial_period_rejected(self):
         with pytest.raises(GridError):
-            pulse_areas(OpticalTrace(1e-9, np.ones(1500)), SPEC)
+            pulse_areas(Waveform(1e-9, np.ones(1500)), SPEC)
 
 
 def reference_trace_areas(channel, spec, noise, n_pulses, response):
     """Oracle: the trace path over the full train, held at once.
 
-    The whole square train is convolved with the kernel, and the per-pulse
+    The whole square train, n_pulses copies of one pulse period, is
+    convolved with the kernel, and the per-pulse
     drifts and jitter are repeated over every sample of their period
     before the optics and the per-period trapezoid.
     """
@@ -405,15 +416,15 @@ def reference_trace_areas(channel, spec, noise, n_pulses, response):
     jitter_rng = derive_rng(noise.seed, "pulse-experiment", "amplitude-jitter")
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(n_pulses)
 
-    train = make_pulse_train(spec, n_pulses, dt)
-    v_eff = convolve_causal(train.samples, response.impulse_kernel)
+    train = np.tile(pulse_period(spec, channel.v_pi, dt).samples, n_pulses)
+    v_eff = convolve_causal(train, response.impulse_kernel)
     phase = (
         math.pi * v_eff / (channel.v_pi * np.repeat(1.0 + delta, n_period))
         + np.repeat(eps, n_period)
     )
     power = channel.power_at_phase(phase) / channel.power_at_phase(math.pi)
     power = power * np.repeat(jitter, n_period)
-    return pulse_areas(OpticalTrace(dt, power), spec)
+    return pulse_areas(Waveform(dt, power), spec)
 
 
 CHUNK_ROWS = _TRACE_CHUNK_SAMPLES // 1000  # pulses per chunk at SPEC's 1000 samples
@@ -459,6 +470,6 @@ class TestTracePathOracle:
 
     @pytest.mark.parametrize("period", [1.0005e-6, 1e-19], ids=["off-grid", "sub-sample"])
     def test_period_off_sample_grid(self, channel, drift_noise, fo_response, period):
-        spec = PulseSpec(on_level=74.7, off_level=0.0, on_duration=period / 2, period=period)
+        spec = PulseSpec(on_duration=period / 2, period=period)
         with pytest.raises(GridError, match="period"):
             noisy_pulse_experiment(channel, spec, drift_noise, 10, response=fo_response)

@@ -1,4 +1,4 @@
-"""Pulse trains, phase-target inversion, pre-distortion, dynamic extinction."""
+"""Pulse timing, phase-target inversion, pre-distortion, dynamic extinction."""
 
 import dataclasses
 import math
@@ -16,8 +16,9 @@ from picmod.core import (
 )
 from picmod.dynamics import (
     ActuatorResponse,
-    OpticalTrace,
+    Waveform,
     convolve_causal,
+    on_hold_samples,
     step_response_trace,
     trace_optical,
 )
@@ -27,13 +28,12 @@ from picmod.waveforms import (
     PulseSpec,
     _deconvolve,
     dynamic_extinction,
-    make_pulse_train,
     predistort,
+    pulse_period,
+    simulate_switch_off,
     switch_off_target_phase,
     target_phase_from_power,
 )
-
-SPEC_1US = PulseSpec(on_level=74.7, off_level=0.0, on_duration=0.5e-6, period=1e-6)
 
 
 def identical_stage_channel(n_stages, split_in=None):
@@ -54,28 +54,26 @@ def phase_by_root_finding(target, channel):
     return np.array([brentq(excess, 0.0, math.pi, args=(p,), xtol=1e-15) for p in target])
 
 
-class TestMakePulseTrain:
-    def test_thousand_pulse_train(self):
-        train = make_pulse_train(SPEC_1US, 1000, 1e-9)
-        assert train.samples.size == 1_000_000
-        one = train.samples[:1000]
-        assert np.all(one[:500] == 74.7) and np.all(one[500:] == 0.0)
-
-    def test_zero_pulses_is_empty(self):
-        assert make_pulse_train(SPEC_1US, 0, 1e-9).samples.size == 0
+class TestPulsePeriod:
+    @pytest.mark.parametrize("duty", [0.001, 0.5, 0.999])
+    def test_one_period_of_v_pi_then_zero(self, duty):
+        period = pulse_period(PulseSpec(duty * 1e-6, 1e-6), 74.7, 1e-9)
+        n_on = round(duty * 1000)
+        assert period.sample_period == 1e-9 and period.samples.size == 1000
+        assert np.all(period.samples[:n_on] == 74.7) and np.all(period.samples[n_on:] == 0.0)
 
     @pytest.mark.parametrize(
         "on_duration, period", [(0.5e-9, 1.5e-9), (2e-20, 1e-19), (1e-20, 1e-6)]
     )
     def test_off_grid_period_rejected(self, on_duration, period):
         # Off the grid, or shorter than one sample (0 samples is no pulse).
-        spec = PulseSpec(1.0, 0.0, on_duration, period)
+        spec = PulseSpec(on_duration, period)
         with pytest.raises(GridError):
-            make_pulse_train(spec, 3, 1e-9)
+            pulse_period(spec, 1.0, 1e-9)
 
     def test_spec_validation(self):
         with pytest.raises(PicmodError):
-            PulseSpec(1.0, 0.0, 2e-6, 1e-6)  # on_duration >= period
+            PulseSpec(2e-6, 1e-6)  # on_duration >= period
 
 
 class TestTargetPhaseFromPower:
@@ -119,7 +117,7 @@ class TestTargetPhaseFromPower:
 class TestDynamicExtinction:
     def test_ideal_instant_off(self):
         power = np.concatenate([np.ones(100), np.zeros(900)])
-        ext = dynamic_extinction(OpticalTrace(1e-9, power), 100e-9)
+        ext = dynamic_extinction(Waveform(1e-9, power), 100e-9)
         t, reached = ext.time_to(1e-6)
         assert reached and t == 0.0
 
@@ -145,13 +143,31 @@ class TestDynamicExtinction:
 
     def test_never_reached_flag(self):
         power = np.concatenate([np.ones(10), np.full(90, 0.5)])
-        ext = dynamic_extinction(OpticalTrace(1e-9, power), 10e-9)
+        ext = dynamic_extinction(Waveform(1e-9, power), 10e-9)
         t, reached = ext.time_to(1e-6)
         assert not reached and t == pytest.approx(89e-9)
 
     def test_switch_time_out_of_range(self):
         with pytest.raises(PicmodError):
-            dynamic_extinction(OpticalTrace(1e-9, np.ones(10)), 50e-9)
+            dynamic_extinction(Waveform(1e-9, np.ones(10)), 50e-9)
+
+
+class TestSimulateSwitchOff:
+    @pytest.mark.parametrize("settle_window, converged", [(20e-9, False), (100e-9, True)])
+    def test_converged_needs_the_target_within_the_window(
+        self, ideal_channel, fo_response, settle_window, converged
+    ):
+        # A square step reaches 1e-6 about 46 ns after the switch (see the
+        # small-angle oracle above), inside a 400 ns trace: reached either
+        # way, converged only if the window covers it.
+        n_pre = on_hold_samples(fo_response)
+        drive = Waveform(1e-9, np.concatenate([np.full(n_pre, 74.7), np.zeros(400)]))
+        switch = n_pre * 1e-9
+        result = simulate_switch_off(ideal_channel, fo_response, drive, switch, settle_window, 1e-6)
+        assert result.time_to_floor == pytest.approx(46e-9, rel=0.1)
+        assert result.converged is converged
+        ext = dynamic_extinction(result.trace, switch)
+        assert result.achieved_floor == ext.envelope[round(settle_window / 1e-9)]
 
 
 def off_switch_problem(channel, response, **kw):
@@ -271,7 +287,7 @@ class TestPredistort:
         assert np.array_equal(sol.drive.samples, clipped_deconvolution(problem))
         fresh = trace_optical(channel_714, resp, sol.drive)
         assert sol.trace.sample_period == fresh.sample_period
-        assert np.array_equal(sol.trace.power, fresh.power)
+        assert np.array_equal(sol.trace.samples, fresh.samples)
 
     def test_deconvolution_consistency_zero_regularization(self, fo_response, channel_714):
         # Forward-convolving the deconvolved drive reproduces the target phase.
