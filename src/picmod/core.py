@@ -5,19 +5,19 @@ an output coupler. The drive reaches one arm, so the arms differ by one
 net phase, phi(V) = pi*V/v_pi (`MziStage.phase`). With light in on port
 0, a stage's power on the monitored BAR port is
 
-    a^2 + b^2 - 2ab * cos(phi(V))
+    a^2 + b^2 - 2ab * cos(phi) = (a - b)^2 + 4ab * sin^2(phi/2)
 
 where a and b are products of the coupler amplitudes (`MziStage.terms`).
-Finite extinction comes from coupler power-split imbalance, floor
-(a - b)^2, and the same formula inverts exactly: `power_split_for_er`
-solves it for the split that gives a target ER.
+The second form (`MziStage.fringe`: floor (a - b)^2, depth 4ab) does not
+cancel near the null, so it is the one evaluated. Finite extinction comes
+from coupler power-split imbalance, and the floor inverts exactly:
+`power_split_for_er` solves it for the split that gives a target ER.
 
 A channel is one stage repeated n times, every stage at the same phase,
 plus one lumped insertion loss. Its power is the stage power multiplied
-n times in order, f*f*...*f (`ModulatorChannel.cascade`); the stage
-fringe is evaluated once per phase (`ModulatorChannel.power_at_phase`).
-The complex 2x2 matrix chain this form is derived from is kept in the
-tests as its oracle.
+n times in order, f*f*...*f (`ModulatorChannel.power_at_phase`), and its
+OFF and ON levels are that power at phi = 0 and pi. The complex 2x2
+matrix chain this form is derived from is kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -76,19 +76,11 @@ class MziStage:
         cin, cout = self.input_coupler, self.output_coupler
         return cin.t * cout.t, cin.r * cout.r
 
-    def min_transmission(self) -> float:
-        """Floor of the BAR-port power over all drive voltages."""
+    @property
+    def fringe(self) -> tuple[float, float]:
+        """(floor, depth): BAR-port power floor + depth*sin^2(phi/2)."""
         a, b = self.terms
-        return (a - b) ** 2
-
-    def max_transmission(self) -> float:
-        a, b = self.terms
-        return (a + b) ** 2
-
-
-def fringe_coeffs(a: float, b: float) -> tuple[float, float]:
-    """(c0, c1) of the stage power c0 + c1*cos(phi) for terms (a, b)."""
-    return a * a + b * b, -2.0 * a * b
+        return (a - b) ** 2, 4.0 * a * b
 
 
 @dataclass(frozen=True)
@@ -115,39 +107,35 @@ class ModulatorChannel:
     def v_pi(self) -> float:
         return self.stages[0].v_pi
 
-    def cascade(self, stage_power):
-        """Lossless power when every stage passes stage_power.
-
-        The stage power is multiplied n_stages times left to right,
-        f*f*...*f, as the stages are traversed; f**n rounds differently.
-        An array argument is multiplied in place after the first product,
-        so it costs one more array whatever the stage count.
-        """
-        if self.n_stages == 1:
-            return stage_power
-        out = stage_power * stage_power
-        for _ in range(self.n_stages - 2):
-            out *= stage_power
-        return out
-
     def power_at_phase(self, phi):
         """Lossless power with every stage at net phase phi (radians).
 
-        The stage fringe c0 + c1*cos(phi) is evaluated once, in place in
-        the cos array, and cascaded.
+        The stage fringe floor + depth*sin^2(phi/2) is evaluated once, in
+        place in one array (a scalar phi gives a 0-d array), and multiplied
+        n_stages times left to right, f*f*...*f, as the stages are
+        traversed; f**n rounds differently. The product is one more array
+        whatever the stage count.
         """
-        c0, c1 = fringe_coeffs(*self.stages[0].terms)
-        f = np.cos(phi)
-        f *= c1
-        f += c0
-        return self.cascade(f)
+        floor, depth = self.stages[0].fringe
+        f = np.multiply(phi, 0.5, out=np.empty(np.shape(phi)))
+        np.sin(f, out=f)
+        f *= f
+        f *= depth
+        f += floor
+        if self.n_stages == 1:
+            return f
+        out = f * f
+        for _ in range(self.n_stages - 2):
+            out *= f
+        return out
 
     def min_transmission(self) -> float:
-        """Lossless floor of the channel: the stage floor, cascaded."""
-        return self.cascade(self.stages[0].min_transmission())
+        """OFF level: the lossless power at the null, phi = 0."""
+        return float(self.power_at_phase(0.0))
 
     def max_transmission(self) -> float:
-        return self.cascade(self.stages[0].max_transmission())
+        """ON level: the lossless power at the peak, phi = pi."""
+        return float(self.power_at_phase(math.pi))
 
     def extinction_ratio_db(self) -> float:
         return 10.0 * math.log10(self.max_transmission() / self.min_transmission())

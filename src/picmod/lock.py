@@ -9,9 +9,10 @@ time; reported times are physical seconds.
 
 Every stage sees the same bias error, so the channel power at a bias
 error eps is `ModulatorChannel.power_at_phase(eps)`: the stage fringe
-c0 + c1*cos(eps) cascaded over the identical stages. The lock keeps no
+floor + depth*sin^2(eps/2) cascaded over the identical stages, whose
+values at 0 and pi are the channel's OFF and ON levels. The lock keeps no
 transfer model of its own. Only the dither/PI recurrence runs once per
-update, as a scalar loop on (c0, c1) from `core.fringe_coeffs` that
+update, as a scalar loop on (floor, depth) from `MziStage.fringe` that
 yields the correction trajectory. The ER samples and the final error are
 then computed in one go from that trajectory, the optics only at the
 updates that take an ER sample; a disengaged run has zero correction and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModulatorChannel, fringe_coeffs
+from .core import ModulatorChannel
 from .dynamics import convolve_causal
 from .errors import LockDivergedError, PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
@@ -79,19 +80,20 @@ class LockRunResult:
 def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
     """Bias correction after each update: the dither/PI recurrence.
 
-    Each update measures the channel at eps +/- dither (one math.cos per
-    point, the stage power multiplied once per further stage, the
-    detector applied inline) and steps the PI controller. Raises
-    LockDivergedError at the first update whose correction leaves
-    [-pi, pi].
+    Each update measures the channel at eps +/- dither (one math.sin per
+    point on the half phase, rounded as `power_at_phase` rounds it, the
+    stage power multiplied once per further stage, the detector applied
+    inline) and steps the PI controller. Raises LockDivergedError at the
+    first update whose correction leaves [-pi, pi].
     """
-    c0, c1 = fringe_coeffs(*channel.stages[0].terms)
+    stage_floor, depth = channel.stages[0].fringe
     more_stages = range(channel.n_stages - 1)
     d = controller.dither_amplitude
+    half_d = 0.5 * d
     gain_p, gain_i = controller.gain_p, controller.gain_i
     i_lim, s_lim = controller.integrator_limit, controller.max_step
     floor = detector.relative_floor
-    cos = math.cos
+    sin = math.sin
 
     correction = 0.0
     integ = 0.0
@@ -99,9 +101,12 @@ def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
     # memoryviews read and write plain floats without a list of the run.
     out = memoryview(path)
     for k, drift_k in enumerate(memoryview(drift)):
-        eps = drift_k + correction
-        f_plus = c0 + c1 * cos(eps + d)
-        f_minus = c0 + c1 * cos(eps - d)
+        # Halving is exact, so 0.5*eps + 0.5*d is 0.5*(eps + d) bit for bit.
+        half = 0.5 * (drift_k + correction)
+        s_plus = sin(half + half_d)
+        s_minus = sin(half - half_d)
+        f_plus = stage_floor + depth * (s_plus * s_plus)
+        f_minus = stage_floor + depth * (s_minus * s_minus)
         t_plus, t_minus = f_plus, f_minus
         for _ in more_stages:
             t_plus *= f_plus
@@ -154,9 +159,9 @@ def run_lock(
         rng=derive_rng(noise.seed, "lock", "bias-drift"),
     )[:n_updates]
 
-    peak = float(channel.power_at_phase(math.pi))
+    peak = channel.max_transmission()
     on_static = detector.measure(1.0)
-    off_static = detector.measure(channel.power_at_phase(0.0) / peak)
+    off_static = detector.measure(channel.min_transmission() / peak)
     if off_static == 0.0:
         raise PicmodError("the channel's null reads 0: it needs a positive relative_floor")
     er_static = 10.0 * math.log10(on_static / off_static)
@@ -260,7 +265,7 @@ def noisy_pulse_experiment(
     )[:total]
     jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
 
-    on_power = channel.power_at_phase(math.pi)
+    on_power = channel.max_transmission()
     if response is not None:
         # From period ceil((k - 1) / n_period) on, a k-tap kernel sees the
         # same input history in every period, so its output repeats exactly.

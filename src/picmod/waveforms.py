@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModulatorChannel, fringe_coeffs
+from .core import ModulatorChannel
 from .dynamics import ActuatorResponse, Waveform, on_hold_samples, trace_optical
 from .errors import GridError, PicmodError, UnachievableTargetError
 
@@ -53,17 +53,14 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
     """Drive phase pi*V/v_pi achieving each normalized power target.
 
     A channel is one stage repeated n times, so the stage power is
-    (target * peak)^(1/n) = c0 + c1*cos(phi), which inverts exactly:
-    phi = arccos(((target * peak)^(1/n) - c0) / c1) on the branch
-    phi in [0, pi] (on the BAR port, a^2 + b^2 - stage power over 2ab).
-    phi is the stage's net phase pi*V/v_pi, so it is the drive phase.
-    The floor and 1.0 map exactly
-    to the null and the peak, where arccos is worst conditioned. The
-    tests check the result against the forward model and against
-    bracketed root finding.
+    s = (target * peak)^(1/n) = floor + depth*sin^2(phi/2), which inverts
+    exactly: phi = 2*arcsin(sqrt((s - floor) / depth)) on the branch
+    phi in [0, pi], the ratio clipped to [0, 1]. phi is the stage's net
+    phase pi*V/v_pi, so it is the drive phase. The channel's OFF level
+    and 1.0 map exactly to the null and the peak. The tests check the
+    result against the forward model and against bracketed root finding.
     """
     target = np.atleast_1d(np.asarray(target_power, dtype=float))
-    stage = channel.stages[0]
     peak = channel.max_transmission()
     floor = channel.min_transmission() / peak
 
@@ -74,12 +71,12 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
         raise UnachievableTargetError(
             f"target power {bad:.3g} outside achievable range [{floor:.3g}, 1]"
         )
-    c0, c1 = fringe_coeffs(*stage.terms)
-    cos_phi = np.clip(((target * peak) ** (1.0 / channel.n_stages) - c0) / c1, -1.0, 1.0)
-    cos_peak = -1.0
-    cos_phi[target >= 1.0] = cos_peak
-    cos_phi[target <= floor] = -cos_peak
-    return np.arccos(cos_phi)
+    stage_floor, depth = channel.stages[0].fringe
+    stage_power = (target * peak) ** (1.0 / channel.n_stages)
+    sin2 = np.clip((stage_power - stage_floor) / depth, 0.0, 1.0)
+    sin2[target >= 1.0] = 1.0
+    sin2[target <= floor] = 0.0
+    return 2.0 * np.arcsin(np.sqrt(sin2))
 
 
 @dataclass(frozen=True)

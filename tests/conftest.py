@@ -55,6 +55,12 @@ def config_path_795():
 
 
 @pytest.fixture(scope="session")
+def shipped_channels(config_420, config_795, config_1013):
+    """Every channel the three shipped configs build: 24 in all."""
+    return [ch for cfg in (config_420, config_795, config_1013) for ch in cfg.channels()]
+
+
+@pytest.fixture(scope="session")
 def channel_714():
     """2-stage channel calibrated to a 71.4 dB extinction ratio."""
     split = power_split_for_er(71.4, n_stages=2)

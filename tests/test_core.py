@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,6 @@ from picmod.core import (
     ModulatorChannel,
     MziStage,
     channel_transmission_equal,
-    fringe_coeffs,
     make_calibrated_channel,
     power_split_for_er,
     sweep_channel,
@@ -73,8 +73,8 @@ class TestStageTransmission:
             st = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), v_pi)
             m = stage_matrix(st, np.array([0.0, v_pi]))
             ends = np.abs(m[:, 0, 0]) ** 2
-            want = [st.min_transmission(), st.max_transmission()]
-            assert np.max(np.abs(ends - want)) <= 1e-12
+            floor, depth = st.fringe
+            assert np.max(np.abs(ends - [floor, floor + depth])) <= 1e-12
 
     def test_a_stage_is_two_couplers_and_v_pi(self):
         fields = [f.name for f in dataclasses.fields(MziStage)]
@@ -95,32 +95,34 @@ class TestStageTransmission:
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
 
-class TestFringeCoeffs:
-    def test_c1_is_the_bar_sign_times_2ab_bit_for_bit(self):
+class TestFringe:
+    def test_floor_and_depth_bit_for_bit(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
-            a, b = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)).terms
-            sign = -1.0  # BAR port
-            assert fringe_coeffs(a, b) == (a * a + b * b, sign * 2.0 * a * b)
+            st = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
+            a, b = st.terms
+            assert st.fringe == ((a - b) ** 2, 4 * a * b)
 
     def test_fringe_ends_are_the_stage_floor_and_peak(self):
+        # sin(0) and sin(pi/2) are exactly 0 and 1, so a one-stage
+        # channel's OFF and ON levels are floor and floor + depth.
         rng = np.random.default_rng(12)
         for _ in range(200):
             st = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
-            c0, c1 = fringe_coeffs(*st.terms)
-            assert c0 + c1 == pytest.approx(st.min_transmission(), abs=1e-15)
-            assert c0 - c1 == pytest.approx(st.max_transmission(), abs=1e-15)
+            floor, depth = st.fringe
+            ch = ModulatorChannel((st,))
+            assert (ch.min_transmission(), ch.max_transmission()) == (floor, floor + depth)
 
 
 def per_stage_product(channel, volts):
     """Oracle: each stage's closed form evaluated on its own, multiplied in
-    order from 1.0, as the per-stage cascade once computed it."""
+    order from 1.0, as the per-stage cascade once computed it. sin^2 is
+    s * s, as in `per_stage_transmission` (test_lock.py)."""
     out = 1.0
-    sign = -1.0  # BAR port
     for st in channel.stages:
         a, b = st.terms
-        phi = st.phase(volts)
-        out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phi))
+        s = np.sin(st.phase(volts) * 0.5)
+        out = out * ((a - b) ** 2 + s * s * (4 * a * b))
     return out
 
 
@@ -167,9 +169,10 @@ class TestChannelTransmission:
             assert channel_transmission_equal(ch, volts[0], include_loss=False) == (
                 per_stage_product(ch, volts[0])
             )
+            stage_floor, depth = st.fringe
             floor = ceiling = 1.0
             for _ in range(n_stages):
-                floor, ceiling = floor * st.min_transmission(), ceiling * st.max_transmission()
+                floor, ceiling = floor * stage_floor, ceiling * (stage_floor + depth)
             assert (ch.min_transmission(), ch.max_transmission()) == (floor, ceiling)
 
     def test_matrix_chain_oracle(self):
@@ -190,6 +193,31 @@ class TestChannelTransmission:
             expected = np.abs(m[:, 0, 0]) ** 2
             expected = np.prod([expected] * n_stages, axis=0)
             assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+class TestShippedChannelLevels:
+    PHASES = (0.0, 1e-3, 0.0143, 0.3, math.pi)
+
+    def test_power_at_phase_matches_mpmath(self, shipped_channels):
+        # The reference is the cos form at 50 digits, from the same double
+        # a, b and phi; near the null the cos form cancels in doubles.
+        assert len(shipped_channels) == 24
+        worst = 0.0
+        for ch in shipped_channels:
+            a, b = ch.stages[0].terms
+            for phi in self.PHASES:
+                with mpmath.workdps(50):
+                    a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+                    stage = a_**2 + b_**2 - 2 * a_ * b_ * mpmath.cos(mpmath.mpf(phi))
+                    want = stage**ch.n_stages
+                    err = abs((mpmath.mpf(float(ch.power_at_phase(phi))) - want) / want)
+                worst = max(worst, float(err))
+        assert worst <= 1e-15
+
+    def test_off_and_on_levels_are_power_at_0_and_pi(self, shipped_channels):
+        for ch in shipped_channels:
+            assert ch.min_transmission() == ch.power_at_phase(0.0)
+            assert ch.max_transmission() == ch.power_at_phase(math.pi)
 
 
 class TestSweepChannel:

@@ -1,5 +1,6 @@
 """Bias-lock controller and long-run pulse stability experiments."""
 
+import copy
 import math
 import tracemalloc
 from dataclasses import fields
@@ -32,11 +33,15 @@ DET = DetectorModel(relative_floor=1e-8)
 
 
 def per_stage_transmission(channel, phase):
-    """Oracle: one cos per stage, each stage's power multiplied in order."""
+    """Oracle: one sin per stage, each stage's power multiplied in order.
+
+    sin^2 is s * s: numpy squares an array by multiplication but a scalar
+    with libm's pow, which misrounds some squares by one ulp.
+    """
     out = 1.0
-    sign = -1.0  # BAR port
     for a, b in (st.terms for st in channel.stages):
-        out = out * (a * a + b * b + sign * 2.0 * a * b * np.cos(phase))
+        s = np.sin(phase * 0.5)
+        out = out * ((a - b) ** 2 + s * s * (4 * a * b))
     return out
 
 
@@ -144,7 +149,7 @@ class TestClosedForm:
         assert np.allclose(full, fast, atol=1e-14)
 
     @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
-    def test_one_cos_per_call_equals_per_stage_form(self, n_stages):
+    def test_one_sin_per_call_equals_per_stage_form(self, n_stages):
         rng = np.random.default_rng(n_stages)
         split = power_split_for_er(71.4, 2)
         calibrated = make_calibrated_channel(74.7, split, n_stages)
@@ -186,6 +191,21 @@ class TestRunLock:
             channel, drift_noise, LockController(), 20 * 3600.0, DET, engaged=False
         )
         assert locked.er_mean_db - unlocked.er_mean_db >= 20.0
+
+    def test_near_balanced_couplers_on_an_ideal_detector(self, config_795):
+        # The schema accepts splits 1e-9 off balance and a -inf dB floor.
+        # The null, (2e-9)^4 = 1.6e-35, is positive, so the static ER is
+        # finite only if the fringe does not cancel to 0 there.
+        data = copy.deepcopy(config_795.data)
+        data["chip"]["coupler_power_splits"] = [0.500000001] * data["chip"]["n_channels"]
+        data["detector"]["onchip_floor_db"] = -math.inf
+        cfg = ExperimentConfig(data)
+        channel = cfg.channels()[0]
+        assert cfg.onchip_detector() == DetectorModel(0.0)
+        assert channel.power_at_phase(0.0) > 0
+        args = (channel, cfg.noise_model(), cfg.lock_controller(), 600.0, DetectorModel(0.0))
+        res = run_lock(*args)
+        assert math.isfinite(res.er_mean_db) and res.detector_limited_samples == 0
 
     def test_unstable_gains_abort(self, channel, drift_noise):
         bad = LockController(gain_p=-500.0, gain_i=0.0, max_step=1.0)
@@ -338,14 +358,16 @@ class TestNoisyPulseExperiment:
 
 
 class DarkPulseChannel:
-    """Stub channel: an ON level of 1 (power_at_phase of the scalar pi, which
-    the areas are divided by), but no power at any array of pulse phases,
-    so every pulse area is 0."""
+    """Stub channel: an ON level of 1 (max_transmission, which the areas are
+    divided by), but no power at any pulse phase, so every pulse area is 0."""
 
     v_pi = 74.7
 
+    def max_transmission(self):
+        return 1.0
+
     def power_at_phase(self, phase):
-        return 1.0 if np.ndim(phase) == 0 else np.zeros(np.shape(phase))
+        return np.zeros(np.shape(phase))
 
 
 def pulse_areas(trace, spec):

@@ -108,6 +108,15 @@ class TestTargetPhaseFromPower:
         got = target_phase_from_power(envelope, channel)
         assert np.max(np.abs(got - phase_by_root_finding(envelope, channel))) < 1e-9
 
+    def test_roundtrip_near_the_floor_on_shipped_channels(self, shipped_channels):
+        # Within 100x of the floor the stage power barely leaves its floor,
+        # where the inversion must not cancel.
+        for channel in shipped_channels:
+            peak = channel.max_transmission()
+            targets = channel.min_transmission() / peak * np.geomspace(1 + 1e-8, 100, 400)
+            powers = channel.power_at_phase(target_phase_from_power(targets, channel)) / peak
+            assert np.max(np.abs(powers / targets - 1.0)) <= 1e-14
+
     def test_target_below_floor_unachievable(self, channel_714):
         # Channel floor is 10^-7.14; 1e-9 cannot be reached.
         with pytest.raises(UnachievableTargetError):
