@@ -172,30 +172,26 @@ def report(path):
     if not files:
         click.echo(f"error: no run reports found in {target}", err=True)
         sys.exit(EXIT_USAGE)
-    any_failed = False
-    bad = []
+    runs, bad = [], []
     for f in files:
         try:
-            data = load_report(f)
+            runs.append(load_report(f))
         except PicmodError as exc:
             bad.append(exc)
-            continue
-        status = "PASS" if data["passed"] else "FAIL"
-        any_failed = any_failed or not data["passed"]
-        n_checked = sum(1 for m in data["metrics"] if m["passed"] is not None)
+    for run in runs:
+        n_checked = sum(1 for m in run.metrics if m.passed is not None)
         click.echo(
-            f"{status}  {data['experiment_kind']:<20} config {data['config_hash']}  "
-            f"{len(data['metrics'])} metrics ({n_checked} checked)"
+            f"{'PASS' if run.passed else 'FAIL'}  {run.experiment_kind:<20} "
+            f"config {run.config_hash}  {len(run.metrics)} metrics ({n_checked} checked)"
         )
-        for m in data["metrics"]:
-            if m["passed"] is False:
-                click.echo(f"  FAIL  {m['name']}: {m['value']:.6g} {m['units']}"
-                           f" (require {m['threshold']})")
+        for m in run.metrics:
+            if m.passed is False:
+                click.echo(f"  FAIL  {m.name}: {m.value:.6g} {m.units} (require {m.threshold})")
     for exc in bad:
         click.echo(f"error: {exc}", err=True)
     if bad:
         sys.exit(EXIT_USAGE)
-    if any_failed:
+    if not all(run.passed for run in runs):
         sys.exit(EXIT_CHECK_FAILED)
 
 

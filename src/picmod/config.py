@@ -185,7 +185,9 @@ class ExperimentConfig:
     def load(cls, path) -> "ExperimentConfig":
         try:
             raw = yaml.safe_load(Path(path).read_text())
-        except yaml.YAMLError as exc:
+        except OSError as exc:
+            raise ConfigError(f"{path} cannot be read ({exc.strerror})") from exc
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         if raw is None:
             raise ConfigError(f"{path} is empty")

@@ -80,7 +80,7 @@ class MziStage:
     def fringe(self) -> tuple[float, float]:
         """(floor, depth): BAR-port power floor + depth*sin^2(phi/2)."""
         a, b = self.terms
-        return (a - b) ** 2, 4.0 * a * b
+        return (a - b) * (a - b), 4.0 * a * b
 
 
 @dataclass(frozen=True)

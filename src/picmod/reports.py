@@ -1,11 +1,12 @@
-"""Structured run reports written alongside every CLI experiment."""
+"""Run reports: the fields of RunReport and Metric are their one schema."""
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import PicmodError
 from .serialize import write_json
@@ -29,28 +30,22 @@ class RunReport:
     seed: int
     metrics: list[Metric] = field(default_factory=list)
     wall_time_s: float = 0.0
-    _t0: float = field(default_factory=time.perf_counter, repr=False)
+    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     def add(self, name, value, units, threshold=None, passed=None) -> None:
         self.metrics.append(Metric(name, float(value), units, threshold, passed))
 
     @property
     def passed(self) -> bool:
-        checked = [m.passed for m in self.metrics if m.passed is not None]
-        return all(checked) if checked else True
+        return all(m.passed for m in self.metrics if m.passed is not None)
 
     def finish(self) -> None:
         self.wall_time_s = time.perf_counter() - self._t0
 
     def to_dict(self) -> dict:
-        return {
-            "experiment_kind": self.experiment_kind,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "passed": self.passed,
-            "wall_time_s": self.wall_time_s,
-            "metrics": [asdict(m) for m in self.metrics],
-        }
+        data = asdict(self)
+        del data["_t0"]
+        return {**data, "passed": self.passed}
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
@@ -67,22 +62,28 @@ class RunReport:
         return lines
 
 
-def load_report(path) -> dict:
-    """The run report saved at path. Raises PicmodError, naming the path,
-    when the file cannot be read, is not JSON or is not a run report."""
+def _fields(cls, /, **data) -> dict:
+    """data, a JSON object (** takes no other), once each value has its field's
+    type in cls; a float may also be the null, "inf" or "-inf" write_json writes."""
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        hint = hints.get(key, object)  # cls() rejects a key that names no field
+        if hint is float and value in (None, "inf", "-inf"):
+            data[key] = float("nan" if value is None else value)
+        elif not isinstance(value, getattr(hint, "__origin__", hint)):  # list[Metric]: a list
+            raise TypeError(f"{cls.__name__}.{key} cannot be {value!r}")
+    return data
+
+
+def load_report(path) -> RunReport:
+    """The RunReport saved at path, its `passed` recomputed from the metrics.
+    Raises PicmodError, naming the path, if the file is no readable run report."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = _fields(RunReport, **json.loads(Path(path).read_text()))
+        data.pop("passed", None)
+        metrics = [Metric(**_fields(Metric, **m)) for m in data.pop("metrics", [])]
+        return RunReport(**data, metrics=metrics)
     except OSError as exc:
         raise PicmodError(f"{path} cannot be read ({exc.strerror})") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise PicmodError(f"{path} is not a run report ({exc})") from exc
-    for key in ("experiment_kind", "config_hash", "metrics", "passed"):
-        if not isinstance(data, dict) or key not in data:
-            raise PicmodError(f"{path} is not a run report (missing {key!r})")
-    # The report table reads every field of every metric.
-    keys = [f.name for f in fields(Metric)]
-    if not isinstance(data["metrics"], list) or not all(
-        isinstance(m, dict) and all(k in m for k in keys) for m in data["metrics"]
-    ):
-        raise PicmodError(f"{path} is not a run report (metrics must be objects with {keys})")
-    return data

@@ -2,6 +2,7 @@
 
 All writers produce byte-identical output for identical inputs: floats
 are rendered with shortest round-trip repr and JSON keys are sorted.
+NaN and +-inf, which JSON lacks, are written as null, "inf" and "-inf".
 """
 
 from __future__ import annotations
@@ -64,19 +65,11 @@ def write_csv(path, header: list[str], columns: list) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def json_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
         return None if obj != obj else ("inf" if obj > 0 else "-inf")
     return obj
@@ -84,7 +77,7 @@ def _jsonable(obj):
 
 def write_json(path, obj) -> None:
     with open_atomic(path) as fh:
-        fh.write(json_canonical(_jsonable(obj)) + "\n")
+        fh.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def config_hash(data: dict) -> str:

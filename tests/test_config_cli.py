@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from picmod.cli import main
 from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
 from picmod.errors import ConfigError, PicmodError
+from picmod.reports import RunReport, load_report
 from picmod.serialize import config_hash, fmt, write_csv
 
 from conftest import CONFIG_DIR
@@ -285,6 +287,25 @@ class TestCli:
         res = CliRunner().invoke(main, ["sweep", "--config", str(bad)])
         assert res.exit_code == 2
 
+    def test_config_that_is_not_text_exits_2(self, tmp_path):
+        config = tmp_path / "bin.yaml"
+        config.write_bytes(bytes.fromhex("fffe00626164"))
+        out = tmp_path / "out"
+        res = CliRunner().invoke(main, ["sweep", "--config", str(config), "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith(f"error: cannot parse {config}")
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_config_that_cannot_be_read_raises_config_error(self, tmp_path, kind):
+        path = tmp_path / "config.yaml"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ConfigError, match=f"{path} cannot be read"):
+            ExperimentConfig.load(path)
+
     def test_seed_override(self, config_path_795, tmp_path):
         res = run_cli(
             "sweep", "--config", config_path_795, "--out", str(tmp_path),
@@ -341,6 +362,28 @@ class TestCli:
         assert res.exit_code == 2
         assert res.stderr.splitlines() == [res.stderr.strip()]
         assert res.stderr.startswith(f"error: {path} {message}")
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            {"value": "x", "passed": False},  # a value that is no number
+            {"value": 1.0, "passed": "no"},  # a verdict that is no bool
+        ],
+        ids=["value-not-number", "passed-not-bool"],
+    )
+    def test_report_mistyped_metric_exits_2(self, tmp_path, metric):
+        path = tmp_path / "x_report.json"
+        metric = {"name": "m", "units": "dB", "threshold": "> 0", **metric}
+        path.write_text(json.dumps({
+            "experiment_kind": "k", "config_hash": "h", "seed": 1, "passed": True,
+            "wall_time_s": 0.0, "metrics": [metric],
+        }))
+        res = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith(f"error: {path} is not a run report")
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
     def test_determinism_byte_identical(self, config_path_795, tmp_path):
@@ -503,3 +546,70 @@ class TestShippedConfigs:
             assert res.exit_code == (0 if report["passed"] else 1), res.output
         name = "lock_er_timeseries.csv"
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestReportRoundTrip:
+    """`load_report` reads back exactly what `RunReport.save` writes."""
+
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_cli_reports_resave_byte_identical(self, nm, static_run, tmp_path):
+        paths = []
+        for args, name, _ in STATIC_COMMANDS:
+            out, _ = static_run(nm, args)
+            paths.append(out / f"{name}_report.json")
+        config = str(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        run_cli("stability", "--config", config, "--out", str(tmp_path / "stab"), "--seed", "42")
+        paths.append(tmp_path / "stab" / "stability_report.json")
+        for path in paths:
+            report = load_report(path)
+            assert isinstance(report, RunReport)
+            report.save(tmp_path / "resaved.json")
+            assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes(), path.name
+
+    def test_nonfinite_values_round_trip(self, tmp_path):
+        report = RunReport("k", "h", 1)
+        report.add("not_a_number", math.nan, "dB")
+        report.add("above", math.inf, "dB", "> 0", True)
+        report.add("below", -math.inf, "dB")
+        report.add("unbounded", math.inf, "dB", "< 0", False)
+        path = tmp_path / "k_report.json"
+        report.save(path)
+        values = [m["value"] for m in json.loads(path.read_text())["metrics"]]
+        assert values == [None, "inf", "-inf", "inf"]
+
+        loaded = load_report(path)
+        assert math.isnan(loaded.metrics[0].value)
+        assert [m.value for m in loaded.metrics[1:]] == [math.inf, -math.inf, math.inf]
+        assert loaded.passed is False
+        loaded.save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
+
+        res = CliRunner().invoke(main, ["report", str(path)])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stdout.splitlines() == [
+            "FAIL  k                    config h  4 metrics (2 checked)",
+            "  FAIL  unbounded: inf dB (require < 0)",
+        ]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(extra=1),  # a key RunReport has no field for
+            lambda d: d.pop("seed"),  # a required field left out
+            lambda d: d["metrics"][0].update(extra=1),  # a key Metric has no field for
+            lambda d: d.update(seed="1"),  # a field of the wrong type
+            lambda d: d.update(metrics=[[1]]),  # a metric that is no object
+        ],
+        ids=["unknown-key", "missing-key", "unknown-metric-key", "mistyped-key", "metric-list"],
+    )
+    def test_report_that_does_not_fit_the_fields_rejected(self, tmp_path, edit):
+        report = RunReport("k", "h", 1)
+        report.add("m", 1.0, "dB", "> 0", True)
+        path = tmp_path / "k_report.json"
+        report.save(path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(PicmodError, match=f"{path} is not a run report"):
+            load_report(path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -101,7 +102,16 @@ class TestFringe:
         for _ in range(500):
             st = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
             a, b = st.terms
-            assert st.fringe == ((a - b) ** 2, 4 * a * b)
+            assert st.fringe == ((a - b) * (a - b), 4 * a * b)
+
+    def test_floor_is_the_exactly_rounded_square(self):
+        # (a - b) ** 2 on a Python float calls libm's pow, which misrounds
+        # some squares by one ulp; the product is rounded once, exactly.
+        rng = np.random.default_rng(13)
+        for split_in, split_out in rng.uniform(0.01, 0.99, (20_000, 2)):
+            st = make_stage(split_in, split_out)
+            a, b = st.terms
+            assert st.fringe[0] == float(Fraction(a - b) ** 2)
 
     def test_fringe_ends_are_the_stage_floor_and_peak(self):
         # sin(0) and sin(pi/2) are exactly 0 and 1, so a one-stage
@@ -122,7 +132,7 @@ def per_stage_product(channel, volts):
     for st in channel.stages:
         a, b = st.terms
         s = np.sin(st.phase(volts) * 0.5)
-        out = out * ((a - b) ** 2 + s * s * (4 * a * b))
+        out = out * ((a - b) * (a - b) + s * s * (4 * a * b))
     return out
 
 

@@ -41,7 +41,7 @@ def per_stage_transmission(channel, phase):
     out = 1.0
     for a, b in (st.terms for st in channel.stages):
         s = np.sin(phase * 0.5)
-        out = out * ((a - b) ** 2 + s * s * (4 * a * b))
+        out = out * ((a - b) * (a - b) + s * s * (4 * a * b))
     return out
 
 
