@@ -10,11 +10,9 @@ failed, 2 a usage error, a configuration error or any other picmod error.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .calibration import calibrate as run_calibrate
@@ -49,129 +47,100 @@ def _parse_active(spec: str, n: int) -> list[int]:
     return _parse_indices("--active", spec, n)
 
 
-config_opt = click.option("--config", required=True, type=click.Path(exists=True, dir_okay=False))
-out_opt = click.option("--out", default="out", show_default=True, help="Output directory.")
-seed_opt = click.option("--seed", type=int, default=None, help="Override the config seed.")
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Digital twin and control stack for cascaded-MZI modulator arrays."""
-
-
-def experiment(*options):
-    """Register `run(cfg, **options) -> (report, tables)` as a subcommand
-    with --config, --out, --seed and `options`. Once run returns, it
-    creates --out, writes each table there (a config as YAML, others as
-    CSV) and then the report, prints the summary, and exits 1 when a check
-    failed. Any PicmodError is printed and exits 2; one raised before run
-    returns (a bad config, an unparsable or out-of-range index, an
-    unreachable target) leaves --out uncreated.
-    """
-
-    def register(run):
-        @functools.wraps(run)
-        def command(config, out, seed, **opts):
-            try:
-                cfg = ExperimentConfig.load(config)
-                if seed is not None:
-                    cfg = cfg.with_seed(seed)
-                report, tables = run(cfg, **opts)
-                out_dir = Path(out)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                for name, table in tables.items():
-                    if isinstance(table, ExperimentConfig):
-                        table.save(out_dir / name)
-                    else:
-                        write_csv(out_dir / name, *table)
-                report.finish()
-                report.save(out_dir / f"{report.experiment_kind}_report.json")
-            except PicmodError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_USAGE)
-            click.echo("\n".join(report.summary_lines()))
-            if not report.passed:
-                sys.exit(EXIT_CHECK_FAILED)
-
-        # Click lists options in the reverse of the order they are applied.
-        for option in reversed((config_opt, out_opt, seed_opt, *options)):
-            command = option(command)
-        return main.command()(command)
-
-    return register
-
-
-@experiment()
-def calibrate(cfg):
-    """Solve coupler splits from ER targets and write a calibrated config."""
+def _calibrate(cfg, args):
     calibrated, report = run_calibrate(cfg)
     return report, {"calibrated_config.yaml": calibrated}
 
 
-@experiment(click.option("--channels", default="all", show_default=True))
-def sweep(cfg, channels):
-    """DC voltage sweeps: per-channel fringe CSV, fitted v_pi, and ER."""
-    return run_sweep(cfg, _parse_indices("--channels", channels, cfg.data["chip"]["n_channels"]))
+# Experiment subcommand -> (help, run(cfg, args) -> (report, tables), its
+# options besides --config, --out and --seed as {flag: (default, help)}).
+# Each run looks its experiment function up when called, so a function
+# rebound on this module after import is the one that runs.
+EXPERIMENTS = {
+    "calibrate": (
+        "Solve coupler splits from ER targets and write a calibrated config.", _calibrate, {}
+    ),
+    "sweep": (
+        "DC voltage sweeps: per-channel fringe CSV, fitted v_pi, and ER.",
+        lambda cfg, args: run_sweep(
+            cfg, _parse_indices("--channels", args.channels, cfg.data["chip"]["n_channels"])
+        ),
+        {"--channels": ("all", "Channels to sweep: all | comma-separated indices.")},
+    ),
+    "pulse": (
+        "Time-resolved switch-off: optical trace and dynamic extinction.",
+        lambda cfg, args: run_pulse(cfg, args.mode),
+        {"--mode": ("naive", "Switch-off drive: naive (square) or optimized (pre-distorted).")},
+    ),
+    "stability": (
+        "Long-run bias-lock ER statistics and pulse-area noise.",
+        lambda cfg, args: run_stability(cfg),
+        {},
+    ),
+    "crosstalk": (
+        "Pairwise inter-channel leakage matrix for one measurement scenario.",
+        lambda cfg, args: run_crosstalk(cfg, args.scenario),
+        {"--scenario": ("A", "Victim configuration: A dark/OFF, B dark/ON, C lit/OFF.")},
+    ),
+    "beams": (
+        "Target-plane intensity profile and per-site leakage for a pattern.",
+        lambda cfg, args: run_beams(cfg, _parse_active(args.active, cfg.data["beams"]["n_beams"])),
+        {"--active": ("all", "Active sites: all | evens | odds | comma-separated indices.")},
+    ),
+}
+REPORT_HELP = "Consolidated pass/fail table over the run reports in a directory (or one file)."
 
 
-@experiment(
-    click.option(
-        "--mode",
-        type=click.Choice(["naive", "optimized"]),
-        default="naive",
-        show_default=True,
-        help="Square drive vs pre-distorted drive for the switch-off event.",
+def _parser() -> argparse.ArgumentParser:
+    style = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False)
+    parser = argparse.ArgumentParser(
+        prog="picmod",
+        description="Digital twin and control stack for cascaded-MZI modulator arrays.",
+        **style,
     )
-)
-def pulse(cfg, mode):
-    """Time-resolved switch-off: optical trace and dynamic extinction."""
-    return run_pulse(cfg, mode)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (summary, _, options) in EXPERIMENTS.items():
+        sub = commands.add_parser(name, help=summary, description=summary, **style)
+        sub.add_argument("--config", required=True, metavar="YAML")
+        sub.add_argument("--out", default="out", help="Output directory.")
+        sub.add_argument("--seed", type=int, help="Override the config seed.")
+        for flag, (default, text) in options.items():
+            sub.add_argument(flag, default=default, help=text)
+    sub = commands.add_parser("report", help=REPORT_HELP, description=REPORT_HELP, **style)
+    sub.add_argument("path")
+    return parser
 
 
-@experiment()
-def stability(cfg):
-    """Long-run bias-lock ER statistics and pulse-area noise."""
-    return run_stability(cfg)
+def _experiment(args) -> int:
+    """Run args.command's experiment on --config. Once it returns, create
+    --out, write each table there (a config as YAML, others as CSV) and then
+    the report, print the summary, and return 1 when a check failed. A
+    PicmodError raised before the experiment returns (a bad config, an
+    unparsable or out-of-range index, an unreachable target) leaves --out
+    uncreated."""
+    cfg = ExperimentConfig.load(args.config)
+    if args.seed is not None:
+        cfg = cfg.with_seed(args.seed)
+    report, tables = EXPERIMENTS[args.command][1](cfg, args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        if isinstance(table, ExperimentConfig):
+            table.save(out_dir / name)
+        else:
+            write_csv(out_dir / name, *table)
+    report.finish()
+    report.save(out_dir / f"{report.experiment_kind}_report.json")
+    print("\n".join(report.summary_lines()))
+    return 0 if report.passed else EXIT_CHECK_FAILED
 
 
-@experiment(
-    click.option(
-        "--scenario",
-        type=click.Choice(["A", "B", "C"]),
-        default="A",
-        show_default=True,
-        help="Victim configuration: A dark/OFF, B dark/ON, C lit/OFF.",
-    )
-)
-def crosstalk(cfg, scenario):
-    """Pairwise inter-channel leakage matrix for one measurement scenario."""
-    return run_crosstalk(cfg, scenario)
-
-
-@experiment(
-    click.option(
-        "--active",
-        default="all",
-        show_default=True,
-        help="Active sites: all | evens | odds | comma-separated indices.",
-    )
-)
-def beams(cfg, active):
-    """Target-plane intensity profile and per-site leakage for a pattern."""
-    return run_beams(cfg, _parse_active(active, cfg.data["beams"]["n_beams"]))
-
-
-@main.command()
-@click.argument("path", type=click.Path(exists=True))
-def report(path):
-    """Consolidated pass/fail table over all run reports in a directory
-    (or one report file)."""
-    target = Path(path)
+def _report(target: Path) -> int:
+    """Tabulate the reports at target; one `error:` line per unreadable one."""
     files = sorted(target.glob("*_report.json")) if target.is_dir() else [target]
     if not files:
-        click.echo(f"error: no run reports found in {target}", err=True)
-        sys.exit(EXIT_USAGE)
+        raise PicmodError(f"no run reports found in {target}")
     runs, bad = [], []
     for f in files:
         try:
@@ -180,29 +149,37 @@ def report(path):
             bad.append(exc)
     for run in runs:
         n_checked = sum(1 for m in run.metrics if m.passed is not None)
-        click.echo(
+        print(
             f"{'PASS' if run.passed else 'FAIL'}  {run.experiment_kind:<20} "
             f"config {run.config_hash}  {len(run.metrics)} metrics ({n_checked} checked)"
         )
         for m in run.metrics:
             if m.passed is False:
-                click.echo(f"  FAIL  {m.name}: {m.value:.6g} {m.units} (require {m.threshold})")
+                print(f"  FAIL  {m.name}: {m.value:.6g} {m.units} (require {m.threshold})")
     for exc in bad:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
     if bad:
-        sys.exit(EXIT_USAGE)
-    if not all(run.passed for run in runs):
-        sys.exit(EXIT_CHECK_FAILED)
+        return EXIT_USAGE
+    return 0 if all(run.passed for run in runs) else EXIT_CHECK_FAILED
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code. A malformed command line is argparse's: a usage block and
+    SystemExit(2); --help and --version raise SystemExit(0). Every
+    PicmodError prints one `error:` line on stderr and returns 2."""
+    args = _parser().parse_args(argv)
+    try:
+        if args.command == "report":
+            return _report(Path(args.path))
+        return _experiment(args)
+    except PicmodError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _run():
-    try:
-        main(standalone_mode=False)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_USAGE)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
+    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Configuration schema, serialization, and the CLI surface."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from picmod import calibration, experiments
-from picmod.cli import main
+from picmod.cli import EXPERIMENTS, main
 from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
 from picmod.errors import ConfigError, PicmodError
@@ -85,7 +87,7 @@ class TestConfigSchema:
             ExperimentConfig(base_data)
         path = tmp_path / "removed.yaml"
         path.write_text(yaml.safe_dump(base_data))
-        res = CliRunner().invoke(main, ["sweep", "--config", str(path), "--out", str(tmp_path)])
+        res = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
         assert res.exit_code == 2
         assert f"unknown keys ['{key}']" in res.output
 
@@ -98,7 +100,7 @@ class TestConfigSchema:
         assert "sweep_floor_db: .nan" in path.read_text()
         with pytest.raises(ConfigError, match="sweep_floor_db: expected a number, got NaN"):
             ExperimentConfig.load(path)
-        res = CliRunner().invoke(main, ["sweep", "--config", str(path), "--out", str(tmp_path)])
+        res = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
         assert res.exit_code == 2
         assert "sweep_floor_db: expected a number, got NaN" in res.output
         assert not list(tmp_path.glob("*.csv"))
@@ -175,8 +177,29 @@ class TestSerialize:
         assert config_hash(a) == config_hash(b)
 
 
-def run_cli(*args):
-    return CliRunner().invoke(main, list(args), catch_exceptions=False)
+@dataclasses.dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None  # argparse's exit, if it ended the call
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(*args) -> CliResult:
+    """`main(args)` in this process, with stdout and stderr captured. Any
+    exception but argparse's SystemExit propagates."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            exception, code = exc, exc.code
+    return CliResult(code, stdout.getvalue(), stderr.getvalue(), exception)
 
 
 def strip_wall_time(path: Path) -> str:
@@ -263,35 +286,33 @@ class TestCli:
             assert res.exit_code == 0, (pattern, res.output)
 
     def test_malformed_active_pattern_exits_2(self, config_path_795, tmp_path):
-        res = CliRunner().invoke(
-            main,
-            ["beams", "--config", config_path_795, "--out", str(tmp_path),
-             "--active", "foo"],
+        res = run_cli(
+            "beams", "--config", config_path_795, "--out", str(tmp_path), "--active", "foo"
         )
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --active: cannot parse 'foo'")
-        assert "Usage:" not in res.stderr
+        assert "usage:" not in res.stderr
 
     @pytest.mark.parametrize(
         "args", [["sweep", "--channels", "0;1"], ["beams", "--active", "1-3"]]
     )
     def test_usage_error_creates_no_output_dir(self, config_path_795, tmp_path, args):
         out = tmp_path / "out"
-        res = CliRunner().invoke(main, [*args, "--config", config_path_795, "--out", str(out)])
+        res = run_cli(*args, "--config", config_path_795, "--out", str(out))
         assert res.exit_code == 2
         assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("wavelength_nm: 795\n")
-        res = CliRunner().invoke(main, ["sweep", "--config", str(bad)])
+        res = run_cli("sweep", "--config", str(bad))
         assert res.exit_code == 2
 
     def test_config_that_is_not_text_exits_2(self, tmp_path):
         config = tmp_path / "bin.yaml"
         config.write_bytes(bytes.fromhex("fffe00626164"))
         out = tmp_path / "out"
-        res = CliRunner().invoke(main, ["sweep", "--config", str(config), "--out", str(out)])
+        res = run_cli("sweep", "--config", str(config), "--out", str(out))
         assert res.exit_code == 2
         assert res.stderr.splitlines() == [res.stderr.strip()]
         assert res.stderr.startswith(f"error: cannot parse {config}")
@@ -324,17 +345,25 @@ class TestCli:
         assert res.output.count("PASS") >= 2
 
     def test_report_empty_dir_exits_2(self, tmp_path):
-        res = CliRunner().invoke(main, ["report", str(tmp_path)])
+        res = run_cli("report", str(tmp_path))
         assert res.exit_code == 2
         assert res.stderr.startswith(f"error: no run reports found in {tmp_path}")
-        assert "Usage:" not in res.stderr
+        assert "usage:" not in res.stderr
+
+    def test_report_missing_path_exits_2(self, tmp_path):
+        path = tmp_path / "missing"
+        res = run_cli("report", str(path))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith(f"error: {path} cannot be read")
 
     def test_report_unreadable_reports_exit_2(self, tmp_path):
         # An empty object, text that is not JSON, and JSON that is no object.
         paths = [tmp_path / f"{name}_report.json" for name in "abc"]
         for path, text in zip(paths, ("{}", "not json", "3")):
             path.write_text(text)
-        res = CliRunner().invoke(main, ["report", str(tmp_path)])
+        res = run_cli("report", str(tmp_path))
         assert res.exit_code == 2
         lines = res.stderr.splitlines()
         assert len(lines) == len(paths)
@@ -358,7 +387,7 @@ class TestCli:
         else:
             report = {"experiment_kind": "k", "config_hash": "h", "passed": True}
             path.write_text(json.dumps(report)[:-1] + f', "metrics": {content}}}')
-        res = CliRunner().invoke(main, ["report", str(tmp_path)])
+        res = run_cli("report", str(tmp_path))
         assert res.exit_code == 2
         assert res.stderr.splitlines() == [res.stderr.strip()]
         assert res.stderr.startswith(f"error: {path} {message}")
@@ -379,12 +408,33 @@ class TestCli:
             "experiment_kind": "k", "config_hash": "h", "seed": 1, "passed": True,
             "wall_time_s": 0.0, "metrics": [metric],
         }))
-        res = CliRunner().invoke(main, ["report", str(tmp_path)])
+        res = run_cli("report", str(tmp_path))
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [res.stderr.strip()]
         assert res.stderr.startswith(f"error: {path} is not a run report")
         assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_help_lists_commands_and_options(self):
+        def listed(text, name):
+            return re.search(rf"^ +{name}\b", text, re.M) is not None
+
+        res = run_cli("--help")
+        assert res.exit_code == 0
+        for name in [*EXPERIMENTS, "report"]:
+            assert listed(res.stdout, name), name
+        for name, (_, _, options) in EXPERIMENTS.items():
+            res = run_cli(name, "--help")
+            assert res.exit_code == 0, name
+            for flag in ["--config", "--out", "--seed", *options]:
+                assert listed(res.stdout, flag), (name, flag)
+            # argparse appends each default to its option's help line.
+            text = " ".join(res.stdout.split())
+            for default in ["out", *(default for default, _ in options.values())]:
+                assert f"(default: {default})" in text, (name, default)
+        res = run_cli("report", "--help")
+        assert res.exit_code == 0
+        assert listed(res.stdout, "path")
 
     def test_determinism_byte_identical(self, config_path_795, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -413,34 +463,51 @@ def run_on(experiment, *args):
     return lambda path: experiment(ExperimentConfig.load(path), *args)
 
 
-# (CLI arguments, edit of the 795 nm config data, the library call on the
-# edited config that raises the error the CLI must report).
+def yaml_file(edit=None):
+    """Write the 795 nm config data, after `edit`, as YAML to the path."""
+    def write(data, path):
+        if edit is not None:
+            edit(data)
+        path.write_text(yaml.safe_dump(data))
+    return write
+
+
+# (CLI arguments, how the config file is made from the 795 nm config data,
+# the library call on that file that raises the error the CLI must report).
 LIBRARY_ERRORS = {
-    "unreachable_er": (["calibrate"], target_er_300_db, run_on(calibration.calibrate)),
+    "unreachable_er": (["calibrate"], yaml_file(target_er_300_db), run_on(calibration.calibrate)),
     "channel_out_of_range": (
-        ["sweep", "--channels", "99"], None, run_on(experiments.run_sweep, [99])
+        ["sweep", "--channels", "99"], yaml_file(), run_on(experiments.run_sweep, [99])
     ),
-    "site_out_of_range": (["beams", "--active", "9"], None, run_on(experiments.run_beams, [9])),
-    "missing_key": (["sweep"], drop_lock_section, ExperimentConfig.load),
-    "no_site": (["beams", "--active", ","], None, run_on(experiments.run_beams, [])),
+    "site_out_of_range": (
+        ["beams", "--active", "9"], yaml_file(), run_on(experiments.run_beams, [9])
+    ),
+    "missing_key": (["sweep"], yaml_file(drop_lock_section), ExperimentConfig.load),
+    "no_site": (["beams", "--active", ","], yaml_file(), run_on(experiments.run_beams, [])),
+    "pulse_mode": (
+        ["pulse", "--mode", "fast"], yaml_file(), run_on(experiments.run_pulse, "fast")
+    ),
+    "crosstalk_scenario": (
+        ["crosstalk", "--scenario", "D"], yaml_file(), run_on(experiments.run_crosstalk, "D")
+    ),
+    "missing_config": (["sweep"], lambda data, path: None, ExperimentConfig.load),
+    "config_is_directory": (["sweep"], lambda data, path: path.mkdir(), ExperimentConfig.load),
 }
 
 
-@pytest.mark.parametrize("args, edit, library", LIBRARY_ERRORS.values(), ids=LIBRARY_ERRORS)
-def test_entry_points_agree_on_library_errors(base_data, tmp_path, args, edit, library):
+@pytest.mark.parametrize("args, write, library", LIBRARY_ERRORS.values(), ids=LIBRARY_ERRORS)
+def test_entry_points_agree_on_library_errors(base_data, tmp_path, args, write, library):
     """`main` in process and `python -m picmod.cli` in a fresh process both
-    exit 2 on a library error, print its message on stderr and create no
-    --out directory."""
-    if edit is not None:
-        edit(base_data)
+    exit 2 on a library error, print its message as one `error:` line on
+    stderr and create no --out directory."""
     config = tmp_path / "config.yaml"
-    config.write_text(yaml.safe_dump(base_data))
+    write(base_data, config)
     with pytest.raises(PicmodError) as raised:
         library(config)
     message = str(raised.value)
 
     cli_args = [*args, "--config", str(config), "--out"]
-    in_process = CliRunner().invoke(main, [*cli_args, str(tmp_path / "main_out")])
+    in_process = run_cli(*cli_args, str(tmp_path / "main_out"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run(
         [sys.executable, "-m", "picmod.cli", *cli_args, str(tmp_path / "module_out")],
@@ -452,6 +519,7 @@ def test_entry_points_agree_on_library_errors(base_data, tmp_path, args, edit, l
     ]:
         assert code == 2, (out, stderr)
         assert message in stderr, (out, stderr)
+        assert stderr == f"error: {message}\n", (out, stderr)
         assert not (tmp_path / out).exists()
 
 
@@ -584,7 +652,7 @@ class TestReportRoundTrip:
         loaded.save(tmp_path / "resaved.json")
         assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
 
-        res = CliRunner().invoke(main, ["report", str(path)])
+        res = run_cli("report", str(path))
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.stdout.splitlines() == [

@@ -106,8 +106,8 @@ def unreferenced_functions(package: dict[str, str], others: list[str]) -> list[s
     """`module:name` for each undecorated public module-level function of
     `package` (module name -> source) that nothing references but its own
     body: no other top-level statement of `package` and no source in
-    `others`. Decorated functions, such as click commands, are registered
-    by their decorator and exempt."""
+    `others`. Decorated functions are registered by their decorator and
+    exempt."""
     trees = {mod: ast.parse(src) for mod, src in package.items()}
     refs = [(stmt, referenced_names(stmt)) for tree in trees.values() for stmt in tree.body]
     outside = set().union(*(referenced_names(ast.parse(src)) for src in others))
@@ -162,26 +162,30 @@ def test_import_picmod_binds_its_submodules():
     assert proc.stdout.split() == []
 
 
-# Runs in a fresh interpreter; prints the scipy modules loaded after the
-# imports and after each command, and the exit code of each command.
+# Runs in a fresh interpreter; prints the scipy and click modules loaded
+# after the imports and after each command, and the exit code of each command.
 SCIPY_PROBE = """
-import json, sys
-from click.testing import CliRunner
+import contextlib, io, json, sys
 import picmod, picmod.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "click"))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return picmod.cli.main(list(argv))
+        except SystemExit as exc:
+            return exc.code
 
 config, out, commands = sys.argv[1:]
-loaded = {"import": scipy_modules()}
+loaded = {"import": unwanted_modules()}
 exit_codes = {}
-runner = CliRunner()
 for args in json.loads(commands):
-    res = runner.invoke(picmod.cli.main, [*args.split(), "--config", config, "--out", out])
-    exit_codes[args] = res.exit_code
-    loaded[args] = scipy_modules()
-exit_codes["report"] = runner.invoke(picmod.cli.main, ["report", out]).exit_code
-loaded["report"] = scipy_modules()
+    exit_codes[args] = run(*args.split(), "--config", config, "--out", out)
+    loaded[args] = unwanted_modules()
+exit_codes["report"] = run("report", out)
+loaded["report"] = unwanted_modules()
 print(json.dumps({"loaded": loaded, "exit_codes": exit_codes}))
 """
 
@@ -199,9 +203,10 @@ COMMANDS = [
 
 
 def test_scipy_off_the_import_path(tmp_path):
-    """No step of a run loads scipy: not `import picmod` or `picmod.cli`,
-    and not any subcommand. The root finder and the OU filter are picmod's
-    own; scipy is only the tests' reference for them.
+    """No step of a run loads scipy or click: not `import picmod` or
+    `picmod.cli`, and not any subcommand. The root finder and the OU filter
+    are picmod's own; scipy is only the tests' reference for them. The
+    command line is parsed by the standard library's argparse.
     """
     config = SRC / "configs" / "pic_795nm.yaml"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
