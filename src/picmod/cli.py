@@ -5,7 +5,8 @@ Each experiment subcommand loads a YAML configuration (--config, with
 or `picmod.calibration`, writes the experiment's tables and a JSON run
 report into --out, and prints the report's summary. `report` tabulates the
 run reports in a directory. Exit codes: 0 all checks passed, 1 a check
-failed, 2 a usage error, a configuration error or any other picmod error.
+failed, 2 a usage error, a configuration error, any other picmod error or
+an OSError writing --out.
 """
 
 from __future__ import annotations
@@ -167,13 +168,14 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line (sys.argv[1:] by default) and return its exit
     code. A malformed command line is argparse's: a usage block and
     SystemExit(2); --help and --version raise SystemExit(0). Every
-    PicmodError prints one `error:` line on stderr and returns 2."""
+    PicmodError, and every OSError creating or writing --out, prints one
+    `error:` line on stderr and returns 2."""
     args = _parser().parse_args(argv)
     try:
         if args.command == "report":
             return _report(Path(args.path))
         return _experiment(args)
-    except PicmodError as exc:
+    except (PicmodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -60,6 +60,8 @@ class LockController:
         for g in (self.gain_p, self.gain_i, self.max_step, self.integrator_limit):
             if not math.isfinite(g):
                 raise PicmodError("controller gains must be finite")
+        if self.max_step < 0 or self.integrator_limit < 0:
+            raise PicmodError("max_step and integrator_limit must be non-negative")
 
 
 ER_SAMPLE_EVERY = 60  # updates between ER samples
@@ -83,8 +85,10 @@ def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
     Each update measures the channel at eps +/- dither (one math.sin per
     point on the half phase, rounded as `power_at_phase` rounds it, the
     stage power multiplied once per further stage, the detector applied
-    inline) and steps the PI controller. Raises LockDivergedError at the
-    first update whose correction leaves [-pi, pi].
+    inline) and steps the PI controller, clamping with branches that equal
+    min(max(x, -lim), lim) bit for bit because both limits are >= 0.
+    Raises LockDivergedError at the first update whose correction leaves
+    [-pi, pi].
     """
     stage_floor, depth = channel.stages[0].fringe
     more_stages = range(channel.n_stages - 1)
@@ -93,7 +97,7 @@ def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
     gain_p, gain_i = controller.gain_p, controller.gain_i
     i_lim, s_lim = controller.integrator_limit, controller.max_step
     floor = detector.relative_floor
-    sin = math.sin
+    two_d, pi, sin = 2.0 * d, math.pi, math.sin
 
     correction = 0.0
     integ = 0.0
@@ -117,13 +121,19 @@ def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
             p_plus = floor
         if not p_minus > floor:
             p_minus = floor
-        grad = (p_plus - p_minus) / (2.0 * d)
+        grad = (p_plus - p_minus) / two_d
         integ += gain_i * grad
-        integ = min(max(integ, -i_lim), i_lim)
+        if integ > i_lim:
+            integ = i_lim
+        elif integ < -i_lim:
+            integ = -i_lim
         step = gain_p * grad + integ
-        step = min(max(step, -s_lim), s_lim)
+        if step > s_lim:
+            step = s_lim
+        elif step < -s_lim:
+            step = -s_lim
         correction -= step
-        if abs(correction) > math.pi:
+        if abs(correction) > pi:
             raise LockDivergedError(
                 f"bias correction diverged to {correction:.3f} rad at update {k} "
                 f"(unstable gains?)"

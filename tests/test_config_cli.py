@@ -250,6 +250,18 @@ class TestCli:
         assert "pulse experiment failed" in res.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_out_naming_a_file_exits_2(self, config_path_795, tmp_path):
+        # Creating --out fails after the experiment ran: one error line
+        # naming it, no summary, and the file is left as it was.
+        out = tmp_path / "notes.txt"
+        out.write_text("kept\n")
+        res = run_cli("crosstalk", "--config", config_path_795, "--out", str(out))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith("error: ") and str(out) in res.stderr
+        assert out.read_text() == "kept\n"
+
     def test_sweep_outputs_and_summary(self, config_path_795, tmp_path):
         res = run_cli(
             "sweep", "--config", config_path_795, "--out", str(tmp_path),

@@ -103,11 +103,9 @@ def test_package_reads_its_private_names():
 
 
 def unreferenced_functions(package: dict[str, str], others: list[str]) -> list[str]:
-    """`module:name` for each undecorated public module-level function of
-    `package` (module name -> source) that nothing references but its own
-    body: no other top-level statement of `package` and no source in
-    `others`. Decorated functions are registered by their decorator and
-    exempt."""
+    """`module:name` for each public module-level function of `package`
+    (module name -> source) that nothing references but its own body: no
+    other top-level statement of `package` and no source in `others`."""
     trees = {mod: ast.parse(src) for mod, src in package.items()}
     refs = [(stmt, referenced_names(stmt)) for tree in trees.values() for stmt in tree.body]
     outside = set().union(*(referenced_names(ast.parse(src)) for src in others))
@@ -116,7 +114,6 @@ def unreferenced_functions(package: dict[str, str], others: list[str]) -> list[s
         for mod, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and not node.decorator_list
         and not node.name.startswith("_")
         and node.name not in outside
         and not any(node.name in names for stmt, names in refs if stmt is not node)
@@ -127,7 +124,7 @@ def test_checker_finds_unreferenced_functions():
     package = {
         "a": "def used():\n    pass\ndef lonely():\n    lonely()\n"
              "def helper():\n    pass\nX = helper()\n"
-             "@register\ndef command():\n    pass\ndef _private():\n    pass\n",
+             "def _private():\n    pass\n",
         "b": "from a import used\ndef benched():\n    pass\ndef dead():\n    pass\n",
     }
     assert unreferenced_functions(package, ["import b\nb.benched()\n"]) == ["a:lonely", "b:dead"]

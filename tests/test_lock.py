@@ -243,6 +243,12 @@ class TestRunLock:
             LockController(update_rate=0.0)
         with pytest.raises(PicmodError):
             LockController(dither_amplitude=0.0)
+        # The lock's branch clamps equal min(max(x, -lim), lim) only for
+        # limits >= 0 (-0.0 included).
+        for limits in ({"max_step": -0.01}, {"integrator_limit": -0.01}):
+            with pytest.raises(PicmodError, match="non-negative"):
+                LockController(**limits)
+        LockController(max_step=-0.0, integrator_limit=0.0)
 
 
 class TestRunLockOracle:
@@ -286,6 +292,40 @@ class TestRunLockOracle:
         assert_same_run(
             run_lock(*args, engaged=engaged), reference_run_lock(*args, engaged=engaged)
         )
+
+    @pytest.mark.parametrize("n_stages", [1, 3])
+    def test_stage_counts(self, drift_noise, n_stages):
+        # Every shipped config has 2 stages; the loop multiplies in each
+        # further stage's power.
+        channel = make_calibrated_channel(74.7, power_split_for_er(71.4, n_stages), n_stages)
+        args = (channel, drift_noise, LockController(), 1800.0, DET)
+        assert_same_run(run_lock(*args), reference_run_lock(*args))
+
+    @pytest.mark.parametrize("seed, offset", [(0, 0.3), (1, -0.3)])
+    def test_static_offset_saturates_both_clamps(self, channel, seed, offset):
+        # A drift this slow holds its first sample, sigma times the seed's
+        # first normal draw; sigma makes that sample the offset. At these
+        # gains the lock pulls in at the step limit and then limit-cycles
+        # about the null, so the integrator and the step each reach both
+        # of their limits.
+        sigma = offset / derive_rng(seed, "lock", "bias-drift").standard_normal()
+        noise = NoiseModel(bias_drift=OuParams(sigma, 1e12), seed=seed)
+        fast = LockController(gain_p=25000.0, gain_i=10000.0)
+        args = (channel, noise, fast, 100.0, DET)
+        assert_same_run(run_lock(*args), reference_run_lock(*args))
+        peak = float(channel.power_at_phase(math.pi))
+        path = _correction_path(channel, np.full(500, offset), peak, fast, DET)
+        steps = -np.diff(path, prepend=0.0)  # each update's step, to rounding
+        assert steps.max() == pytest.approx(fast.max_step)
+        assert steps.min() == pytest.approx(-fast.max_step)
+
+    @pytest.mark.parametrize("limit", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_zero_integrator_limit(self, channel, drift_noise, limit):
+        # The integrator is clamped to a signed zero at every update, and
+        # the floor above the OFF power makes many gradients exactly 0.
+        args = (channel, drift_noise, LockController(integrator_limit=limit), 1800.0,
+                DetectorModel(1e-7))
+        assert_same_run(run_lock(*args), reference_run_lock(*args))
 
     def test_divergence_at_same_update(self, channel, drift_noise):
         bad = LockController(gain_p=-500.0, gain_i=0.0, max_step=1.0)
