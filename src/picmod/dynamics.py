@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ModulatorChannel, channel_transmission_equal
 from .errors import GridError, NoTransitionError, PicmodError
-from .fitting import _brent_root
+from .fitting import _brent_root, _median
 
 # Kernels shorter than this use direct convolution, longer ones numpy's
 # real FFT on a zero-padded power-of-two length; both agree within 1e-10.
@@ -240,7 +240,7 @@ def measure_rise_time(trace: Waveform) -> float:
     if power.size < 3:
         raise NoTransitionError("trace too short")
     start = float(power[0])
-    settled = float(np.median(power[-max(power.size // 10, 3):]))
+    settled = _median(power[-max(power.size // 10, 3):])
     if abs(settled - start) < 1e-9 * max(abs(settled), abs(start), 1e-30):
         raise NoTransitionError("no transition found (flat trace)")
     return _rise_time(power, trace.sample_period, start, settled)

@@ -15,8 +15,9 @@ coefficients held (the envelope theorem): for residual r and fitted cos
 and sin coefficients b_cos and b_sin,
 dSSE/dw = 2 r.(V * (b_cos sin wV - b_sin cos wV)).
 The root is found by `_brent_root`, Brent's bracketing root finder, which
-`dynamics.synthesize_kernel` also uses. It lives here because `core`
-imports this module and `dynamics` imports `core`.
+`dynamics.synthesize_kernel` also uses. It and `_median`, which
+`dynamics` and `waveforms` also use, live here because `core` imports
+this module and `dynamics` imports `core`.
 
 The scan needs no solve per grid point. `_scan_basis` holds, for every
 grid w, an orthonormal basis of [1, cos wV, sin wV]: Gram-Schmidt
@@ -115,6 +116,16 @@ def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.nd
     return centred @ centred - (q_cos @ centred) ** 2 - (q_sin @ centred) ** 2
 
 
+def _median(x) -> float:
+    """np.median of a finite 1-D array, bit for bit: the mean of the middle
+    sorted value, or of the middle two, as np.median takes it (so a zero
+    median is +0.0). np.median's NaN check imports numpy.ma, which no
+    command needs otherwise."""
+    s = np.sort(x)
+    m = s.size // 2
+    return float(s[m - 1 + s.size % 2 : m + 1].mean())
+
+
 def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
@@ -190,7 +201,7 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     if span <= 0 or scale <= 0 or float(np.ptp(trans)) < 1e-9 * max(scale, 1.0):
         raise InsufficientFringeError("data has no usable fringe contrast")
 
-    dv = float(np.median(np.diff(np.sort(volts))))
+    dv = _median(np.diff(np.sort(volts)))
     omega_lo = 0.5 * math.pi / span
     omega_hi = math.pi / max(dv, 1e-12 * span)
 

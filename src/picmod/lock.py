@@ -21,9 +21,12 @@ Every reading, dither and ER sample alike, is the true power floored by
 the detector; an ER sample whose OFF reading is the floor counts as
 detector-limited.
 
-A pulse train's actuator output is convolved once over its settling
-periods and its areas integrated chunk by chunk (without an actuator, in
-closed form); either way the areas are divided by their nonzero mean.
+A pulse train's areas are computed chunk by chunk on both paths: with an
+actuator, each chunk integrates the actuator output, convolved once over
+its settling periods; without one, each chunk is the closed form. Only
+the bias error, the v_pi drift and the areas are held at full length; the
+jitter is drawn a chunk at a time. Either way the areas are divided by
+their nonzero mean.
 """
 
 from __future__ import annotations
@@ -217,7 +220,10 @@ LOCKED_RESIDUAL = OuParams(sigma=0.009, correlation_time=1.0)
 
 # Longest optical trace a pulse experiment samples: a bound on run time, not memory.
 MAX_TRACE_SAMPLES = 4_000_000
-_TRACE_CHUNK_SAMPLES = 1 << 16  # trace-path chunk: 512 KiB temporaries stay in cache
+# Samples a chunk of either pulse-area path holds (a chunk of the closed
+# form holds that many pulses): 512 KiB temporaries stay in cache, and only
+# eps, delta and areas are held at full length.
+_TRACE_CHUNK_SAMPLES = 1 << 16
 
 
 def noisy_pulse_experiment(
@@ -235,13 +241,15 @@ def noisy_pulse_experiment(
     of spec. Per-pulse multiplicative amplitude jitter plus slow bias and
     v_pi drift act on the train; areas are reported per block of n_pulses
     pulses. The bias lock is engaged, so the bias motion is its residual
-    (LOCKED_RESIDUAL) rather than the free drift. Given an actuator
+    (LOCKED_RESIDUAL) rather than the free drift. Both paths run chunk by
+    chunk and hold only the bias error, the v_pi drift and the areas at
+    full length; the jitter is drawn a chunk at a time. Given an actuator
     response, a single-block run of at most MAX_TRACE_SAMPLES samples is
     integrated from its optical trace, the actuator output convolved once
-    over its settling periods and the areas integrated chunk by chunk; any
-    other run given a response raises PicmodError. Without one, areas come
-    from the per-pulse closed form (the pulse shape is common to all
-    pulses, so areas scale exactly with the per-pulse factors).
+    over its settling periods; any other run given a response raises
+    PicmodError. Without one, areas come from the per-pulse closed form
+    (the pulse shape is common to all pulses, so areas scale exactly with
+    the per-pulse factors).
     """
     if n_pulses < 1 or n_blocks < 1:
         raise PicmodError("need n_pulses >= 1 and n_blocks >= 1")
@@ -273,28 +281,33 @@ def noisy_pulse_experiment(
         spec.period,
         rng=vpi_rng,
     )[:total]
-    jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
-
     on_power = channel.max_transmission()
     if response is not None:
         # From period ceil((k - 1) / n_period) on, a k-tap kernel sees the
         # same input history in every period, so its output repeats exactly.
         n_head = min(total, -(-(kernel.size - 1) // n_period) + 1)
         head = convolve_causal(np.tile(pulse, n_head), kernel).reshape(n_head, n_period)
-        areas = np.empty(total)
         rows = max(1, _TRACE_CHUNK_SAMPLES // n_period)
-        for start in range(0, total, rows):
-            p = np.arange(start, min(start + rows, total))
-            v_eff = head[np.minimum(p, n_head - 1)]
-            phase = math.pi * v_eff / (channel.v_pi * (1.0 + delta[p, None])) + eps[p, None]
-            power = channel.power_at_phase(phase) / on_power * jitter[p, None]
-            areas[p] = np.trapezoid(power, dx=dt, axis=1)
     else:
-        areas = jitter * (channel.power_at_phase(math.pi / (1.0 + delta) + eps) / on_power)
+        rows = _TRACE_CHUNK_SAMPLES
+    areas = np.empty(total)
+    for start in range(0, total, rows):
+        p = slice(start, min(start + rows, total))
+        # A Generator draws the same normals in chunks as in one call.
+        jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(p.stop - start)
+        if response is None:
+            power = channel.power_at_phase(math.pi / (1.0 + delta[p]) + eps[p]) / on_power
+            areas[p] = jitter * power
+        else:
+            v_eff = head[np.minimum(np.arange(start, p.stop), n_head - 1)]
+            phase = math.pi * v_eff / (channel.v_pi * (1.0 + delta[p, None])) + eps[p, None]
+            power = channel.power_at_phase(phase) / on_power * jitter[:, None]
+            areas[p] = np.trapezoid(power, dx=dt, axis=1)
+    del eps, delta  # freed before the block statistics take their temporaries
     mean = areas.mean()
     if mean == 0:
         raise PicmodError("zero mean pulse area")
-    areas = areas / mean
+    areas /= mean
 
     blocks = areas.reshape(n_blocks, n_pulses)
     block_means = blocks.mean(axis=1, keepdims=True)

@@ -119,9 +119,10 @@ def sample_ou_path(
             f"dt {dt:.3g} too coarse for correlation time {correlation_time:.3g}"
         )
     a = math.exp(-dt / correlation_time)
-    w = rng.standard_normal(n)
-    drive = w * (sigma * math.sqrt(1.0 - a * a))
-    drive[0] = w[0] * sigma  # stationary start
+    drive = rng.standard_normal(n)  # scaled in place: no second full-length array
+    w0 = drive[0]
+    drive *= sigma * math.sqrt(1.0 - a * a)
+    drive[0] = w0 * sigma  # stationary start
     return _ar1_filter(drive, a)
 
 

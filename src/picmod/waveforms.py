@@ -18,6 +18,7 @@ import numpy as np
 from .core import ModulatorChannel
 from .dynamics import ActuatorResponse, Waveform, on_hold_samples, trace_optical
 from .errors import GridError, PicmodError, UnachievableTargetError
+from .fitting import _median
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def dynamic_extinction(trace: Waveform, switch_time: float) -> DynamicExtinction
     if not 0 < idx < n:
         raise PicmodError(f"switch_time {switch_time} outside trace")
     pre = trace.samples[max(0, idx - max(8, idx // 4)):idx]
-    on_level = float(np.median(pre))
+    on_level = _median(pre)
     if on_level <= 0:
         raise PicmodError("pre-switch ON level is not positive")
     post = trace.samples[idx:]

@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 from picmod import calibration, experiments
+from picmod import config as config_module
 from picmod.cli import EXPERIMENTS, main
 from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
@@ -77,6 +78,22 @@ class TestConfigSchema:
         again = ExperimentConfig.load(out)
         assert again.data == config_795.data
         assert again.hash == config_795.hash
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["shipped", "calibrated"])
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_libyaml_and_python_yaml_agree(self, nm, calibrated, tmp_path, monkeypatch):
+        # load/save use libyaml where PyYAML has it; the pure-Python loader
+        # and dumper must read the same data and write the same bytes.
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        if calibrated:
+            cfg, _ = calibration.calibrate(cfg)
+        cfg.save(tmp_path / "c.yaml")
+        loaded = ExperimentConfig.load(tmp_path / "c.yaml")
+        monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(config_module, "_YAML_DUMPER", yaml.SafeDumper)
+        cfg.save(tmp_path / "py.yaml")
+        assert (tmp_path / "py.yaml").read_bytes() == (tmp_path / "c.yaml").read_bytes()
+        assert ExperimentConfig.load(tmp_path / "c.yaml").data == loaded.data == cfg.data
 
     @pytest.mark.parametrize("key, value", [("clamp", True), ("additive_noise_sigma", 0.0)])
     def test_removed_detector_key_rejected(self, base_data, tmp_path, key, value):

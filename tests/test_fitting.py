@@ -12,6 +12,7 @@ from picmod.errors import FitError, InsufficientFringeError
 from picmod.fitting import (
     _SCAN_BASIS_GRIDS,
     _linear_solve,
+    _median,
     _scan_basis,
     _scan_sse,
     fit_v_pi,
@@ -239,3 +240,13 @@ class TestSlopeRefinement:
         # one ulp of w apart scatter by up to 4e-15 relative.
         sse, ref_sse = _linear_solve(volts, trans, omega)[1], _linear_solve(volts, trans, ref)[1]
         assert sse <= ref_sse * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 240, 241])
+def test_median_is_numpys_bit_for_bit(n):
+    # Rounded draws give ties and zeros of both signs; np.median's median
+    # of zeros is +0.0.
+    rng = np.random.default_rng(n)
+    for scale in (1e-9, 1.0, 1e9):
+        for x in (rng.standard_normal(n) * scale, np.round(rng.standard_normal(n)), -np.zeros(n)):
+            assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()

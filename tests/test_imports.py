@@ -2,7 +2,7 @@
 imports, the package references each module-level private name it
 defines, another module or the benchmark references each public function
 it defines, and neither importing picmod nor running any subcommand loads
-scipy."""
+scipy, click or numpy.ma."""
 
 import ast
 import json
@@ -159,14 +159,18 @@ def test_import_picmod_binds_its_submodules():
     assert proc.stdout.split() == []
 
 
-# Runs in a fresh interpreter; prints the scipy and click modules loaded
-# after the imports and after each command, and the exit code of each command.
-SCIPY_PROBE = """
+# Runs in a fresh interpreter; prints the scipy, click and numpy.ma modules
+# loaded after the imports and after each command, and the exit code of each
+# command.
+UNWANTED_PROBE = """
 import contextlib, io, json, sys
 import picmod, picmod.cli
 
 def unwanted_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "click"))
+    return sorted(
+        m for m in sys.modules
+        if m.split(".")[0] in ("scipy", "click") or m.split(".")[:2] == ["numpy", "ma"]
+    )
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -199,16 +203,18 @@ COMMANDS = [
 ]
 
 
-def test_scipy_off_the_import_path(tmp_path):
-    """No step of a run loads scipy or click: not `import picmod` or
-    `picmod.cli`, and not any subcommand. The root finder and the OU filter
-    are picmod's own; scipy is only the tests' reference for them. The
-    command line is parsed by the standard library's argparse.
+def test_scipy_click_and_numpy_ma_off_the_import_path(tmp_path):
+    """No step of a run loads scipy, click or numpy.ma: not `import picmod`
+    or `picmod.cli`, and not any subcommand. The root finder and the OU
+    filter are picmod's own; scipy is only the tests' reference for them.
+    The command line is parsed by the standard library's argparse. Medians
+    come from `fitting._median`, because np.median's NaN check imports
+    numpy.ma, about 10 ms on first use in a fresh process.
     """
     config = SRC / "configs" / "pic_795nm.yaml"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(config), str(tmp_path), json.dumps(COMMANDS)],
+        [sys.executable, "-c", UNWANTED_PROBE, str(config), str(tmp_path), json.dumps(COMMANDS)],
         capture_output=True, text=True, env=env, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])

@@ -449,6 +449,40 @@ class TestPulseAreas:
             pulse_areas(Waveform(1e-9, np.ones(1500)), SPEC)
 
 
+def reference_drifts(spec, noise, total):
+    """Oracle: the per-pulse bias error, relative v_pi drift and amplitude
+    jitter of a train of `total` pulses, each drawn whole from its labelled
+    stream."""
+    duration = (total - 1) * spec.period
+    bias = LOCKED_RESIDUAL if noise.bias_drift.sigma > 0 else noise.bias_drift
+    eps = sample_ou_path(
+        bias.sigma,
+        bias.correlation_time,
+        duration,
+        spec.period,
+        rng=derive_rng(noise.seed, "pulse-experiment", "bias-drift"),
+    )[:total]
+    delta = sample_ou_path(
+        noise.v_pi_drift.sigma,
+        noise.v_pi_drift.correlation_time,
+        duration,
+        spec.period,
+        rng=derive_rng(noise.seed, "pulse-experiment", "vpi-drift"),
+    )[:total]
+    jitter_rng = derive_rng(noise.seed, "pulse-experiment", "amplitude-jitter")
+    jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(total)
+    return eps, delta, jitter
+
+
+def reference_closed_areas(channel, spec, noise, n_pulses, n_blocks=1):
+    """Oracle: the closed form over the whole train at once, every
+    full-length array held together, divided by the mean."""
+    eps, delta, jitter = reference_drifts(spec, noise, n_pulses * n_blocks)
+    on_power = channel.max_transmission()
+    areas = jitter * (channel.power_at_phase(math.pi / (1.0 + delta) + eps) / on_power)
+    return areas / areas.mean()
+
+
 def reference_trace_areas(channel, spec, noise, n_pulses, response):
     """Oracle: the trace path over the full train, held at once.
 
@@ -459,24 +493,7 @@ def reference_trace_areas(channel, spec, noise, n_pulses, response):
     """
     dt = response.sample_period
     n_period = int(round(spec.period / dt))
-    duration = (n_pulses - 1) * spec.period
-    bias = LOCKED_RESIDUAL if noise.bias_drift.sigma > 0 else noise.bias_drift
-    eps = sample_ou_path(
-        bias.sigma,
-        bias.correlation_time,
-        duration,
-        spec.period,
-        rng=derive_rng(noise.seed, "pulse-experiment", "bias-drift"),
-    )[:n_pulses]
-    delta = sample_ou_path(
-        noise.v_pi_drift.sigma,
-        noise.v_pi_drift.correlation_time,
-        duration,
-        spec.period,
-        rng=derive_rng(noise.seed, "pulse-experiment", "vpi-drift"),
-    )[:n_pulses]
-    jitter_rng = derive_rng(noise.seed, "pulse-experiment", "amplitude-jitter")
-    jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(n_pulses)
+    eps, delta, jitter = reference_drifts(spec, noise, n_pulses)
 
     train = np.tile(pulse_period(spec, channel.v_pi, dt).samples, n_pulses)
     v_eff = convolve_causal(train, response.impulse_kernel)
@@ -487,6 +504,51 @@ def reference_trace_areas(channel, spec, noise, n_pulses, response):
     power = channel.power_at_phase(phase) / channel.power_at_phase(math.pi)
     power = power * np.repeat(jitter, n_period)
     return pulse_areas(Waveform(dt, power), spec)
+
+
+class TestClosedPathOracle:
+    """The closed form, run chunk by chunk, must return what the whole
+    train held at once returns."""
+
+    @pytest.mark.parametrize("train", ["short", "block"])
+    @pytest.mark.parametrize("seed", [5, 42])
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_shipped_configs(self, nm, seed, train):
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        pl = cfg.data["pulse"]
+        block = train == "block"
+        n_pulses = pl["block_n_pulses"] if block else pl["n_pulses"]
+        n_blocks = pl["n_blocks"] if block else 1
+        args = (cfg.channels()[0], cfg.pulse_spec(block=block), cfg.noise_model(seed=seed))
+        got = noisy_pulse_experiment(*args, n_pulses, n_blocks=n_blocks)
+        assert np.array_equal(got.areas, reference_closed_areas(*args, n_pulses, n_blocks))
+
+    @pytest.mark.parametrize(
+        "n_pulses",
+        [1, _TRACE_CHUNK_SAMPLES - 1, _TRACE_CHUNK_SAMPLES, _TRACE_CHUNK_SAMPLES + 1],
+    )
+    def test_pulse_counts(self, channel, drift_noise, n_pulses):
+        got = noisy_pulse_experiment(channel, BLOCK_SPEC, drift_noise, n_pulses)
+        want = reference_closed_areas(channel, BLOCK_SPEC, drift_noise, n_pulses)
+        assert np.array_equal(got.areas, want)
+
+    def test_block_train_memory(self):
+        # 500 blocks of 1000 pulses: each full-length array is 4 MB. The
+        # train holds only eps, delta and areas at full length; the whole
+        # train computed at once peaks above 24 MB.
+        cfg = ExperimentConfig.load(CONFIG_DIR / "pic_795nm.yaml")
+        pl = cfg.data["pulse"]
+        channel, spec = cfg.channels()[0], cfg.pulse_spec(block=True)
+        tracemalloc.start()
+        try:
+            noisy_pulse_experiment(
+                channel, spec, cfg.noise_model(seed=42), pl["block_n_pulses"],
+                n_blocks=pl["n_blocks"],
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 CHUNK_ROWS = _TRACE_CHUNK_SAMPLES // 1000  # pulses per chunk at SPEC's 1000 samples
