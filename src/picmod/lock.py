@@ -23,10 +23,14 @@ detector-limited.
 
 A pulse train's areas are computed chunk by chunk on both paths: with an
 actuator, each chunk integrates the actuator output, convolved once over
-its settling periods; without one, each chunk is the closed form. Only
-the bias error, the v_pi drift and the areas are held at full length; the
+its settling periods; without one, each chunk is the closed form. Once
+the actuator has settled, every period repeats the same samples, so the
+optics are evaluated once per pulse on that period's distinct levels
+(runs of equal bit patterns) and gathered back to the samples. Only the
+bias error, the v_pi drift and the areas are held at full length; the
 jitter is drawn a chunk at a time. Either way the areas are divided by
-their nonzero mean.
+their nonzero mean, and the block statistics are taken a slice of blocks
+at a time.
 """
 
 from __future__ import annotations
@@ -221,8 +225,9 @@ LOCKED_RESIDUAL = OuParams(sigma=0.009, correlation_time=1.0)
 # Longest optical trace a pulse experiment samples: a bound on run time, not memory.
 MAX_TRACE_SAMPLES = 4_000_000
 # Samples a chunk of either pulse-area path holds (a chunk of the closed
-# form holds that many pulses): 512 KiB temporaries stay in cache, and only
-# eps, delta and areas are held at full length.
+# form, or of the block statistics, holds that many pulses): 512 KiB
+# temporaries stay in cache, and only eps, delta and areas are held at full
+# length.
 _TRACE_CHUNK_SAMPLES = 1 << 16
 
 
@@ -246,7 +251,9 @@ def noisy_pulse_experiment(
     full length; the jitter is drawn a chunk at a time. Given an actuator
     response, a single-block run of at most MAX_TRACE_SAMPLES samples is
     integrated from its optical trace, the actuator output convolved once
-    over its settling periods; any other run given a response raises
+    over its settling periods; after them the optics are evaluated once per
+    distinct level of the settled period, not once per sample, which gives
+    the same bits. Any other run given a response raises
     PicmodError. Without one, areas come from the per-pulse closed form
     (the pulse shape is common to all pulses, so areas scale exactly with
     the per-pulse factors).
@@ -286,7 +293,15 @@ def noisy_pulse_experiment(
         # From period ceil((k - 1) / n_period) on, a k-tap kernel sees the
         # same input history in every period, so its output repeats exactly.
         n_head = min(total, -(-(kernel.size - 1) // n_period) + 1)
-        head = convolve_causal(np.tile(pulse, n_head), kernel).reshape(n_head, n_period)
+        pi_head = math.pi * convolve_causal(np.tile(pulse, n_head), kernel)
+        pi_head = pi_head.reshape(n_head, n_period)
+        # Pulses from n_head - 1 on see the last row, whose runs of equal
+        # bit patterns are its distinct levels: their optics are evaluated
+        # once per pulse and gathered back to the samples.
+        bits = pi_head[-1].view(np.uint64)
+        new_level = np.concatenate([[True], bits[1:] != bits[:-1]])
+        levels = pi_head[-1][new_level]
+        level_of = np.cumsum(new_level) - 1
         rows = max(1, _TRACE_CHUNK_SAMPLES // n_period)
     else:
         rows = _TRACE_CHUNK_SAMPLES
@@ -299,19 +314,36 @@ def noisy_pulse_experiment(
             power = channel.power_at_phase(math.pi / (1.0 + delta[p]) + eps[p]) / on_power
             areas[p] = jitter * power
         else:
-            v_eff = head[np.minimum(np.arange(start, p.stop), n_head - 1)]
-            phase = math.pi * v_eff / (channel.v_pi * (1.0 + delta[p, None])) + eps[p, None]
-            power = channel.power_at_phase(phase) / on_power * jitter[:, None]
-            areas[p] = np.trapezoid(power, dx=dt, axis=1)
+            # The chunk's head pulses see their own rows, the rest the levels.
+            settled = min(max(start, n_head - 1), p.stop)
+            for q, pi_v in ((slice(start, settled), pi_head[start:settled]),
+                            (slice(settled, p.stop), levels)):
+                if q.start == q.stop:
+                    continue
+                phase = pi_v / (channel.v_pi * (1.0 + delta[q, None]))
+                phase += eps[q, None]
+                power = channel.power_at_phase(phase)
+                power /= on_power
+                power *= jitter[q.start - start : q.stop - start, None]
+                if power.shape[1] < n_period:
+                    # np.take keeps the rows contiguous, so the trapezoid
+                    # sums them in the same order as the full rows.
+                    power = np.take(power, level_of, axis=1)
+                areas[q] = np.trapezoid(power, dx=dt, axis=1)
     del eps, delta  # freed before the block statistics take their temporaries
     mean = areas.mean()
     if mean == 0:
         raise PicmodError("zero mean pulse area")
     areas /= mean
 
+    # Block statistics a slice of blocks at a time: each row's reductions
+    # are those of the whole array, bit for bit, on cache-sized temporaries.
     blocks = areas.reshape(n_blocks, n_pulses)
-    block_means = blocks.mean(axis=1, keepdims=True)
-    block_stds = (blocks / block_means).std(axis=1)
+    block_stds = np.empty(n_blocks)
+    step = max(1, _TRACE_CHUNK_SAMPLES // n_pulses)
+    for start in range(0, n_blocks, step):
+        b = blocks[start : start + step]
+        block_stds[start : start + step] = (b / b.mean(axis=1, keepdims=True)).std(axis=1)
     counts, edges = np.histogram(areas, bins=50)
     return PulseStats(
         areas=areas,

@@ -23,7 +23,7 @@ from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
 from picmod.errors import ConfigError, PicmodError
 from picmod.reports import RunReport, load_report
-from picmod.serialize import config_hash, fmt, write_csv
+from picmod.serialize import _CSV_CHUNK_ROWS, config_hash, fmt, write_csv
 
 from conftest import CONFIG_DIR
 
@@ -147,10 +147,71 @@ class TestConfigSchema:
         assert config_795.seed == 42
 
 
+def reference_csv(header, columns) -> bytes:
+    """Oracle: the per-cell writer, one formatter per column over tolist()
+    values and one joined line per row."""
+    columns = [np.asarray(c) for c in columns]
+    cells = [
+        map(repr if c.dtype.kind == "f" and c.dtype.itemsize <= 8 else fmt, c.tolist())
+        for c in columns
+    ]
+    lines = [",".join(header) + "\n"]
+    lines.extend(",".join(row) + "\n" for row in zip(*cells))
+    return "".join(lines).encode()
+
+
+# Floats whose shortest repr is easy to get wrong: signed zero, non-finite
+# values, the smallest subnormal, and the switches to exponent notation.
+ADVERSARIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+
+
+def adversarial_columns(n_rows):
+    rng = np.random.default_rng(n_rows)
+    # The special values first, then repeats of them scaled by random normals.
+    base = np.resize(ADVERSARIAL_FLOATS, n_rows)
+    tail = base[len(ADVERSARIAL_FLOATS) :]
+    tail *= rng.standard_normal(tail.size)
+    with np.errstate(over="ignore"):  # 1e16 and beyond are inf in float16
+        f16 = base.astype(np.float16)
+    return {
+        "f64": base,
+        "f32": base.astype(np.float32),
+        "f16": f16,
+        "i64": rng.integers(-(2**62), 2**62, n_rows, dtype=np.int64),
+        "bool": rng.random(n_rows) < 0.5,
+    }
+
+
 class TestSerialize:
     def test_csv_columns_equal_length(self, tmp_path):
         with pytest.raises(PicmodError):
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, 9, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1],
+    )
+    @pytest.mark.parametrize(
+        "names",
+        [("f64",), ("f64", "f32", "f16"), ("f64", "i64"), ("i64", "bool"),
+         ("bool", "f16", "i64", "f64", "f32")],
+        ids=["f64", "floats", "histogram", "ints", "mixed"],
+    )
+    def test_csv_bytes_match_reference_writer(self, tmp_path, n_rows, names):
+        # ("f64", "i64") has the float/int layout of pulse_area_histogram.csv.
+        table = adversarial_columns(n_rows)
+        columns = [table[name] for name in names]
+        write_csv(tmp_path / "x.csv", list(names), columns)
+        assert (tmp_path / "x.csv").read_bytes() == reference_csv(names, columns)
+
+    def test_csv_unequal_columns_keep_old_file(self, tmp_path):
+        target = tmp_path / "x.csv"
+        write_csv(target, ["a"], [np.arange(3)])
+        old = target.read_bytes()
+        with pytest.raises(PicmodError, match="equal length"):
+            write_csv(target, ["a", "b"], [np.arange(_CSV_CHUNK_ROWS + 1), np.arange(3.0)])
+        assert target.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     def test_csv_bytes_match_per_cell_formatting(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -586,6 +647,19 @@ def static_run(tmp_path_factory):
     return run
 
 
+def assert_canonical_csv(path):
+    """Every row has the header's field count, and every cell that is not
+    an integer is a float written as its shortest repr."""
+    header, *rows = path.read_text().splitlines()
+    width = len(header.split(","))
+    for i, row in enumerate(rows, 2):
+        cells = row.split(",")
+        assert len(cells) == width, f"{path.name}:{i} has {len(cells)} fields"
+        for cell in cells:
+            if not re.fullmatch(r"-?\d+", cell):
+                assert repr(float(cell)) == cell, f"{path.name}:{i} cell {cell!r}"
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("nm", [420, 795, 1013])
     @pytest.mark.parametrize(
@@ -604,6 +678,15 @@ class TestShippedConfigs:
             assert composed["passed"] is not expect_fail
             if expect_fail:
                 assert composed["value"] == pytest.approx(-61.36, abs=0.01)
+
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_csv_artifacts_canonical(self, nm, static_run):
+        for args, _, _ in STATIC_COMMANDS:
+            out, _ = static_run(nm, args)
+        paths = sorted(out.glob("*.csv"))
+        assert len(paths) == 16  # 8 sweeps, 4 pulse, 3 crosstalk, 1 beam profile
+        for path in paths:
+            assert_canonical_csv(path)
 
     @pytest.mark.parametrize("nm", [420, 795, 1013])
     def test_sweep_detector_floor_flag(self, nm, static_run):
@@ -641,6 +724,8 @@ class TestShippedConfigs:
                 assert (out / name).exists(), name
             report = json.loads((out / "stability_report.json").read_text())
             assert res.exit_code == (0 if report["passed"] else 1), res.output
+            for path in out.glob("*.csv"):
+                assert_canonical_csv(path)
         name = "lock_er_timeseries.csv"
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 

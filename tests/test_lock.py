@@ -565,16 +565,20 @@ class TestTracePathOracle:
         got = noisy_pulse_experiment(*args, response=cfg.actuator())
         assert np.array_equal(got.areas, reference_trace_areas(*args, cfg.actuator()))
 
-    @pytest.mark.parametrize("n_pulses", [1, 2, 3, CHUNK_ROWS, CHUNK_ROWS + 1, 1000, 4000])
+    @pytest.mark.parametrize(
+        "n_pulses",
+        [1, 2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 1000, 4000],
+    )
     def test_pulse_counts(self, channel, drift_noise, fo_response, n_pulses):
         args = (channel, SPEC, drift_noise, n_pulses)
         got = noisy_pulse_experiment(*args, response=fo_response)
         assert np.array_equal(got.areas, reference_trace_areas(*args, fo_response))
 
-    @pytest.mark.parametrize("n_pulses", [1, 2, 3, 200])
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3, 4, 2 * CHUNK_ROWS + 1, 200])
     def test_kernel_longer_than_a_period(self, channel, drift_noise, so_response, n_pulses):
         # The FFT branch runs over a shorter head than the full train, so
-        # only the last bits may differ.
+        # only the last bits may differ. The head is 3 periods long, so the
+        # first chunk holds head pulses and settled ones.
         assert so_response.impulse_kernel.size > max(1000, DIRECT_KERNEL_LIMIT)
         args = (channel, SPEC, drift_noise, n_pulses)
         got = noisy_pulse_experiment(*args, response=so_response)
