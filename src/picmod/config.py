@@ -17,7 +17,7 @@ import yaml
 from .core import ModulatorChannel, make_calibrated_channel, power_split_for_er
 from .crosstalk import CrosstalkGraph, nearest_neighbor_graph
 from .dynamics import ActuatorResponse, KernelKind, synthesize_kernel
-from .errors import ConfigError
+from .errors import PicmodError
 from .lock import LockController
 from .noise import DetectorModel, NoiseModel, OuParams
 from .serialize import config_hash, open_atomic
@@ -34,13 +34,15 @@ def _number(lo=None, hi=None, integer=False):
         ok_type = isinstance(value, int) if integer else isinstance(value, (int, float))
         if isinstance(value, bool) or not ok_type:
             kind = "integer" if integer else "number"
-            raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+            raise PicmodError(f"{path}: expected {kind}, got {value!r}")
         if math.isnan(value):
-            raise ConfigError(f"{path}: expected a number, got NaN")
+            raise PicmodError(f"{path}: expected a number, got NaN")
+        if value == math.inf:
+            raise PicmodError(f"{path}: expected a finite number, got +inf")
         if lo is not None and value < lo:
-            raise ConfigError(f"{path}: {value} below minimum {lo}")
+            raise PicmodError(f"{path}: {value} below minimum {lo}")
         if hi is not None and value > hi:
-            raise ConfigError(f"{path}: {value} above maximum {hi}")
+            raise PicmodError(f"{path}: {value} above maximum {hi}")
         return value
 
     return check
@@ -49,7 +51,7 @@ def _number(lo=None, hi=None, integer=False):
 def _choice(*options):
     def check(value, path):
         if value not in options:
-            raise ConfigError(f"{path}: {value!r} not one of {options}")
+            raise PicmodError(f"{path}: {value!r} not one of {options}")
         return value
 
     return check
@@ -60,7 +62,7 @@ def _number_list(lo=None, hi=None):
 
     def check(value, path):
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a non-empty list of numbers")
+            raise PicmodError(f"{path}: expected a non-empty list of numbers")
         return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
     return check
@@ -152,13 +154,13 @@ SCHEMA = {
 
 def _validate(data, schema, path=""):
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected a mapping")
+        raise PicmodError(f"{path or 'config'}: expected a mapping")
     unknown = set(data) - set(schema)
     if unknown:
-        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+        raise PicmodError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     missing = set(schema) - set(data)
     if missing:
-        raise ConfigError(f"{path or 'config'}: missing keys {sorted(missing)}")
+        raise PicmodError(f"{path or 'config'}: missing keys {sorted(missing)}")
     out = {}
     for key, rule in schema.items():
         sub = f"{path}.{key}" if path else key
@@ -176,14 +178,14 @@ class ExperimentConfig:
         self.data = _validate(copy.deepcopy(data), SCHEMA)
         chip = self.data["chip"]
         if len(chip["target_er_db"]) != chip["n_channels"]:
-            raise ConfigError("chip.target_er_db must list one target per channel")
+            raise PicmodError("chip.target_er_db must list one target per channel")
         splits = chip["coupler_power_splits"]
         if splits is not None and len(splits) != chip["n_channels"]:
-            raise ConfigError("chip.coupler_power_splits must list one split per channel")
+            raise PicmodError("chip.coupler_power_splits must list one split per channel")
         if self.data["actuator"]["kind"] == "second_order" and (
             self.data["actuator"]["damping_ratio"] is None
         ):
-            raise ConfigError("actuator.damping_ratio required for second_order kind")
+            raise PicmodError("actuator.damping_ratio required for second_order kind")
         self.hash = config_hash(self.data)
 
     @classmethod
@@ -191,11 +193,11 @@ class ExperimentConfig:
         try:
             raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
         except OSError as exc:
-            raise ConfigError(f"{path} cannot be read ({exc.strerror})") from exc
+            raise PicmodError(f"{path} cannot be read ({exc.strerror})") from exc
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+            raise PicmodError(f"cannot parse {path}: {exc}") from exc
         if raw is None:
-            raise ConfigError(f"{path} is empty")
+            raise PicmodError(f"{path} is empty")
         return cls(raw)
 
     def save(self, path) -> None:

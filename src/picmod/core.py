@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, PicmodError
+from .errors import PicmodError
 from .fitting import fit_v_pi
 
 # Smallest coupler imbalance power_split_for_er returns.
@@ -236,22 +236,22 @@ def power_split_for_er(target_er_db: float, n_stages: int = 2) -> float:
     floor is (2*delta)^2 of its unit peak, so the channel ER is
     -20*n_stages*log10(2*delta) and delta = 0.5*10^(-ER/(20*n_stages)).
     Targets whose delta falls outside [MIN_IMBALANCE, 0.25] raise
-    CalibrationError.
+    PicmodError.
     """
     if target_er_db <= 0:
-        raise CalibrationError("target ER must be positive")
+        raise PicmodError("target ER must be positive")
 
     def er_of(delta: float) -> float:
         return -20.0 * n_stages * math.log10(2.0 * delta)
 
     lo, hi = MIN_IMBALANCE, 0.25 - 1e-12
     if er_of(lo) < target_er_db:
-        raise CalibrationError(
+        raise PicmodError(
             f"target ER {target_er_db} dB above the {n_stages}-stage maximum "
             f"for the imbalance bracket ({er_of(lo):.1f} dB)"
         )
     if er_of(hi) > target_er_db:
-        raise CalibrationError(
+        raise PicmodError(
             f"target ER {target_er_db} dB below the bracket minimum ({er_of(hi):.1f} dB)"
         )
     return 0.5 + 0.5 * 10.0 ** (-target_er_db / (20.0 * n_stages))

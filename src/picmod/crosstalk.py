@@ -106,6 +106,8 @@ def crosstalk_matrix(
 def nn_mean_db(matrix: np.ndarray) -> float:
     """Mean of the nearest-neighbor entries of a dB crosstalk matrix."""
     n = matrix.shape[0]
+    if n < 2:
+        raise PicmodError(f"a {n}-channel crosstalk matrix has no nearest-neighbor pair")
     vals = [matrix[i, j] for i in range(n) for j in range(n) if abs(i - j) == 1]
     return float(np.mean(vals))
 

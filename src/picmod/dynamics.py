@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModulatorChannel, channel_transmission_equal
-from .errors import GridError, NoTransitionError, PicmodError
+from .errors import PicmodError
 from .fitting import _brent_root, _median
 
 # Kernels shorter than this use direct convolution, longer ones numpy's
@@ -76,7 +76,7 @@ def _interp_crossing(t: np.ndarray, y: np.ndarray, level: float) -> float:
     """First time y crosses level (upward)."""
     above = y >= level
     if not np.any(above):
-        raise NoTransitionError(f"trace never reaches level {level}")
+        raise PicmodError(f"trace never reaches level {level}")
     i = int(np.argmax(above))
     if i == 0 or y[i] == y[i - 1]:
         return float(t[i])
@@ -137,7 +137,7 @@ def synthesize_kernel(
     measured discrete-time rise matches the request within 2%.
     """
     if rise_time_10_90 < 2.0 * sample_period:
-        raise GridError(
+        raise PicmodError(
             f"rise time {rise_time_10_90:.3g} s unresolvable at sample period "
             f"{sample_period:.3g} s (need >= 2 samples)"
         )
@@ -198,7 +198,7 @@ def trace_optical(
     per sample. Power is normalized to the channel's ON level.
     """
     if not math.isclose(response.sample_period, drive.sample_period, rel_tol=1e-9):
-        raise GridError("kernel and drive sample periods differ")
+        raise PicmodError("kernel and drive sample periods differ")
     v_eff = convolve_causal(drive.samples, response.impulse_kernel)
     power = channel_transmission_equal(channel, v_eff, include_loss=False)
     return Waveform(drive.sample_period, power / channel.max_transmission())
@@ -238,9 +238,9 @@ def measure_rise_time(trace: Waveform) -> float:
     """
     power = trace.samples
     if power.size < 3:
-        raise NoTransitionError("trace too short")
+        raise PicmodError("trace too short")
     start = float(power[0])
     settled = _median(power[-max(power.size // 10, 3):])
     if abs(settled - start) < 1e-9 * max(abs(settled), abs(start), 1e-30):
-        raise NoTransitionError("no transition found (flat trace)")
+        raise PicmodError("no transition found (flat trace)")
     return _rise_time(power, trace.sample_period, start, settled)

@@ -1,37 +1,10 @@
-"""Exception hierarchy for picmod."""
+"""The one exception type of picmod.
+
+Every failure the package detects (a bad config, a quantity off the
+sample grid, a fit or calibration that cannot succeed, a diverged lock,
+a trace with no transition) raises `PicmodError` with a message that says
+what went wrong; the CLI prints that message and exits 2."""
 
 
 class PicmodError(Exception):
-    """Base class for all picmod errors."""
-
-
-class ConfigError(PicmodError):
-    """Invalid, unknown, or missing configuration keys/values."""
-
-
-class GridError(PicmodError):
-    """Quantity not representable on the sample grid, or grid mismatch."""
-
-
-class FitError(PicmodError):
-    """Curve fit failed to converge."""
-
-
-class InsufficientFringeError(FitError):
-    """Sweep data does not span enough of a fringe to determine v_pi."""
-
-
-class CalibrationError(PicmodError):
-    """A calibration target is unachievable or inconsistent."""
-
-
-class UnachievableTargetError(PicmodError):
-    """Requested output level outside the achievable range of the device."""
-
-
-class LockDivergedError(PicmodError):
-    """Feedback controller diverged (bias excursion beyond pi)."""
-
-
-class NoTransitionError(PicmodError):
-    """Trace contains no usable transition for rise-time measurement."""
+    """A picmod failure, described by its message."""

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InsufficientFringeError, PicmodError
+from .errors import PicmodError
 
 # Voltage grids whose scan basis is kept: calibrate and sweep fit every
 # channel of a chip on one grid, and one process sees at most a few chips.
@@ -184,22 +184,22 @@ def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
 def fit_v_pi(voltages, transmissions) -> VpiFit:
     """Fit the sin^2 transfer model and return v_pi and the RMS residual.
 
-    Raises FitError on malformed samples, and InsufficientFringeError when
-    the data is degenerate, spans less than half a fringe, or has its least
-    residual at the edge of the scan.
+    Raises PicmodError on malformed samples, and when the data is
+    degenerate, spans less than half a fringe, or has its least residual at
+    the edge of the scan.
     """
     volts = np.asarray(voltages, dtype=float)
     trans = np.asarray(transmissions, dtype=float)
     if volts.shape != trans.shape or volts.ndim != 1:
-        raise FitError("voltages and transmissions must be 1-D arrays of equal length")
+        raise PicmodError("voltages and transmissions must be 1-D arrays of equal length")
     if volts.size < 5:
-        raise FitError("need at least 5 samples")
+        raise PicmodError("need at least 5 samples")
     if not (np.all(np.isfinite(volts)) and np.all(np.isfinite(trans))):
-        raise FitError("non-finite samples")
+        raise PicmodError("non-finite samples")
     span = float(np.max(volts) - np.min(volts))
     scale = float(np.max(np.abs(trans)))
     if span <= 0 or scale <= 0 or float(np.ptp(trans)) < 1e-9 * max(scale, 1.0):
-        raise InsufficientFringeError("data has no usable fringe contrast")
+        raise PicmodError("data has no usable fringe contrast")
 
     dv = _median(np.diff(np.sort(volts)))
     omega_lo = 0.5 * math.pi / span
@@ -219,14 +219,14 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     except PicmodError as exc:
         # A slope of one sign across the bracket: the least residual is at
         # the edge of the scan, so the data holds no resolvable fringe.
-        raise InsufficientFringeError(f"no residual minimum inside the v_pi scan: {exc}") from exc
+        raise PicmodError(f"no residual minimum inside the v_pi scan: {exc}") from exc
     coef, sse, _ = _linear_solve(volts, trans, omega)
     # The fringe's half amplitude is the norm of its cos and sin coefficients.
     if math.hypot(coef[1], coef[2]) < 1e-9 * max(scale, 1.0):
-        raise InsufficientFringeError("fitted fringe amplitude is degenerate")
+        raise PicmodError("fitted fringe amplitude is degenerate")
     v_pi = math.pi / omega
     if v_pi > span:
-        raise InsufficientFringeError(
+        raise PicmodError(
             f"data spans {span:.3g} V, less than half a fringe of fitted v_pi {v_pi:.3g} V"
         )
     return VpiFit(v_pi=v_pi, residual=math.sqrt(sse / volts.size))

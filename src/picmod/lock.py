@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import ModulatorChannel
 from .dynamics import convolve_causal
-from .errors import LockDivergedError, PicmodError
+from .errors import PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from .rng import derive_rng
 from .waveforms import PulseSpec, pulse_period
@@ -94,7 +94,7 @@ def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
     stage power multiplied once per further stage, the detector applied
     inline) and steps the PI controller, clamping with branches that equal
     min(max(x, -lim), lim) bit for bit because both limits are >= 0.
-    Raises LockDivergedError at the first update whose correction leaves
+    Raises PicmodError at the first update whose correction leaves
     [-pi, pi].
     """
     stage_floor, depth = channel.stages[0].fringe
@@ -141,7 +141,7 @@ def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
             step = -s_lim
         correction -= step
         if abs(correction) > pi:
-            raise LockDivergedError(
+            raise PicmodError(
                 f"bias correction diverged to {correction:.3f} rad at update {k} "
                 f"(unstable gains?)"
             )
@@ -263,7 +263,7 @@ def noisy_pulse_experiment(
     total = n_pulses * n_blocks
     if response is not None:
         kernel, dt = response.impulse_kernel, response.sample_period
-        pulse = pulse_period(spec, channel.v_pi, dt).samples  # GridError off the sample grid
+        pulse = pulse_period(spec, channel.v_pi, dt).samples  # PicmodError off the sample grid
         n_period = pulse.size
         if n_blocks != 1:
             raise PicmodError("an optical trace needs n_blocks == 1")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ModulatorChannel
 from .dynamics import ActuatorResponse, Waveform, on_hold_samples, trace_optical
-from .errors import GridError, PicmodError, UnachievableTargetError
+from .errors import PicmodError
 from .fitting import _median
 
 
@@ -36,13 +36,13 @@ class PulseSpec:
 def _grid_count(duration: float, dt: float, what: str) -> int:
     n = duration / dt
     if round(n) < 1 or abs(n - round(n)) > 1e-9 * max(n, 1.0):
-        raise GridError(f"{what} {duration:.6g} s is not a positive integer number of samples")
+        raise PicmodError(f"{what} {duration:.6g} s is not a positive integer number of samples")
     return int(round(n))
 
 
 def pulse_period(spec: PulseSpec, v_pi: float, sample_period: float) -> Waveform:
     """One period of the pulse drive, v_pi while ON and 0 after. Raises
-    GridError unless both durations are whole numbers of samples."""
+    PicmodError unless both durations are whole numbers of samples."""
     n_period = _grid_count(spec.period, sample_period, "period")
     n_on = _grid_count(spec.on_duration, sample_period, "on_duration")
     one = np.zeros(n_period)
@@ -69,7 +69,7 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
     hi_ok = target <= 1.0 + 1e-12
     if not np.all(lo_ok & hi_ok):
         bad = target[~(lo_ok & hi_ok)][0]
-        raise UnachievableTargetError(
+        raise PicmodError(
             f"target power {bad:.3g} outside achievable range [{floor:.3g}, 1]"
         )
     stage_floor, depth = channel.stages[0].fringe

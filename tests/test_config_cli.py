@@ -21,7 +21,7 @@ from picmod import config as config_module
 from picmod.cli import EXPERIMENTS, main
 from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
-from picmod.errors import ConfigError, PicmodError
+from picmod.errors import PicmodError
 from picmod.reports import RunReport, load_report
 from picmod.serialize import _CSV_CHUNK_ROWS, config_hash, fmt, write_csv
 
@@ -38,38 +38,44 @@ def base_data(config_795):
 class TestConfigSchema:
     def test_unknown_key_rejected(self, base_data):
         base_data["frobnicate"] = 1
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(PicmodError, match=r"^config: unknown keys \['frobnicate'\]$"):
             ExperimentConfig(base_data)
 
     def test_unknown_nested_key_rejected(self, base_data):
         base_data["chip"]["extra"] = 1
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(PicmodError, match=r"^chip: unknown keys \['extra'\]$"):
             ExperimentConfig(base_data)
 
     def test_missing_key_rejected(self, base_data):
         del base_data["lock"]
-        with pytest.raises(ConfigError, match="missing keys"):
+        with pytest.raises(PicmodError, match=r"^config: missing keys \['lock'\]$"):
             ExperimentConfig(base_data)
 
     def test_bad_value_rejected(self, base_data):
         base_data["chip"]["v_pi_volts"] = -5.0
-        with pytest.raises(ConfigError, match="v_pi_volts"):
+        with pytest.raises(PicmodError, match="^chip.v_pi_volts: -5.0 below minimum"):
             ExperimentConfig(base_data)
 
     def test_wrong_wavelength_rejected(self, base_data):
         base_data["wavelength_nm"] = 500
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            PicmodError, match=r"^wavelength_nm: 500 not one of \(420, 795, 1013\)$"
+        ):
             ExperimentConfig(base_data)
 
     def test_per_channel_list_length_checked(self, base_data):
         base_data["chip"]["target_er_db"] = [70.0, 70.0]
-        with pytest.raises(ConfigError, match="one target per channel"):
+        with pytest.raises(
+            PicmodError, match="^chip.target_er_db must list one target per channel$"
+        ):
             ExperimentConfig(base_data)
 
     def test_second_order_requires_damping(self, base_data):
         base_data["actuator"]["kind"] = "second_order"
         base_data["actuator"]["damping_ratio"] = None
-        with pytest.raises(ConfigError, match="damping_ratio"):
+        with pytest.raises(
+            PicmodError, match="^actuator.damping_ratio required for second_order kind$"
+        ):
             ExperimentConfig(base_data)
 
     def test_roundtrip_identity(self, config_795, tmp_path):
@@ -100,7 +106,7 @@ class TestConfigSchema:
         # Every detector reading is its true power floored; there is no
         # unclamped and no noisy detector.
         base_data["detector"][key] = value
-        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+        with pytest.raises(PicmodError, match=rf"^detector: unknown keys \['{key}'\]$"):
             ExperimentConfig(base_data)
         path = tmp_path / "removed.yaml"
         path.write_text(yaml.safe_dump(base_data))
@@ -108,18 +114,42 @@ class TestConfigSchema:
         assert res.exit_code == 2
         assert f"unknown keys ['{key}']" in res.output
 
-    def test_nan_rejected_at_load(self, base_data, tmp_path):
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("detector", "sweep_floor_db", math.nan,
+             "detector.sweep_floor_db: expected a number, got NaN"),
+            ("lock", "duration_hours", math.inf,
+             "lock.duration_hours: expected a finite number, got +inf"),
+            ("lock", "update_rate_hz", math.inf,
+             "lock.update_rate_hz: expected a finite number, got +inf"),
+            ("actuator", "rise_time_10_90_ns", math.inf,
+             "actuator.rise_time_10_90_ns: expected a finite number, got +inf"),
+            ("predistortion", "settle_window_us", math.inf,
+             "predistortion.settle_window_us: expected a finite number, got +inf"),
+            ("beams", "pitch_d0", math.inf, "beams.pitch_d0: expected a finite number, got +inf"),
+            ("targets", "block_std", math.inf,
+             "targets.block_std: expected a finite number, got +inf"),
+            ("chip", "target_er_db", [70.0, math.inf] + [70.0] * 6,
+             "chip.target_er_db[1]: expected a finite number, got +inf"),
+        ],
+        ids=["nan", "duration_hours", "update_rate_hz", "rise_time", "settle_window",
+             "pitch_d0", "block_std", "list_item"],
+    )
+    def test_non_finite_rejected_at_load(self, base_data, tmp_path, section, key, value, message):
         # NaN passes every bound check, since each comparison with it is
-        # False; it must fail at load, not as non-finite samples mid-run.
-        base_data["detector"]["sweep_floor_db"] = float("nan")
-        path = tmp_path / "nan.yaml"
+        # False, and +inf passes every lower bound; each must fail at load,
+        # not as an overflow or non-finite samples mid-run. -inf stays
+        # valid: a -.inf detector floor is an ideal detector.
+        base_data[section][key] = value
+        path = tmp_path / "non_finite.yaml"
         path.write_text(yaml.safe_dump(base_data))
-        assert "sweep_floor_db: .nan" in path.read_text()
-        with pytest.raises(ConfigError, match="sweep_floor_db: expected a number, got NaN"):
+        assert (".nan" if "NaN" in message else ".inf") in path.read_text()
+        with pytest.raises(PicmodError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.load(path)
         res = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
         assert res.exit_code == 2
-        assert "sweep_floor_db: expected a number, got NaN" in res.output
+        assert message in res.output
         assert not list(tmp_path.glob("*.csv"))
 
     def test_ideal_detector_is_a_zero_floor(self, base_data, tmp_path):
@@ -414,7 +444,7 @@ class TestCli:
         path = tmp_path / "config.yaml"
         if kind == "directory":
             path.mkdir()
-        with pytest.raises(ConfigError, match=f"{path} cannot be read"):
+        with pytest.raises(PicmodError, match=f"{path} cannot be read"):
             ExperimentConfig.load(path)
 
     def test_seed_override(self, config_path_795, tmp_path):
@@ -549,6 +579,11 @@ def drop_lock_section(data):
     del data["lock"]
 
 
+def one_channel(data):
+    data["chip"]["n_channels"] = 1
+    data["chip"]["target_er_db"] = data["chip"]["target_er_db"][:1]
+
+
 def run_on(experiment, *args):
     return lambda path: experiment(ExperimentConfig.load(path), *args)
 
@@ -579,6 +614,10 @@ LIBRARY_ERRORS = {
     ),
     "crosstalk_scenario": (
         ["crosstalk", "--scenario", "D"], yaml_file(), run_on(experiments.run_crosstalk, "D")
+    ),
+    "crosstalk_one_channel": (
+        ["crosstalk", "--scenario", "A"], yaml_file(one_channel),
+        run_on(experiments.run_crosstalk, "A"),
     ),
     "missing_config": (["sweep"], lambda data, path: None, ExperimentConfig.load),
     "config_is_directory": (["sweep"], lambda data, path: path.mkdir(), ExperimentConfig.load),

@@ -18,7 +18,7 @@ from picmod.core import (
     power_split_for_er,
     sweep_channel,
 )
-from picmod.errors import CalibrationError, PicmodError
+from picmod.errors import PicmodError
 from picmod.noise import DetectorModel
 
 from conftest import coupler_matrix, stage_matrix
@@ -327,7 +327,7 @@ class TestPowerSplitForEr:
             assert abs(er - target) <= 1e-9
 
     def test_unachievable_target_rejected(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(PicmodError, match="target ER 200.0 dB above the 2-stage maximum"):
             power_split_for_er(200.0, n_stages=2)
 
     @pytest.mark.parametrize(
@@ -338,9 +338,9 @@ class TestPowerSplitForEr:
         ids=["above-1-stage", "above-8-stage", "below-2-stage"],
     )
     def test_bracket_edges(self, target, n_stages, match):
-        with pytest.raises(CalibrationError, match=match):
+        with pytest.raises(PicmodError, match=match):
             power_split_for_er(target, n_stages=n_stages)
 
     def test_nonpositive_target_rejected(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(PicmodError, match="target ER must be positive"):
             power_split_for_er(-5.0)

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
-from picmod.errors import FitError, InsufficientFringeError
+from picmod.errors import PicmodError
 from picmod.fitting import (
     _SCAN_BASIS_GRIDS,
     _linear_solve,
@@ -73,27 +73,27 @@ class TestNoisyRecovery:
 class TestDegenerateInputs:
     def test_constant_data(self):
         volts = np.linspace(0, 100, 50)
-        with pytest.raises(InsufficientFringeError):
+        with pytest.raises(PicmodError, match="no usable fringe contrast"):
             fit_v_pi(volts, np.full(50, 0.3))
 
     def test_less_than_half_fringe(self):
         volts = np.linspace(0, 10, 50)  # tiny arc of a 74.7 V fringe
-        with pytest.raises(InsufficientFringeError, match="inside the v_pi scan"):
+        with pytest.raises(PicmodError, match="^no residual minimum inside the v_pi scan: "):
             fit_v_pi(volts, sin2(volts, 74.7))
 
     def test_too_few_samples(self):
-        with pytest.raises(FitError):
+        with pytest.raises(PicmodError, match="need at least 5 samples"):
             fit_v_pi([0, 1, 2], [0, 0.1, 0.2])
 
     def test_non_finite_samples(self):
         volts = np.linspace(0, 160, 20)
         trans = sin2(volts, 74.7)
         trans[3] = np.nan
-        with pytest.raises(FitError):
+        with pytest.raises(PicmodError, match="non-finite samples"):
             fit_v_pi(volts, trans)
 
     def test_shape_mismatch(self):
-        with pytest.raises(FitError):
+        with pytest.raises(PicmodError, match="must be 1-D arrays of equal length"):
             fit_v_pi(np.arange(10), np.arange(9))
 
 

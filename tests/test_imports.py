@@ -1,10 +1,11 @@
 """Every module under src/picmod and tests references each name it
 imports, the package references each module-level private name it
 defines, another module or the benchmark references each public function
-it defines, and neither importing picmod nor running any subcommand loads
-scipy, click or numpy.ma."""
+it defines, the package defines one exception class, and neither importing
+picmod nor running any subcommand loads scipy, click or numpy.ma."""
 
 import ast
+import builtins
 import json
 import os
 import pathlib
@@ -136,6 +137,49 @@ def test_package_functions_have_callers():
     package = {p.stem: p.read_text() for p in MODULES}
     perfbench = [p.read_text() for p in (TESTS.parent / "perfbench").glob("*.py")]
     assert unreferenced_functions(package, perfbench) == []
+
+
+def exception_classes(sources: dict[str, str]) -> list[str]:
+    """`module:name` for each class, at any depth, of `sources` (module name
+    -> source) that derives from a built-in exception, directly or through
+    another such class of `sources`; a base is matched by its name."""
+    def base_name(base):
+        return base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+
+    classes = [
+        (mod, node.name, {base_name(b) for b in node.bases})
+        for mod, src in sources.items()
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.ClassDef)
+    ]
+    known = {
+        name for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    found = set()
+    while True:
+        more = {(mod, name) for mod, name, bases in classes if bases & known} - found
+        if not more:
+            return sorted(f"{mod}:{name}" for mod, name in found)
+        found |= more
+        known |= {name for _, name in more}
+
+
+def test_checker_finds_exception_classes():
+    sources = {
+        "a": "class AError(ValueError):\n    pass\nclass Plain:\n    pass\n"
+             "def f():\n    class Local(Exception):\n        pass\n",
+        "b": "import a\nclass Sub(a.AError):\n    pass\nclass Deeper(Sub, Plain):\n    pass\n"
+             "class Mixin(Plain):\n    pass\n",
+    }
+    assert exception_classes(sources) == ["a:AError", "a:Local", "b:Deeper", "b:Sub"]
+
+
+def test_package_has_one_exception_class():
+    """Every failure is a PicmodError told apart by its message; the CLI
+    maps it to exit 2."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert exception_classes(sources) == ["errors:PicmodError"]
 
 
 # The submodules the benchmark reads as `picmod.<name>` after a bare
