@@ -8,7 +8,6 @@ embedded in every output artifact for provenance.
 
 from __future__ import annotations
 
-import copy
 import math
 from pathlib import Path
 
@@ -35,10 +34,17 @@ def _number(lo=None, hi=None, integer=False):
         if isinstance(value, bool) or not ok_type:
             kind = "integer" if integer else "number"
             raise PicmodError(f"{path}: expected {kind}, got {value!r}")
-        if math.isnan(value):
-            raise PicmodError(f"{path}: expected a number, got NaN")
-        if value == math.inf:
-            raise PicmodError(f"{path}: expected a finite number, got +inf")
+        # An int is finite, so an integer key's bounds decide. A number is
+        # tested as the float it is used as, which a huge int does not fit.
+        if not integer:
+            try:
+                number = float(value)
+            except OverflowError:
+                raise PicmodError(f"{path}: expected a number that fits a float") from None
+            if math.isnan(number):
+                raise PicmodError(f"{path}: expected a number, got NaN")
+            if number == math.inf:
+                raise PicmodError(f"{path}: expected a finite number, got +inf")
         if lo is not None and value < lo:
             raise PicmodError(f"{path}: {value} below minimum {lo}")
         if hi is not None and value > hi:
@@ -79,7 +85,7 @@ def _optional(inner):
 
 SCHEMA = {
     "wavelength_nm": _choice(420, 795, 1013),
-    "seed": _number(0, integer=True),
+    "seed": _number(0, 2**64 - 1, integer=True),
     "chip": {
         "n_channels": _number(1, 64, integer=True),
         "n_stages": _number(1, 8, integer=True),
@@ -175,7 +181,9 @@ class ExperimentConfig:
     """Validated configuration plus factories for the model objects."""
 
     def __init__(self, data: dict):
-        self.data = _validate(copy.deepcopy(data), SCHEMA)
+        # _validate builds new dicts and lists and keeps only immutable
+        # scalars, so the config shares nothing with `data`.
+        self.data = _validate(data, SCHEMA)
         chip = self.data["chip"]
         if len(chip["target_er_db"]) != chip["n_channels"]:
             raise PicmodError("chip.target_er_db must list one target per channel")
@@ -209,9 +217,7 @@ class ExperimentConfig:
         return self.data["seed"]
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        data = copy.deepcopy(self.data)
-        data["seed"] = seed
-        return ExperimentConfig(data)
+        return ExperimentConfig({**self.data, "seed": seed})
 
     # -- factories -------------------------------------------------------
 
@@ -230,7 +236,6 @@ class ExperimentConfig:
                 v_pi=chip["v_pi_volts"],
                 power_split=split,
                 n_stages=chip["n_stages"],
-                insertion_loss_db=chip["insertion_loss_db"],
                 channel_index=i,
             )
             for i, split in enumerate(self.power_splits())

@@ -7,11 +7,11 @@ net phase, phi(V) = pi*V/v_pi (`MziStage.phase`). With light in on port
 
     a^2 + b^2 - 2ab * cos(phi) = (a - b)^2 + 4ab * sin^2(phi/2)
 
-where a and b are products of the coupler amplitudes (`MziStage.terms`).
-The second form (`MziStage.fringe`: floor (a - b)^2, depth 4ab) does not
-cancel near the null, so it is the one evaluated. Finite extinction comes
-from coupler power-split imbalance, and the floor inverts exactly:
-`power_split_for_er` solves it for the split that gives a target ER.
+where a = t_in*t_out and b = r_in*r_out (coupler amplitudes). The second
+form (`MziStage.fringe`: floor (a - b)^2, depth 4ab) does not cancel near
+the null, so it is the one evaluated. Finite extinction comes from coupler
+power-split imbalance, and the floor inverts exactly: `power_split_for_er`
+solves it for the split that gives a target ER.
 
 A channel is one stage repeated n times, every stage at the same phase,
 plus one lumped insertion loss. Its power is the stage power multiplied
@@ -71,15 +71,10 @@ class MziStage:
         return math.pi * np.asarray(voltage, dtype=float) / self.v_pi
 
     @property
-    def terms(self) -> tuple[float, float]:
-        """(a, b): BAR-port power a^2 + b^2 - 2ab*cos(phi)."""
-        cin, cout = self.input_coupler, self.output_coupler
-        return cin.t * cout.t, cin.r * cout.r
-
-    @property
     def fringe(self) -> tuple[float, float]:
         """(floor, depth): BAR-port power floor + depth*sin^2(phi/2)."""
-        a, b = self.terms
+        cin, cout = self.input_coupler, self.output_coupler
+        a, b = cin.t * cout.t, cin.r * cout.r
         return (a - b) * (a - b), 4.0 * a * b
 
 

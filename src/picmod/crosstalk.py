@@ -73,14 +73,15 @@ def nearest_neighbor_graph(
 def crosstalk_matrix(
     graph: CrosstalkGraph,
     scenario: Scenario,
-    t_on: float = 1.0,
-    t_off: float = 0.0,
-    detector=None,
+    t_on: float,
+    t_off: float,
+    detector,
 ) -> np.ndarray:
     """Pairwise victim outputs in dB relative to the aggressor ON output.
 
-    Diagonal entries are 0 dB (the aggressor itself). With a detector the
-    values are read through it, floored at its relative_floor.
+    Diagonal entries are 0 dB (the aggressor itself). Every value is read
+    through the detector, floored at its relative_floor; `DetectorModel()`
+    is the ideal detector.
     """
     if not (0.0 < t_on <= 1.0 and 0.0 <= t_off <= 1.0):
         raise PicmodError("t_off must lie in [0,1] and t_on in (0,1]")
@@ -93,9 +94,7 @@ def crosstalk_matrix(
     }[scenario]
     leak = graph.coupling_before * t_v + graph.coupling_after
     out_v = in_v * t_v + leak
-    rel = out_v / t_on
-    if detector is not None:
-        rel = detector.measure(rel)
+    rel = detector.measure(out_v / t_on)
     out = np.array(
         [-math.inf if r == 0.0 else 10.0 * math.log10(r) for r in rel.ravel().tolist()]
     ).reshape(rel.shape)

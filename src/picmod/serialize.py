@@ -20,12 +20,6 @@ from .dynamics import Waveform
 from .errors import PicmodError
 
 
-def fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 @contextmanager
 def open_atomic(path):
     """Open a text file that replaces `path` only once it is written whole.
@@ -53,28 +47,27 @@ _CSV_CHUNK_ROWS = 1 << 9
 
 def write_csv(path, header: list[str], columns: list) -> None:
     """Write equal-length columns as CSV with a header row."""
-    columns = [np.asarray(c) for c in columns]
+    columns = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
+               for c in map(np.asarray, columns)]
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise PicmodError("CSV columns must have equal length")
     # Each chunk is formatted by one % call on a line template repeated
     # once per row, its cells interleaved row by row in one flat list, one
-    # tolist() and one strided slice assignment per column. A float dtype
-    # of up to 64 bits gets a %r field: tolist() gives Python floats, whose
-    # repr is what fmt would give. Any other dtype is formatted by fmt and
-    # gets a %s field. Chunks are written as they are formatted, so the
-    # text is never held whole.
-    is_float = [c.dtype.kind == "f" and c.dtype.itemsize <= 8 for c in columns]
-    line = ",".join("%r" if f else "%s" for f in is_float) + "\n"
+    # tolist() and one strided slice assignment per column. A float column,
+    # read as float64, gets a %r field: tolist() gives Python floats, written
+    # as their shortest round-trip repr. Any other column gets a %s field.
+    # Chunks are written as they are formatted, so the text is never held
+    # whole.
+    line = ",".join("%r" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     k = len(columns)
     with open_atomic(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):
             rows = slice(start, min(start + _CSV_CHUNK_ROWS, n))
             cells = [None] * ((rows.stop - start) * k)
-            for j, (c, f) in enumerate(zip(columns, is_float)):
-                values = c[rows].tolist()
-                cells[j::k] = values if f else map(fmt, values)
+            for j, c in enumerate(columns):
+                cells[j::k] = c[rows].tolist()
             fh.write(line * (rows.stop - start) % tuple(cells))
 
 

@@ -18,6 +18,13 @@ def coupler_matrix(coupler):
     return np.array([[t, 1j * r], [1j * r, t]], dtype=complex)
 
 
+def stage_terms(stage):
+    """Oracle: (a, b) = (t_in*t_out, r_in*r_out), whose BAR-port power is
+    a^2 + b^2 - 2ab*cos(phi); the products `MziStage.fringe` forms."""
+    cin, cout = stage.input_coupler, stage.output_coupler
+    return cin.t * cout.t, cin.r * cout.r
+
+
 def stage_matrix(stage, drive_voltage):
     """Oracle: C_out . diag(e^{i phi}, 1) . C_in of an MZI stage.
 

@@ -196,10 +196,10 @@ class TestAcceptance:
     def test_08_crosstalk_scenarios(self):
         graph = nearest_neighbor_graph(8, before_nn_db=-45.3, after_nn_db=-76.2)
         t_off = 10 ** (-7.14)
-        a = nn_mean_db(crosstalk_matrix(graph, Scenario.A, 1.0, t_off))
-        b = nn_mean_db(crosstalk_matrix(graph, Scenario.B, 1.0, t_off))
+        a = nn_mean_db(crosstalk_matrix(graph, Scenario.A, 1.0, t_off, DetectorModel()))
+        b = nn_mean_db(crosstalk_matrix(graph, Scenario.B, 1.0, t_off, DetectorModel()))
         c_pred = predict_scenario_c_db(71.4, -76.2)
-        c = nn_mean_db(crosstalk_matrix(graph, Scenario.C, 1.0, t_off))
+        c = nn_mean_db(crosstalk_matrix(graph, Scenario.C, 1.0, t_off, DetectorModel()))
         ordering = b > c > a
         ok = (
             abs(a - (-76.2)) <= 0.5

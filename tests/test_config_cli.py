@@ -23,7 +23,7 @@ from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
 from picmod.errors import PicmodError
 from picmod.reports import RunReport, load_report
-from picmod.serialize import _CSV_CHUNK_ROWS, config_hash, fmt, write_csv
+from picmod.serialize import _CSV_CHUNK_ROWS, config_hash, write_csv
 
 from conftest import CONFIG_DIR
 
@@ -152,6 +152,32 @@ class TestConfigSchema:
         assert message in res.output
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("lock", "duration_hours", 10**400,
+             "lock.duration_hours: expected a number that fits a float"),
+            ("chip", "n_channels", 10**400, f"chip.n_channels: {10**400} above maximum 64"),
+            (None, "seed", 10**400, f"seed: {10**400} above maximum {2**64 - 1}"),
+            ("chip", "target_er_db", [70.0, 10**400] + [70.0] * 6,
+             "chip.target_er_db[1]: expected a number that fits a float"),
+        ],
+        ids=["duration_hours", "n_channels", "seed", "list_item"],
+    )
+    def test_huge_integer_rejected_at_load(self, base_data, tmp_path, section, key, value, message):
+        # A YAML integer has no size limit, and float() of one this large
+        # overflows: a number key reports that, an integer key its bound.
+        (base_data if section is None else base_data[section])[key] = value
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(base_data))
+        assert str(10**400) in path.read_text()
+        with pytest.raises(PicmodError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.load(path)
+        res = run_cli("sweep", "--config", str(path), "--out", str(tmp_path))
+        assert res.exit_code == 2
+        assert message in res.output
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_ideal_detector_is_a_zero_floor(self, base_data, tmp_path):
         base_data["detector"]["sweep_floor_db"] = float("-inf")
         cfg = ExperimentConfig(base_data)
@@ -176,13 +202,32 @@ class TestConfigSchema:
         assert reseeded.seed == 7
         assert config_795.seed == 42
 
+    def test_config_owns_its_data(self, base_data):
+        cfg = ExperimentConfig(base_data)
+        reseeded = cfg.with_seed(7)
+        data, hashes = copy.deepcopy(cfg.data), (cfg.hash, reseeded.hash)
+        base_data["lock"]["gain_p"] = 123.0
+        base_data["chip"]["target_er_db"][0] = 10.0
+        base_data["chip"]["target_er_db"].append(10.0)
+        assert cfg.data == data
+        assert reseeded.data == {**data, "seed": 7}
+        assert (cfg.hash, reseeded.hash) == hashes
+
+
+def csv_cell(value) -> str:
+    """Oracle: one CSV cell, a float as the shortest repr of its float64
+    value and anything else as its str."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
 
 def reference_csv(header, columns) -> bytes:
     """Oracle: the per-cell writer, one formatter per column over tolist()
     values and one joined line per row."""
     columns = [np.asarray(c) for c in columns]
     cells = [
-        map(repr if c.dtype.kind == "f" and c.dtype.itemsize <= 8 else fmt, c.tolist())
+        map(repr if c.dtype.kind == "f" and c.dtype.itemsize <= 8 else csv_cell, c.tolist())
         for c in columns
     ]
     lines = [",".join(header) + "\n"]
@@ -258,7 +303,7 @@ class TestSerialize:
         # Oracle: one numpy scalar per cell.
         lines = [",".join(header)]
         for i in range(204):
-            lines.append(",".join(fmt(c[i]) for c in columns))
+            lines.append(",".join(csv_cell(c[i]) for c in columns))
         assert (tmp_path / "x.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
@@ -621,6 +666,12 @@ LIBRARY_ERRORS = {
     ),
     "missing_config": (["sweep"], lambda data, path: None, ExperimentConfig.load),
     "config_is_directory": (["sweep"], lambda data, path: path.mkdir(), ExperimentConfig.load),
+    # derive_rng keeps a seed's low 64 bits, so 2**64 + 42 would draw the
+    # streams of seed 42 under another config hash.
+    "seed_above_64_bits": (
+        ["sweep", "--seed", str(2**64)], yaml_file(),
+        lambda path: ExperimentConfig.load(path).with_seed(2**64),
+    ),
 }
 
 

@@ -119,22 +119,22 @@ class TestCrosstalkMatrix:
         assert np.allclose(np.diag(m), 0.0)
 
     def test_reciprocity_before_clamping(self, graph):
-        m = crosstalk_matrix(graph, Scenario.A, T_ON, T_OFF)
+        m = crosstalk_matrix(graph, Scenario.A, T_ON, T_OFF, DetectorModel())
         assert np.allclose(m, m.T, atol=1e-12)
 
     def test_scenario_ordering(self, graph):
         means = {
-            s: nn_mean_db(crosstalk_matrix(graph, s, T_ON, T_OFF))
+            s: nn_mean_db(crosstalk_matrix(graph, s, T_ON, T_OFF, DetectorModel()))
             for s in Scenario
         }
         assert means[Scenario.B] > means[Scenario.C] > means[Scenario.A]
 
     def test_nn_mean_matches_pairwise_value(self, graph):
-        m = crosstalk_matrix(graph, Scenario.B, T_ON, T_OFF)
+        m = crosstalk_matrix(graph, Scenario.B, T_ON, T_OFF, DetectorModel())
         assert nn_mean_db(m) == pytest.approx(-45.3, abs=0.01)
 
 
-def per_pair_matrix(graph, scenario, t_on, t_off, detector=None):
+def per_pair_matrix(graph, scenario, t_on, t_off, detector):
     """Reference: one scenario_states list and victim_output call per pair."""
     n = graph.n_channels
     out = np.zeros((n, n))
@@ -143,9 +143,7 @@ def per_pair_matrix(graph, scenario, t_on, t_off, detector=None):
             if i == j:
                 continue
             states = scenario_states(scenario, i, j, n, t_on, t_off)
-            rel = victim_output(graph, states, j) / (1.0 * t_on)
-            if detector is not None:
-                rel = detector.measure(rel)
+            rel = detector.measure(victim_output(graph, states, j) / (1.0 * t_on))
             out[i, j] = -math.inf if rel == 0.0 else 10.0 * math.log10(rel)
     return out
 
@@ -165,12 +163,12 @@ def random_graph(n, seed):
 
 class TestClosedFormMatchesPerPairSum:
     @pytest.mark.parametrize("scenario", list(Scenario))
-    @pytest.mark.parametrize("floor", [None, 1e-8])
+    @pytest.mark.parametrize("floor", [0.0, 1e-8])
     @pytest.mark.parametrize("t_off", [T_OFF, 0.0])
     @pytest.mark.parametrize("which", ["nn8", "random16"])
     def test_bit_identical(self, graph, scenario, floor, t_off, which):
         g = graph if which == "nn8" else random_graph(16, seed=7)
-        det = None if floor is None else DetectorModel(relative_floor=floor)
+        det = DetectorModel(relative_floor=floor)
         fast = crosstalk_matrix(g, scenario, T_ON, t_off, detector=det)
         assert np.array_equal(fast, per_pair_matrix(g, scenario, T_ON, t_off, det))
 
@@ -181,7 +179,7 @@ class TestClosedFormMatchesPerPairSum:
     def test_out_of_range_transmission_rejected(self, graph, t_on, t_off):
         for scenario in Scenario:
             with pytest.raises(PicmodError, match=r"must lie in \[0,1\]"):
-                crosstalk_matrix(graph, scenario, t_on, t_off)
+                crosstalk_matrix(graph, scenario, t_on, t_off, DetectorModel())
 
 
 class TestGraphValidation:

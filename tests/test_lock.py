@@ -27,7 +27,7 @@ from picmod.noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
 from picmod.rng import derive_rng
 from picmod.waveforms import PulseSpec, pulse_period
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, stage_terms
 
 DET = DetectorModel(relative_floor=1e-8)
 
@@ -39,7 +39,7 @@ def per_stage_transmission(channel, phase):
     with libm's pow, which misrounds some squares by one ulp.
     """
     out = 1.0
-    for a, b in (st.terms for st in channel.stages):
+    for a, b in map(stage_terms, channel.stages):
         s = np.sin(phase * 0.5)
         out = out * ((a - b) * (a - b) + s * s * (4 * a * b))
     return out

@@ -143,7 +143,7 @@ class TestCrosstalkProperties:
         er_db = -before + margin
         g = nearest_neighbor_graph(6, before, after)
         t_off = 10 ** (-er_db / 10)
-        ms = {s: crosstalk_matrix(g, s, 1.0, t_off) for s in Scenario}
+        ms = {s: crosstalk_matrix(g, s, 1.0, t_off, DetectorModel()) for s in Scenario}
         for m in ms.values():
             assert np.allclose(m, m.T, atol=1e-12)
         # Linear-power ordering: B >= C >= A at the NN positions.
