@@ -76,16 +76,13 @@ def make_beam_array(
     )
 
 
-def _gaussian_fields(array: BeamArray, x: np.ndarray) -> np.ndarray:
-    """Per-site field envelopes at positions x (in d0 units); shape (sites, x)."""
-    pos = array.site_positions()[:, None]
-    return np.exp(-((x[None, :] - pos) ** 2) / WAIST_RADIUS**2)
-
-
 def intensity_profile(array: BeamArray, x_samples) -> np.ndarray:
     """Unnormalized intensity cross-section along the site axis."""
     x = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    total = (array.amplitudes[:, None] * _gaussian_fields(array, x)).sum(axis=0)
+    # Per-site Gaussian field envelopes, shape (sites, x).
+    pos = array.site_positions()[:, None]
+    fields = np.exp(-((x[None, :] - pos) ** 2) / WAIST_RADIUS**2)
+    total = (array.amplitudes[:, None] * fields).sum(axis=0)
     return np.abs(total) ** 2
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .core import power_split_for_er, sweep_channel
+from .noise import DetectorModel
 from .reports import RunReport
 
 
@@ -22,8 +23,8 @@ def calibrate(config: ExperimentConfig) -> tuple[ExperimentConfig, RunReport]:
     Returns a new configuration with coupler_power_splits frozen in, plus
     a report of achieved ER and fitted v_pi per channel and the link
     budget, which is the same for every channel.
-    The detector-free forward model is used for verification so the check
-    is against the chip itself, not the measurement floor.
+    The sweep is read through the ideal detector, `DetectorModel()`, so the
+    check is against the chip itself, not the measurement floor.
     """
     chip_cfg = config.data["chip"]
     report = RunReport("calibrate", config.hash, config.seed)
@@ -40,7 +41,7 @@ def calibrate(config: ExperimentConfig) -> tuple[ExperimentConfig, RunReport]:
     v_pi = chip_cfg["v_pi_volts"]
     for ch, target in zip(calibrated.channels(), chip_cfg["target_er_db"]):
         achieved = ch.extinction_ratio_db()
-        sweep = sweep_channel(ch, 0.0, 2.0 * v_pi, 241)
+        sweep = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, DetectorModel())
         report.add(
             f"channel_{ch.channel_index}_er",
             achieved,

@@ -163,10 +163,10 @@ def _validate(data, schema, path=""):
         raise PicmodError(f"{path or 'config'}: expected a mapping")
     unknown = set(data) - set(schema)
     if unknown:
-        raise PicmodError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+        raise PicmodError(f"{path or 'config'}: unknown keys {sorted(unknown, key=str)}")
     missing = set(schema) - set(data)
     if missing:
-        raise PicmodError(f"{path or 'config'}: missing keys {sorted(missing)}")
+        raise PicmodError(f"{path or 'config'}: missing keys {sorted(missing, key=str)}")
     out = {}
     for key, rule in schema.items():
         sub = f"{path}.{key}" if path else key
@@ -202,7 +202,9 @@ class ExperimentConfig:
             raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
         except OSError as exc:
             raise PicmodError(f"{path} cannot be read ({exc.strerror})") from exc
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        # ValueError: bytes that are not UTF-8 (UnicodeDecodeError), or the
+        # loader's int() past Python's digit limit or date() on no real day.
+        except (yaml.YAMLError, ValueError) as exc:
             raise PicmodError(f"cannot parse {path}: {exc}") from exc
         if raw is None:
             raise PicmodError(f"{path} is empty")

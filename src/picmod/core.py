@@ -2,8 +2,8 @@
 
 A stage is a Mach-Zehnder interferometer: an input coupler, two arms and
 an output coupler. The drive reaches one arm, so the arms differ by one
-net phase, phi(V) = pi*V/v_pi (`MziStage.phase`). With light in on port
-0, a stage's power on the monitored BAR port is
+net phase, phi(V) = pi*V/v_pi (`channel_transmission_equal`). With light
+in on port 0, a stage's power on the monitored BAR port is
 
     a^2 + b^2 - 2ab * cos(phi) = (a - b)^2 + 4ab * sin^2(phi/2)
 
@@ -65,10 +65,6 @@ class MziStage:
     def __post_init__(self):
         if self.v_pi <= 0:
             raise PicmodError(f"v_pi must be positive, got {self.v_pi}")
-
-    def phase(self, voltage):
-        """Net arm phase pi*V/v_pi at drive voltage V."""
-        return math.pi * np.asarray(voltage, dtype=float) / self.v_pi
 
     @property
     def fringe(self) -> tuple[float, float]:
@@ -139,10 +135,10 @@ class ModulatorChannel:
 def channel_transmission_equal(channel: ModulatorChannel, voltage, include_loss=True):
     """Channel power transmission for one drive voltage on every stage.
 
-    ``voltage`` may be a scalar or an array; the lumped insertion loss is
-    applied last.
+    ``voltage`` may be a scalar or an array; every stage sees the net phase
+    pi*V/v_pi, and the lumped insertion loss is applied last.
     """
-    out = channel.power_at_phase(channel.stages[0].phase(voltage))
+    out = channel.power_at_phase(math.pi * np.asarray(voltage, dtype=float) / channel.v_pi)
     if include_loss:
         out = out * 10.0 ** (-channel.insertion_loss_db / 10.0)
     return out
@@ -166,29 +162,22 @@ def sweep_channel(
     v_start: float,
     v_stop: float,
     n_points: int,
-    detector=None,
+    detector,
 ) -> SweepResult:
     """Sweep the channel over a uniform voltage grid (equal drive per stage).
 
-    If a detector model is supplied, every point is read through it
-    (floored) before normalization, and the reported ER is the measured
-    one. The sweep is `detector_limited` when the detector's lowest
-    reading is at or below its floor.
+    Every point is normalized to the sweep maximum and read through the
+    detector, floored at its relative_floor; `DetectorModel()` is the
+    ideal detector. The reported ER is the measured one, and the sweep is
+    `detector_limited` when its lowest reading is at or below the floor.
     """
     if n_points < 3:
         raise PicmodError("n_points must be >= 3")
     if not v_start < v_stop:
         raise PicmodError("v_start must be < v_stop")
     volts = np.linspace(v_start, v_stop, n_points)
-    trans = channel_transmission_equal(channel, volts, include_loss=False)
-    detector_limited = False
-    if detector is not None:
-        peak = float(np.max(trans))
-        measured = detector.measure(trans / peak)
-        detector_limited = bool(np.min(measured) <= detector.relative_floor)
-        trans = measured * peak
-    peak = float(np.max(trans))
-    trans = trans / peak
+    p = channel_transmission_equal(channel, volts, include_loss=False)
+    trans = detector.measure(p / np.max(p))
     er_db = 10.0 * math.log10(np.max(trans) / np.min(trans))
     # The cascade fringe is the per-stage sin^2 raised to the stage
     # count; fit the per-stage fringe on the n-th root.
@@ -199,7 +188,7 @@ def sweep_channel(
         er_db=er_db,
         fitted_v_pi=fitted.v_pi,
         fit_residual=fitted.residual,
-        detector_limited=detector_limited,
+        detector_limited=bool(np.min(trans) <= detector.relative_floor),
         channel_index=channel.channel_index,
     )
 

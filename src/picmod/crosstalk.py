@@ -107,8 +107,10 @@ def nn_mean_db(matrix: np.ndarray) -> float:
     n = matrix.shape[0]
     if n < 2:
         raise PicmodError(f"a {n}-channel crosstalk matrix has no nearest-neighbor pair")
-    vals = [matrix[i, j] for i in range(n) for j in range(n) if abs(i - j) == 1]
-    return float(np.mean(vals))
+    # m[k, k+1] then m[k+1, k] for each k is the NN entries' row-major order,
+    # so the mean rounds as one over the entries listed row by row does.
+    pairs = np.column_stack([np.diagonal(matrix, 1), np.diagonal(matrix, -1)])
+    return float(np.mean(pairs.ravel()))
 
 
 def predict_scenario_c_db(er_db: float, after_nn_db: float) -> float:

@@ -100,29 +100,27 @@ def _rise_time(y: np.ndarray, dt: float, start: float, final: float) -> float:
 
 
 def _trim_tail(kernel: np.ndarray) -> np.ndarray:
+    """The kernel without its last _TAIL_MASS of |mass|, scaled to unit sum."""
     mass = np.cumsum(np.abs(kernel[::-1]))[::-1]
     total = float(np.sum(np.abs(kernel)))
     keep = mass > _TAIL_MASS * total
     n = int(np.max(np.nonzero(keep)[0])) + 1 if np.any(keep) else kernel.size
-    return kernel[:n]
+    kernel = kernel[:n]
+    return kernel / kernel.sum()
 
 
 def _first_order_kernel(tau: float, dt: float) -> np.ndarray:
     # Exact discretization of a one-pole low-pass; geometric tail.
     a = math.exp(-dt / tau)
     n = max(int(math.ceil(-tau / dt * math.log(_TAIL_MASS))) + 2, 4)
-    kernel = (1.0 - a) * a ** np.arange(n)
-    kernel = _trim_tail(kernel)
-    return kernel / kernel.sum()
+    return _trim_tail((1.0 - a) * a ** np.arange(n))
 
 
 def _second_order_kernel(omega_n: float, zeta: float, dt: float) -> np.ndarray:
     omega_d = omega_n * math.sqrt(1.0 - zeta**2)
     n = max(int(math.ceil(-math.log(_TAIL_MASS) / (zeta * omega_n * dt))) + 2, 4)
     t = np.arange(n) * dt
-    kernel = np.exp(-zeta * omega_n * t) * np.sin(omega_d * t)
-    kernel = _trim_tail(kernel)
-    return kernel / kernel.sum()
+    return _trim_tail(np.exp(-zeta * omega_n * t) * np.sin(omega_d * t))
 
 
 def synthesize_kernel(

@@ -1,5 +1,6 @@
 """Shared fixtures for the picmod test suite."""
 
+import math
 import pathlib
 
 import numpy as np
@@ -28,13 +29,13 @@ def stage_terms(stage):
 def stage_matrix(stage, drive_voltage):
     """Oracle: C_out . diag(e^{i phi}, 1) . C_in of an MZI stage.
 
-    Arm 0 carries the stage's net phase phi(V) and arm 1 none; only the
-    arms' difference reaches the output power. Broadcasts over
+    Arm 0 carries the stage's net phase phi(V) = pi*V/v_pi and arm 1 none;
+    only the arms' difference reaches the output power. Broadcasts over
     array-valued drives; the matrix axes are the trailing two. The
     monitored power for input on port 0 is |m[..., port, 0]|^2, which the
     closed form in picmod.core must equal.
     """
-    phi = np.asarray(stage.phase(drive_voltage))
+    phi = math.pi * np.asarray(drive_voltage, dtype=float) / stage.v_pi
     prop = np.zeros(phi.shape + (2, 2), dtype=complex)
     prop[..., 0, 0] = np.exp(1j * phi)
     prop[..., 1, 1] = 1.0

@@ -68,7 +68,7 @@ class TestAcceptance:
         oks, details = [], []
         for cfg, v_pi in ((config_795, 74.7), (config_1013, 200.0), (config_420, 44.4)):
             ch = cfg.channels()[0]
-            clean = sweep_channel(ch, 0.0, 2 * v_pi, 241)
+            clean = sweep_channel(ch, 0.0, 2 * v_pi, 241, DetectorModel())
             err_clean = abs(clean.fitted_v_pi - v_pi) / v_pi
             volts = np.linspace(0, 2 * v_pi, 241)
             trans = channel_transmission_equal(ch, volts, include_loss=False)

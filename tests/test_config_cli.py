@@ -22,6 +22,7 @@ from picmod.cli import EXPERIMENTS, main
 from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
 from picmod.errors import PicmodError
+from picmod.noise import DetectorModel
 from picmod.reports import RunReport, load_report
 from picmod.serialize import _CSV_CHUNK_ROWS, config_hash, write_csv
 
@@ -188,10 +189,10 @@ class TestConfigSchema:
         detector = again.sweep_detector()
         assert detector.relative_floor == 0.0
         channel = again.channels()[0]
-        ideal = sweep_channel(channel, 0.0, 2 * channel.v_pi, 241, detector=detector)
-        bare = sweep_channel(channel, 0.0, 2 * channel.v_pi, 241)
-        for f in dataclasses.fields(bare):
-            assert np.array_equal(getattr(ideal, f.name), getattr(bare, f.name)), f.name
+        configured = sweep_channel(channel, 0.0, 2 * channel.v_pi, 241, detector)
+        ideal = sweep_channel(channel, 0.0, 2 * channel.v_pi, 241, DetectorModel())
+        for f in dataclasses.fields(ideal):
+            assert np.array_equal(getattr(configured, f.name), getattr(ideal, f.name)), f.name
 
     def test_hash_changes_with_content(self, base_data, config_795):
         base_data["seed"] = 43
@@ -642,6 +643,19 @@ def yaml_file(edit=None):
     return write
 
 
+def integer_past_digit_limit(data, path):
+    """chip.n_channels as a 5001-digit literal: more digits than Python's
+    int() converts from a string by default."""
+    data["chip"]["n_channels"] = "N_CHANNELS"
+    path.write_text(yaml.safe_dump(data).replace("N_CHANNELS", "9" * 5001))
+
+
+def mixed_type_keys(data, path):
+    """Unknown top-level keys of two types, which do not sort together."""
+    data[1], data["foo"] = "a", "b"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+
+
 # (CLI arguments, how the config file is made from the 795 nm config data,
 # the library call on that file that raises the error the CLI must report).
 LIBRARY_ERRORS = {
@@ -666,6 +680,8 @@ LIBRARY_ERRORS = {
     ),
     "missing_config": (["sweep"], lambda data, path: None, ExperimentConfig.load),
     "config_is_directory": (["sweep"], lambda data, path: path.mkdir(), ExperimentConfig.load),
+    "integer_past_digit_limit": (["sweep"], integer_past_digit_limit, ExperimentConfig.load),
+    "mixed_type_keys": (["sweep"], mixed_type_keys, ExperimentConfig.load),
     # derive_rng keeps a seed's low 64 bits, so 2**64 + 42 would draw the
     # streams of seed 42 under another config hash.
     "seed_above_64_bits": (

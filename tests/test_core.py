@@ -21,7 +21,7 @@ from picmod.core import (
 from picmod.errors import PicmodError
 from picmod.noise import DetectorModel
 
-from conftest import coupler_matrix, stage_matrix, stage_terms
+from conftest import CONFIG_DIR, coupler_matrix, stage_matrix, stage_terms
 
 
 def make_stage(split_in=0.5, split_out=0.5, v_pi=74.7):
@@ -83,13 +83,15 @@ class TestStageTransmission:
 
     @pytest.mark.parametrize("v_pi", [10.0, 74.7, 300.0])
     def test_phase_is_pi_per_v_pi(self, v_pi):
-        # No static offset: zero drive is zero phase, and each v_pi of drive
-        # adds pi.
-        st = make_stage(v_pi=v_pi)
+        # No static offset: zero drive is the fringe floor, and each v_pi of
+        # drive adds pi to the phase.
+        st = make_stage(0.43, 0.58, v_pi=v_pi)
+        floor, depth = st.fringe
         volts = np.array([-v_pi, 0.0, 0.5 * v_pi, v_pi, 2.5 * v_pi])
         want = np.array([-1.0, 0.0, 0.5, 1.0, 2.5]) * math.pi
-        assert st.phase(0.0) == 0.0
-        assert np.max(np.abs(st.phase(volts) - want)) <= 1e-14
+        assert stage_transmission(st, 0.0) == floor
+        got = stage_transmission(st, volts)
+        assert np.max(np.abs(got - (floor + depth * np.sin(want / 2) ** 2))) <= 1e-14
 
     def test_stage_matrix_is_unitary(self):
         m = stage_matrix(make_stage(0.43, 0.58), 12.3)
@@ -131,7 +133,7 @@ def per_stage_product(channel, volts):
     out = 1.0
     for st in channel.stages:
         a, b = stage_terms(st)
-        s = np.sin(st.phase(volts) * 0.5)
+        s = np.sin(math.pi * np.asarray(volts, dtype=float) / st.v_pi * 0.5)
         out = out * ((a - b) * (a - b) + s * s * (4 * a * b))
     return out
 
@@ -232,7 +234,7 @@ class TestShippedChannelLevels:
 
 class TestSweepChannel:
     def test_calibrated_795_channel(self, channel_714):
-        res = sweep_channel(channel_714, 0.0, 2 * 74.7, 241)
+        res = sweep_channel(channel_714, 0.0, 2 * 74.7, 241, DetectorModel())
         assert res.er_db == pytest.approx(71.4, abs=0.1)
         assert res.fitted_v_pi == pytest.approx(74.7, rel=1e-3)
 
@@ -240,14 +242,14 @@ class TestSweepChannel:
         # A noiseless sweep of the closed form leaves an RMS misfit far
         # below full scale, and the fit reports no bias phase: the model
         # has none.
-        res = sweep_channel(channel_714, 0.0, 2 * 74.7, 241)
+        res = sweep_channel(channel_714, 0.0, 2 * 74.7, 241, DetectorModel())
         assert 0.0 <= res.fit_residual < 1e-6
         assert not hasattr(res, "fitted_bias_phase")
 
     def test_calibrated_1013_channel(self):
         split = power_split_for_er(61.5, n_stages=2)
         ch = make_calibrated_channel(v_pi=200.0, power_split=split, n_stages=2)
-        res = sweep_channel(ch, 0.0, 400.0, 241)
+        res = sweep_channel(ch, 0.0, 400.0, 241, DetectorModel())
         assert res.er_db == pytest.approx(61.5, abs=0.1)
         assert res.fitted_v_pi == pytest.approx(200.0, rel=1e-3)
 
@@ -266,11 +268,30 @@ class TestSweepChannel:
         assert res.er_db == pytest.approx(71.4, abs=0.1)
         assert not res.detector_limited
 
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_sweep_keeps_its_bytes(self, nm):
+        # The ideal read is the fringe over its peak. A floored read equals
+        # the earlier two-step one: floor the normalized fringe, scale it
+        # back by the peak, and normalize again.
+        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+        detectors = [DetectorModel(), cfg.sweep_detector(), cfg.onchip_detector()]
+        for ch in cfg.channels():
+            volts = np.linspace(0.0, 2 * ch.v_pi, 241)
+            p = channel_transmission_equal(ch, volts, include_loss=False)
+            for det in detectors:
+                res = sweep_channel(ch, 0.0, 2 * ch.v_pi, 241, det)
+                floored = np.maximum(p / p.max(), det.relative_floor)
+                scaled = floored * p.max()
+                assert res.transmissions.tobytes() == (scaled / scaled.max()).tobytes()
+                assert res.detector_limited == (floored.min() <= det.relative_floor)
+            ideal = sweep_channel(ch, 0.0, 2 * ch.v_pi, 241, DetectorModel())
+            assert ideal.transmissions.tobytes() == (p / p.max()).tobytes()
+
     def test_sweep_grid_validation(self, ideal_channel):
         with pytest.raises(PicmodError):
-            sweep_channel(ideal_channel, 0.0, 1.0, 2)
+            sweep_channel(ideal_channel, 0.0, 1.0, 2, DetectorModel())
         with pytest.raises(PicmodError):
-            sweep_channel(ideal_channel, 1.0, 0.0, 11)
+            sweep_channel(ideal_channel, 1.0, 0.0, 11, DetectorModel())
 
     def test_null_location_invariance(self, channel_714):
         # Scaling v_pi and all drives by the same factor changes nothing.

@@ -132,6 +132,22 @@ class TestCrosstalkMatrix:
     def test_nn_mean_matches_pairwise_value(self, graph):
         m = crosstalk_matrix(graph, Scenario.B, T_ON, T_OFF, DetectorModel())
         assert nn_mean_db(m) == pytest.approx(-45.3, abs=0.01)
+        # Bit for bit the mean of the NN entries listed pair by pair, in
+        # row-major order, on NN and random graphs and on matrices whose
+        # entries span 16 decades, where another summation order rounds
+        # differently.
+        graphs = [nearest_neighbor_graph(n, -46.0, -60.0) for n in (2, 3, 8, 64)]
+        graphs += [random_graph(n, seed=n) for n in (2, 5, 64)]
+        mats = [
+            crosstalk_matrix(g, s, T_ON, T_OFF, DetectorModel()) for g in graphs for s in Scenario
+        ]
+        rng = np.random.default_rng(3)
+        for n in range(2, 65):
+            mats.append(rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n)))
+        for m in mats:
+            n = m.shape[0]
+            pairs = [m[i, j] for i in range(n) for j in range(n) if abs(i - j) == 1]
+            assert np.float64(nn_mean_db(m)).tobytes() == np.mean(pairs).tobytes(), n
 
 
 def per_pair_matrix(graph, scenario, t_on, t_off, detector):

@@ -17,6 +17,7 @@ from picmod.fitting import (
     _scan_sse,
     fit_v_pi,
 )
+from picmod.noise import DetectorModel
 from picmod.rng import derive_rng
 
 from conftest import CONFIG_DIR
@@ -42,7 +43,7 @@ class TestNoiselessRecovery:
     def test_all_configured_half_wave_voltages(self, v_pi):
         split = power_split_for_er(60.0, n_stages=2)
         ch = make_calibrated_channel(v_pi=v_pi, power_split=split, n_stages=2)
-        res = sweep_channel(ch, 0.0, 2 * v_pi, 241)
+        res = sweep_channel(ch, 0.0, 2 * v_pi, 241, DetectorModel())
         assert res.fitted_v_pi == pytest.approx(v_pi, rel=0.01)
 
 
@@ -109,13 +110,13 @@ def basis(volts, omega):
 
 
 def shipped_sweeps():
-    """The fringes fit_v_pi sees from every shipped channel, with and
-    without the sweep detector (calibrate, and the sweep subcommand)."""
+    """The fringes fit_v_pi sees from every shipped channel, through the
+    ideal and the sweep detector (calibrate, and the sweep subcommand)."""
     cases = []
     for nm in (420, 795, 1013):
         cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
         v_pi = cfg.data["chip"]["v_pi_volts"]
-        for det in (None, cfg.sweep_detector()):
+        for det in (DetectorModel(), cfg.sweep_detector()):
             for ch in cfg.channels():
                 res = sweep_channel(ch, 0.0, 2 * v_pi, 241, detector=det)
                 cases.append((res.voltages, res.transmissions ** (1.0 / ch.n_stages)))
@@ -228,7 +229,7 @@ class TestSlopeRefinement:
     def test_noise_free_sweeps_recover_configured_v_pi(self, nm):
         cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
         for ch in cfg.channels():
-            res = sweep_channel(ch, 0.0, 2 * ch.v_pi, 241)
+            res = sweep_channel(ch, 0.0, 2 * ch.v_pi, 241, DetectorModel())
             assert res.fitted_v_pi == pytest.approx(ch.v_pi, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps())

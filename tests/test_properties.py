@@ -174,7 +174,7 @@ class TestKernelProperties:
 
 class TestSweepDeterminism:
     def test_repeated_sweeps_bit_identical(self, channel_714):
-        a = sweep_channel(channel_714, 0.0, 150.0, 101)
-        b = sweep_channel(channel_714, 0.0, 150.0, 101)
+        a = sweep_channel(channel_714, 0.0, 150.0, 101, DetectorModel())
+        b = sweep_channel(channel_714, 0.0, 150.0, 101, DetectorModel())
         assert np.array_equal(a.transmissions, b.transmissions)
         assert a.fitted_v_pi == b.fitted_v_pi
