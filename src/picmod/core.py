@@ -170,6 +170,8 @@ def sweep_channel(
     detector, floored at its relative_floor; `DetectorModel()` is the
     ideal detector. The reported ER is the measured one, and the sweep is
     `detector_limited` when its lowest reading is at or below the floor.
+    A lowest reading of 0, which the ER would divide by, raises
+    PicmodError.
     """
     if n_points < 3:
         raise PicmodError("n_points must be >= 3")
@@ -178,7 +180,13 @@ def sweep_channel(
     volts = np.linspace(v_start, v_stop, n_points)
     p = channel_transmission_equal(channel, volts, include_loss=False)
     trans = detector.measure(p / np.max(p))
-    er_db = 10.0 * math.log10(np.max(trans) / np.min(trans))
+    low = np.min(trans)
+    if low == 0.0:
+        raise PicmodError(
+            f"channel {channel.channel_index}'s sweep null reads 0: "
+            "it needs a positive relative_floor"
+        )
+    er_db = 10.0 * math.log10(np.max(trans) / low)
     # The cascade fringe is the per-stage sin^2 raised to the stage
     # count; fit the per-stage fringe on the n-th root.
     fitted = fit_v_pi(volts, trans ** (1.0 / channel.n_stages))
@@ -188,7 +196,7 @@ def sweep_channel(
         er_db=er_db,
         fitted_v_pi=fitted.v_pi,
         fit_residual=fitted.residual,
-        detector_limited=bool(np.min(trans) <= detector.relative_floor),
+        detector_limited=bool(low <= detector.relative_floor),
         channel_index=channel.channel_index,
     )
 

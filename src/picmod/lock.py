@@ -26,11 +26,13 @@ actuator, each chunk integrates the actuator output, convolved once over
 its settling periods; without one, each chunk is the closed form. Once
 the actuator has settled, every period repeats the same samples, so the
 optics are evaluated once per pulse on that period's distinct levels
-(runs of equal bit patterns) and gathered back to the samples. Only the
-bias error, the v_pi drift and the areas are held at full length; the
-jitter is drawn a chunk at a time. Either way the areas are divided by
-their nonzero mean, and the block statistics are taken a slice of blocks
-at a time.
+(runs of equal bit patterns) and gathered back to the samples. The
+jitter is drawn a chunk at a time. The closed form holds only the two
+drift paths at full length: it folds them into one array of per-pulse
+phases, over which each chunk writes its areas. The trace path, whose
+trains are short, holds the bias error, the v_pi drift and the areas
+apart. Either way the areas are divided by their nonzero mean, and the
+block statistics are taken a slice of blocks at a time.
 """
 
 from __future__ import annotations
@@ -226,8 +228,7 @@ LOCKED_RESIDUAL = OuParams(sigma=0.009, correlation_time=1.0)
 MAX_TRACE_SAMPLES = 4_000_000
 # Samples a chunk of either pulse-area path holds (a chunk of the closed
 # form, or of the block statistics, holds that many pulses): 512 KiB
-# temporaries stay in cache, and only eps, delta and areas are held at full
-# length.
+# temporaries stay in cache, beside the train's full-length arrays.
 _TRACE_CHUNK_SAMPLES = 1 << 16
 
 
@@ -247,8 +248,10 @@ def noisy_pulse_experiment(
     v_pi drift act on the train; areas are reported per block of n_pulses
     pulses. The bias lock is engaged, so the bias motion is its residual
     (LOCKED_RESIDUAL) rather than the free drift. Both paths run chunk by
-    chunk and hold only the bias error, the v_pi drift and the areas at
-    full length; the jitter is drawn a chunk at a time. Given an actuator
+    chunk and draw the jitter a chunk at a time. The closed form holds two
+    full-length arrays, the drift paths: the v_pi drift becomes the
+    per-pulse phase and then the areas. The trace path holds the bias
+    error, the v_pi drift and the areas apart. Given an actuator
     response, a single-block run of at most MAX_TRACE_SAMPLES samples is
     integrated from its optical trace, the actuator output convolved once
     over its settling periods; after them the optics are evaluated once per
@@ -303,14 +306,27 @@ def noisy_pulse_experiment(
         rng=vpi_rng,
     )[:total]
     on_power = channel.max_transmission()
-    areas = np.empty(total)
+    if response is None:
+        # The closed form needs only the phase pi/(1 + delta) + eps, folded
+        # into delta in place; each chunk then writes its areas over its
+        # own phases.
+        delta += 1.0
+        np.divide(math.pi, delta, out=delta)
+        delta += eps
+        areas = delta
+        eps = None  # freed: the phases hold all the closed form needs of it
+    else:
+        areas = np.empty(total)
     for start in range(0, total, rows):
         p = slice(start, min(start + rows, total))
         # A Generator draws the same normals in chunks as in one call.
-        jitter = 1.0 + noise.amplitude_jitter_sigma * jitter_rng.standard_normal(p.stop - start)
+        jitter = jitter_rng.standard_normal(p.stop - start)
+        jitter *= noise.amplitude_jitter_sigma
+        jitter += 1.0
         if response is None:
-            power = channel.power_at_phase(math.pi / (1.0 + delta[p]) + eps[p]) / on_power
-            areas[p] = jitter * power
+            power = channel.power_at_phase(areas[p])
+            power /= on_power
+            np.multiply(power, jitter, out=areas[p])
         else:
             # The chunk's head pulses see their own rows, the rest the levels.
             settled = min(max(start, n_head - 1), p.stop)

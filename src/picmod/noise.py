@@ -5,7 +5,9 @@ same seed always reproduces the same path bit for bit on one machine.
 Streams are derived by labeled splitting (see rng.py) so module call order
 cannot perturb them. OU paths are filtered by `_ar1_filter`, a blocked
 AR(1) recursion whose matmul rounds as the CPU's BLAS kernel does, so
-another CPU may differ in the last digits.
+another CPU may differ in the last digits. It filters the drawn drive in
+place, a chunk of blocks at a time, so a path of n samples holds one
+n-sample array and cache-sized temporaries.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from .errors import PicmodError
 
 # Blocked AR(1) filter: samples per block; inputs shorter than _AR1_SCALAR_MAX
-# run the scalar loop; the carry update runs on row chunks of 64K elements
-# (512 KiB temporaries, which stay in cache).
+# run the scalar loop; the block matmul and the carry update run on chunks of
+# at most 64K elements (512 KiB temporaries, which stay in cache).
 _AR1_BLOCK = 16
 _AR1_SCALAR_MAX = 64
 _AR1_CHUNK_ROWS = (1 << 16) // _AR1_BLOCK
@@ -53,46 +55,54 @@ class NoiseModel:
             raise PicmodError("amplitude_jitter_sigma must be >= 0")
 
 
-def _ar1_scalar(drive: np.ndarray, a: float, state: float = 0.0) -> np.ndarray:
-    """y[k] = a*y[k-1] + drive[k] one sample at a time, with y[-1] = state."""
-    out = np.empty(drive.size)
+def _ar1_scalar(x: np.ndarray, a: float, state: float = 0.0) -> None:
+    """x[k] <- a*x[k-1] + x[k] in place, one sample at a time, with x[-1] = state."""
     y = state
-    for k, x in enumerate(drive.tolist()):
-        y = a * y + x
-        out[k] = y
-    return out
+    for k, v in enumerate(x.tolist()):
+        y = a * y + v
+        x[k] = y
 
 
 def _ar1_filter(drive: np.ndarray, a: float) -> np.ndarray:
-    """y[k] = a*y[k-1] + drive[k] with y[-1] = 0, for 0 <= a <= 1.
+    """Filter the contiguous `drive` in place into y[k] = a*y[k-1] + drive[k],
+    with y[-1] = 0, for 0 <= a <= 1, and return it.
 
     The full blocks of B = _AR1_BLOCK samples are filtered from zero state
-    by one matmul against the upper-triangular matrix U[i, j] = a^(j-i).
-    The state each block hands to the next is itself an AR(1) series in
-    a^B, driven by the blocks' last zero-state samples, and is filtered by
-    this function; block r then adds a^(j+1) times the state at the end
-    of block r-1. Every weight is a power of a, at most 1, so no rounding
-    error is amplified. Inputs shorter than _AR1_SCALAR_MAX samples, and
-    the samples after the last full block, run the scalar recursion.
+    by a matmul against the upper-triangular matrix U[i, j] = a^(j-i), a
+    chunk of block rows at a time through one chunk-sized buffer. The
+    chunks are near-equal (`np.array_split`), so none has a single row:
+    numpy sends a one-row matmul down another BLAS path, which rounds
+    differently. The state each
+    block hands to the next is itself an AR(1) series in a^B, driven by the
+    blocks' last zero-state samples, and is filtered by this function;
+    block r then adds a^(j+1) times the state at the end of block r-1.
+    Every weight is a power of a, at most 1, so no rounding error is
+    amplified. Inputs shorter than _AR1_SCALAR_MAX samples, and the samples
+    after the last full block, run the scalar recursion.
     """
     n = drive.size
     if n < _AR1_SCALAR_MAX:
-        return _ar1_scalar(drive, a)
+        _ar1_scalar(drive, a)
+        return drive
     b = _AR1_BLOCK
     m = n // b
     powers = a ** np.arange(b + 1.0)
     lag = np.arange(b)
     upper = np.triu(powers[np.maximum(lag[None, :] - lag[:, None], 0)])
-    out = np.empty(n)
-    blocks = out[: m * b].reshape(m, b)
-    np.matmul(drive[: m * b].reshape(m, b), upper, out=blocks)
+    blocks = drive[: m * b].reshape(m, b)
+    n_chunks = -(-m // _AR1_CHUNK_ROWS)
+    buf = np.empty((-(-m // n_chunks), b))
+    for rows in np.array_split(blocks, n_chunks):
+        zero_state = buf[: len(rows)]
+        np.matmul(rows, upper, out=zero_state)
+        rows[...] = zero_state
     ends = _ar1_filter(blocks[:, -1].copy(), float(powers[-1]))
     later, carried = blocks[1:], ends[:-1, None]
     for r in range(0, m - 1, _AR1_CHUNK_ROWS):
         rows = slice(r, r + _AR1_CHUNK_ROWS)
         later[rows] += carried[rows] * powers[1:]
-    out[m * b :] = _ar1_scalar(drive[m * b :], a, float(ends[-1]))
-    return out
+    _ar1_scalar(drive[m * b :], a, float(ends[-1]))
+    return drive
 
 
 def sample_ou_path(
@@ -119,7 +129,8 @@ def sample_ou_path(
             f"dt {dt:.3g} too coarse for correlation time {correlation_time:.3g}"
         )
     a = math.exp(-dt / correlation_time)
-    drive = rng.standard_normal(n)  # scaled in place: no second full-length array
+    # Scaled and filtered in place: the path is the only full-length array.
+    drive = rng.standard_normal(n)
     w0 = drive[0]
     drive *= sigma * math.sqrt(1.0 - a * a)
     drive[0] = w0 * sigma  # stationary start

@@ -7,13 +7,21 @@ the order in which modules request their streams cannot perturb any path.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+# SHA-256 from CPython's builtin module, as the stdlib's random.py takes its
+# SHA-512: importing hashlib loads OpenSSL, about 4 MB of resident memory.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def _label_key(label: str) -> int:
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    digest = sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -8,7 +8,6 @@ A CSV is formatted a chunk of rows at a time, by one % call per chunk.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -18,6 +17,7 @@ import numpy as np
 
 from .dynamics import Waveform
 from .errors import PicmodError
+from .rng import sha256
 
 
 @contextmanager
@@ -89,7 +89,7 @@ def write_json(path, obj) -> None:
 def config_hash(data: dict) -> str:
     """Short provenance hash of a configuration mapping."""
     blob = json.dumps(_jsonable(data), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def write_trace_csv(path, trace: Waveform) -> None:

@@ -630,6 +630,13 @@ def one_channel(data):
     data["chip"]["target_er_db"] = data["chip"]["target_er_db"][:1]
 
 
+def balanced_ideal_sweep(data):
+    """Balanced couplers, whose null is exactly 0, read by a zero-floor
+    sweep detector."""
+    data["chip"]["coupler_power_splits"] = [0.5] * data["chip"]["n_channels"]
+    data["detector"]["sweep_floor_db"] = float("-inf")
+
+
 def run_on(experiment, *args):
     return lambda path: experiment(ExperimentConfig.load(path), *args)
 
@@ -665,6 +672,10 @@ LIBRARY_ERRORS = {
     ),
     "site_out_of_range": (
         ["beams", "--active", "9"], yaml_file(), run_on(experiments.run_beams, [9])
+    ),
+    "sweep_null_reads_zero": (
+        ["sweep", "--channels", "0"], yaml_file(balanced_ideal_sweep),
+        run_on(experiments.run_sweep, [0]),
     ),
     "missing_key": (["sweep"], yaml_file(drop_lock_section), ExperimentConfig.load),
     "no_site": (["beams", "--active", ","], yaml_file(), run_on(experiments.run_beams, [])),

@@ -287,6 +287,17 @@ class TestSweepChannel:
             ideal = sweep_channel(ch, 0.0, 2 * ch.v_pi, 241, DetectorModel())
             assert ideal.transmissions.tobytes() == (p / p.max()).tobytes()
 
+    def test_perfect_null_without_floor_rejected(self, ideal_channel):
+        # Balanced couplers null exactly at V = 0; a zero-floor detector
+        # reads that null as 0, which the ER would divide by. A positive
+        # floor reads it as the floor.
+        message = "^channel 0's sweep null reads 0: it needs a positive relative_floor$"
+        with pytest.raises(PicmodError, match=message):
+            sweep_channel(ideal_channel, 0.0, 2 * 74.7, 241, DetectorModel())
+        res = sweep_channel(ideal_channel, 0.0, 2 * 74.7, 241, DetectorModel(1e-8))
+        assert res.detector_limited
+        assert res.er_db == pytest.approx(80.0, abs=1e-9)
+
     def test_sweep_grid_validation(self, ideal_channel):
         with pytest.raises(PicmodError):
             sweep_channel(ideal_channel, 0.0, 1.0, 2, DetectorModel())

@@ -1,8 +1,9 @@
 """Every module under src/picmod and tests references each name it
 imports, the package references each module-level private name it
 defines, another module or the benchmark references each public function
-it defines, the package defines one exception class, and neither importing
-picmod nor running any subcommand loads scipy, click or numpy.ma."""
+it defines, the package defines one exception class, neither importing
+picmod nor running any subcommand loads scipy, click or numpy.ma, and only
+`stability` loads OpenSSL (`_hashlib`)."""
 
 import ast
 import builtins
@@ -203,9 +204,9 @@ def test_import_picmod_binds_its_submodules():
     assert proc.stdout.split() == []
 
 
-# Runs in a fresh interpreter; prints the scipy, click and numpy.ma modules
-# loaded after the imports and after each command, and the exit code of each
-# command.
+# Runs in a fresh interpreter; prints the scipy, click, numpy.ma and _hashlib
+# modules loaded after the imports and after each command, and the exit code
+# of each command.
 UNWANTED_PROBE = """
 import contextlib, io, json, sys
 import picmod, picmod.cli
@@ -213,7 +214,8 @@ import picmod, picmod.cli
 def unwanted_modules():
     return sorted(
         m for m in sys.modules
-        if m.split(".")[0] in ("scipy", "click") or m.split(".")[:2] == ["numpy", "ma"]
+        if m.split(".")[0] in ("scipy", "click", "_hashlib")
+        or m.split(".")[:2] == ["numpy", "ma"]
     )
 
 def run(*argv):
@@ -248,12 +250,15 @@ COMMANDS = [
 
 
 def test_scipy_click_and_numpy_ma_off_the_import_path(tmp_path):
-    """No step of a run loads scipy, click or numpy.ma: not `import picmod`
-    or `picmod.cli`, and not any subcommand. The root finder and the OU
+    """No step of a run loads scipy, click or numpy.ma, and none but
+    `stability` loads OpenSSL's `_hashlib`: not `import picmod` or
+    `picmod.cli`, and not any other subcommand. The root finder and the OU
     filter are picmod's own; scipy is only the tests' reference for them.
     The command line is parsed by the standard library's argparse. Medians
     come from `fitting._median`, because np.median's NaN check imports
-    numpy.ma, about 10 ms on first use in a fresh process.
+    numpy.ma, about 10 ms on first use in a fresh process. SHA-256 comes
+    from CPython's builtin module (`rng.sha256`), because importing hashlib
+    loads OpenSSL, about 4 MB.
     """
     config = SRC / "configs" / "pic_795nm.yaml"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -262,5 +267,10 @@ def test_scipy_click_and_numpy_ma_off_the_import_path(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["loaded"] == dict.fromkeys(["import", *COMMANDS, "report"], [])
+    # Only `stability` draws random streams, and numpy.random imports
+    # `secrets`, whose hmac import loads _hashlib; the probe's module list
+    # is cumulative, so `report`, run after it, lists it too.
+    want = dict.fromkeys(["import", *COMMANDS, "report"], [])
+    want["stability"] = want["report"] = ["_hashlib"]
+    assert result["loaded"] == want
     assert result["exit_codes"] == dict.fromkeys([*COMMANDS, "report"], 0)

@@ -1,6 +1,7 @@
 """Stochastic processes, seeding contract, and the detector model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.signal import lfilter
 from picmod.errors import PicmodError
 from picmod.noise import (
     _AR1_BLOCK,
+    _AR1_CHUNK_ROWS,
     _AR1_SCALAR_MAX,
     DetectorModel,
     OuParams,
@@ -56,6 +58,20 @@ class TestOuPath:
         with pytest.raises(PicmodError):
             sample_ou_path(0.01, 10.0, 100.0, 2.0, rng=derive_rng(0, "ou-path"))
 
+    def test_path_holds_one_full_length_array(self):
+        # 500 000 samples are 4 MB. The filter runs in place on the drawn
+        # drive and adds only chunk-sized temporaries and the block ends;
+        # a second output array would add another 4 MB.
+        rng = derive_rng(0, "ou-path")  # numpy imports numpy.random on first use: untraced
+        tracemalloc.start()
+        try:
+            path = sample_ou_path(0.01, 10.0, 499_999.0, 1.0, rng=rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.size == 500_000
+        assert peak < 6e6
+
     def test_ou_params_validation(self):
         with pytest.raises(PicmodError):
             OuParams(-0.1, 1.0)
@@ -63,13 +79,34 @@ class TestOuPath:
             OuParams(0.1, 0.0)
 
 
-def ar1_loop(drive, a):
-    """Oracle: the exact AR(1) recursion y[k] = a*y[k-1] + drive[k], y[-1] = 0."""
-    out, y = [], 0.0
+def ar1_loop(drive, a, state=0.0):
+    """Oracle: the exact AR(1) recursion y[k] = a*y[k-1] + drive[k], y[-1] = state."""
+    out, y = [], state
     for x in drive.tolist():
         y = a * y + x
         out.append(y)
     return np.array(out)
+
+
+def ar1_whole_matmul(drive, a):
+    """Oracle: the blocked AR(1) filter with one matmul over all block rows
+    into a second full-length array, the layout `_ar1_filter` had before it
+    filtered in place by chunks of rows."""
+    n = drive.size
+    if n < _AR1_SCALAR_MAX:
+        return ar1_loop(drive, a)
+    b = _AR1_BLOCK
+    m = n // b
+    powers = a ** np.arange(b + 1.0)
+    lag = np.arange(b)
+    upper = np.triu(powers[np.maximum(lag[None, :] - lag[:, None], 0)])
+    out = np.empty(n)
+    blocks = out[: m * b].reshape(m, b)
+    np.matmul(drive[: m * b].reshape(m, b), upper, out=blocks)
+    ends = ar1_whole_matmul(blocks[:, -1], float(powers[-1]))
+    blocks[1:] += ends[:-1, None] * powers[1:]
+    out[m * b :] = ar1_loop(drive[m * b :], a, float(ends[-1]))
+    return out
 
 
 # From the largest step sample_ou_path allows (dt = tau/10) to a slow drift.
@@ -88,12 +125,33 @@ class TestAr1Filter:
         # Relative to the path's largest magnitude: the blocked sums round
         # differently, and a close to 1 carries that rounding a long way.
         drive = np.random.default_rng(n).standard_normal(n)
-        got, want = _ar1_filter(drive, a), ar1_loop(drive, a)
+        got, want = _ar1_filter(drive.copy(), a), ar1_loop(drive, a)
         assert got.shape == want.shape
         if n < _AR1_SCALAR_MAX:
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+    # Block-row counts: one chunk (the fewest rows, fewer than a chunk, a
+    # whole chunk), then several, one of them 1 more than a multiple of
+    # the chunk rows, where a fixed chunk size would leave a one-row matmul.
+    @pytest.mark.parametrize(
+        "m",
+        [4, 1000, _AR1_CHUNK_ROWS, _AR1_CHUNK_ROWS + 1,
+         2 * _AR1_CHUNK_ROWS + 1, 3 * _AR1_CHUNK_ROWS + 1],
+    )
+    @pytest.mark.parametrize("a", AR1_POLES)
+    def test_in_place_equals_whole_array_matmul(self, a, m):
+        # The chunked in-place filter gives the bits of one matmul over
+        # every block row, for every tail of 0-15 samples after the blocks.
+        for tail in range(_AR1_BLOCK):
+            n = m * _AR1_BLOCK + tail
+            drive = np.random.default_rng(n).standard_normal(n)
+            want = ar1_whole_matmul(drive, a)
+            got = _ar1_filter(drive, a)
+            assert got is drive
+            assert np.array_equal(got, want), tail
 
 
 class TestDeriveRng:
