@@ -81,7 +81,10 @@ def intensity_profile(array: BeamArray, x_samples) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x_samples, dtype=float))
     # Per-site Gaussian field envelopes, shape (sites, x).
     pos = array.site_positions()[:, None]
-    fields = np.exp(-((x[None, :] - pos) ** 2) / WAIST_RADIUS**2)
+    # A distance whose square overflows to inf is a field of exactly 0,
+    # which is what exp(-inf) gives, so the overflow is not an error.
+    with np.errstate(over="ignore"):
+        fields = np.exp(-((x[None, :] - pos) ** 2) / WAIST_RADIUS**2)
     total = (array.amplitudes[:, None] * fields).sum(axis=0)
     return np.abs(total) ** 2
 

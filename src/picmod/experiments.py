@@ -32,7 +32,7 @@ def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Ta
     detector = cfg.sweep_detector()
     v_pi = cfg.data["chip"]["v_pi_volts"]
     report = RunReport("sweep", cfg.hash, cfg.seed)
-    tables = {}
+    tables, ers = {}, []
     for ch in (c for c in cfg.channels() if c.channel_index in channels):
         i = ch.channel_index
         result = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, detector=detector)
@@ -50,7 +50,7 @@ def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Ta
         )
         suffix = " (detector floor)" if result.detector_limited else ""
         report.add(f"channel_{i}_er{suffix}", result.er_db, "dB")
-    ers = [m.value for m in report.metrics if "_er" in m.name]
+        ers.append(result.er_db)
     report.add("er_mean", float(np.mean(ers)), "dB")
     report.add("er_std", float(np.std(ers)), "dB")
     return report, tables

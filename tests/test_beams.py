@@ -38,6 +38,18 @@ class TestSingleActiveChannel:
             assert leaks[site].floor_limited
             assert leaks[site].reported_db == -65.0
 
+    def test_overflowing_distance_is_zero_field(self):
+        # At a pitch of 1e300 d0 the squared distance to every other site
+        # overflows; that field is exactly 0, with no RuntimeWarning
+        # (which the suite turns into an error).
+        pitch = 1e300
+        array = make_beam_array(8, [0, 2, 4, 6], pitch=pitch, nn_leak_db=-50.8)
+        on_site, between = intensity_profile(array, [0.0, pitch])
+        assert on_site == 1.0
+        assert between == pytest.approx(4 * 10 ** (-50.8 / 10), rel=1e-12)
+        leaks = {l.site: l for l in site_leakage_report(array)}
+        assert leaks[7].reported_db == pytest.approx(-50.8, abs=1e-9)
+
 
 class TestPatterns:
     def test_all_active_eight_peaks(self):

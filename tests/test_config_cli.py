@@ -847,6 +847,38 @@ class TestShippedConfigs:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_stability_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """`picmod stability` writes the same artifacts under the default BLAS
+    kernel and under OPENBLAS_CORETYPE=Prescott. The test first checks that
+    the two kernels give a plain matmul different bits, or it shows nothing."""
+    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    default["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    envs = {"default": default, "prescott": dict(default, OPENBLAS_CORETYPE="Prescott")}
+    matmul_bits = (
+        "import hashlib, numpy as np\n"
+        "x = np.random.default_rng(0).standard_normal((4096, 16))\n"
+        "print(hashlib.sha256(np.matmul(x, x[:16]).tobytes()).hexdigest())\n"
+    )
+
+    def run(env, *args):
+        child = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+        assert child.returncode == 0, child.stderr
+        return child.stdout
+
+    bits = {name: run(env, "-c", matmul_bits) for name, env in envs.items()}
+    assert bits["default"] != bits["prescott"], "the kernel does not change a matmul here"
+    config = str(CONFIG_DIR / "pic_795nm.yaml")
+    for name, env in envs.items():
+        run(env, "-m", "picmod.cli", "stability", "--config", config,
+            "--out", str(tmp_path / name), "--seed", "42")
+    for csv in ("lock_er_timeseries.csv", "pulse_area_histogram.csv"):
+        assert (tmp_path / "default" / csv).read_bytes() == (
+            tmp_path / "prescott" / csv).read_bytes(), csv
+    report = "stability_report.json"
+    assert strip_wall_time(tmp_path / "default" / report) == strip_wall_time(
+        tmp_path / "prescott" / report)
+
+
 class TestReportRoundTrip:
     """`load_report` reads back exactly what `RunReport.save` writes."""
 

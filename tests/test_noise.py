@@ -8,15 +8,7 @@ import pytest
 from scipy.signal import lfilter
 
 from picmod.errors import PicmodError
-from picmod.noise import (
-    _AR1_BLOCK,
-    _AR1_CHUNK_ROWS,
-    _AR1_SCALAR_MAX,
-    DetectorModel,
-    OuParams,
-    _ar1_filter,
-    sample_ou_path,
-)
+from picmod.noise import DetectorModel, OuParams, _ar1_filter, sample_ou_path
 from picmod.rng import derive_rng
 
 
@@ -88,30 +80,12 @@ def ar1_loop(drive, a, state=0.0):
     return np.array(out)
 
 
-def ar1_whole_matmul(drive, a):
-    """Oracle: the blocked AR(1) filter with one matmul over all block rows
-    into a second full-length array, the layout `_ar1_filter` had before it
-    filtered in place by chunks of rows."""
-    n = drive.size
-    if n < _AR1_SCALAR_MAX:
-        return ar1_loop(drive, a)
-    b = _AR1_BLOCK
-    m = n // b
-    powers = a ** np.arange(b + 1.0)
-    lag = np.arange(b)
-    upper = np.triu(powers[np.maximum(lag[None, :] - lag[:, None], 0)])
-    out = np.empty(n)
-    blocks = out[: m * b].reshape(m, b)
-    np.matmul(drive[: m * b].reshape(m, b), upper, out=blocks)
-    ends = ar1_whole_matmul(blocks[:, -1], float(powers[-1]))
-    blocks[1:] += ends[:-1, None] * powers[1:]
-    out[m * b :] = ar1_loop(drive[m * b :], a, float(ends[-1]))
-    return out
-
-
 # From the largest step sample_ou_path allows (dt = tau/10) to a slow drift.
 AR1_POLES = [math.exp(-0.1), 0.999, 1 - 2e-6, 1 - 1e-7]
-AR1_LENGTHS = [0, 1, _AR1_BLOCK - 1, _AR1_SCALAR_MAX - 1, 1000 * _AR1_BLOCK + 7, 10**6]
+# Below 256 samples the rows are one sample long and the filter is the
+# scalar recursion; then rows of 3, 15 (with a tail), 65 (2^18 samples),
+# 75 (the 20 h lock path), 89 (the block pulse train, with a tail) and 125.
+AR1_LENGTHS = [0, 1, 15, 63, 255, 256, 16_007, 262_144, 360_001, 500_000, 10**6]
 
 
 class TestAr1Filter:
@@ -125,33 +99,14 @@ class TestAr1Filter:
         # Relative to the path's largest magnitude: the blocked sums round
         # differently, and a close to 1 carries that rounding a long way.
         drive = np.random.default_rng(n).standard_normal(n)
-        got, want = _ar1_filter(drive.copy(), a), ar1_loop(drive, a)
+        want = ar1_loop(drive, a)
+        got = _ar1_filter(drive, a)
+        assert got is drive
         assert got.shape == want.shape
-        if n < _AR1_SCALAR_MAX:
+        if n < 256:
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-
-
-    # Block-row counts: one chunk (the fewest rows, fewer than a chunk, a
-    # whole chunk), then several, one of them 1 more than a multiple of
-    # the chunk rows, where a fixed chunk size would leave a one-row matmul.
-    @pytest.mark.parametrize(
-        "m",
-        [4, 1000, _AR1_CHUNK_ROWS, _AR1_CHUNK_ROWS + 1,
-         2 * _AR1_CHUNK_ROWS + 1, 3 * _AR1_CHUNK_ROWS + 1],
-    )
-    @pytest.mark.parametrize("a", AR1_POLES)
-    def test_in_place_equals_whole_array_matmul(self, a, m):
-        # The chunked in-place filter gives the bits of one matmul over
-        # every block row, for every tail of 0-15 samples after the blocks.
-        for tail in range(_AR1_BLOCK):
-            n = m * _AR1_BLOCK + tail
-            drive = np.random.default_rng(n).standard_normal(n)
-            want = ar1_whole_matmul(drive, a)
-            got = _ar1_filter(drive, a)
-            assert got is drive
-            assert np.array_equal(got, want), tail
 
 
 class TestDeriveRng:
