@@ -108,6 +108,19 @@ class TestAr1Filter:
         else:
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("a", AR1_POLES)
+    def test_impulse_response_is_powers_of_a(self, a):
+        # 360 001 samples are 4 800 rows of 75 and a one-sample tail. A unit
+        # impulse mid-row must leave every earlier sample exactly 0 and carry
+        # a^(k - k0) through every later row boundary and into the tail.
+        n, k0 = 360_001, 1_000 * 75 + 37
+        drive = np.zeros(n)
+        drive[k0] = 1.0
+        got = _ar1_filter(drive, a)
+        assert not np.any(got[:k0])
+        want = a ** np.arange(n - k0, dtype=float)
+        assert np.max(np.abs(got[k0:] - want)) <= 1e-11
+
 
 class TestDeriveRng:
     def test_label_isolation(self):
