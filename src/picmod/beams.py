@@ -3,8 +3,8 @@
 Sites sit on a 1-D line at a fixed pitch in units of the 1/e^2 intensity
 diameter d0. Each active channel contributes a Gaussian beam at its site;
 evanescent coupling in the delivery path places attenuated copies on the
-nearest-neighbor sites. Fields add coherently, in phase: the worst case
-for the leakage at an idle site.
+nearest-neighbor sites. Fields add coherently and in phase, the worst
+case for the leakage at an idle site, so every amplitude is real.
 """
 
 from __future__ import annotations
@@ -21,22 +21,16 @@ WAIST_RADIUS = 0.5  # 1/e^2 field radius in units of d0
 
 @dataclass(frozen=True)
 class BeamArray:
-    """Beam sites with complex per-site amplitudes (leaks included)."""
+    """Beam sites with real per-site field amplitudes (leaks included)."""
 
-    n_beams: int
-    amplitudes: np.ndarray  # complex field amplitude per site
+    amplitudes: np.ndarray  # field amplitude per site
     active: frozenset
-    pitch: float = 4.33  # in units of d0
-    measurement_floor_db: float = -65.0
+    pitch: float  # in units of d0
+    measurement_floor_db: float
 
-    def __post_init__(self):
-        if self.n_beams < 1 or self.pitch <= 0:
-            raise PicmodError("n_beams and pitch must be positive")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.n_beams,):
-            raise PicmodError("amplitudes must have one entry per site")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "active", frozenset(self.active))
+    @property
+    def n_beams(self) -> int:
+        return self.amplitudes.size
 
     def site_positions(self) -> np.ndarray:
         return np.arange(self.n_beams) * self.pitch
@@ -60,20 +54,19 @@ def make_beam_array(
         raise PicmodError("active set must be non-empty")
     if any(not 0 <= i < n_beams for i in active):
         raise PicmodError(f"active sites must lie in [0, {n_beams - 1}]")
-    amps = np.zeros(n_beams, dtype=complex)
-    leak_amp = math.sqrt(10.0 ** (nn_leak_db / 10.0))
-    for i in active:
-        amps[i] += 1.0
-        for j in (i - 1, i + 1):
-            if 0 <= j < n_beams:
-                amps[j] += leak_amp
-    return BeamArray(
-        n_beams=n_beams,
-        amplitudes=amps,
-        active=active,
-        pitch=pitch,
-        measurement_floor_db=measurement_floor_db,
-    )
+    # As a float: numpy cannot scale indices by an int past int64. A last
+    # site past the float range would make every distance to it NaN.
+    pitch = float(pitch)
+    if not (pitch > 0 and math.isfinite((n_beams - 1) * pitch)):
+        raise PicmodError(f"pitch must be > 0 and fit {n_beams} sites in floats, got {pitch!r}")
+    on = np.zeros(n_beams)
+    on[list(active)] = 1.0
+    leak = math.sqrt(10.0 ** (nn_leak_db / 10.0)) * on
+    # Each site sums its own beam, the leak from its left, then its right.
+    amps = on.copy()
+    amps[1:] += leak[:-1]
+    amps[:-1] += leak[1:]
+    return BeamArray(amps, active, pitch, measurement_floor_db)
 
 
 def intensity_profile(array: BeamArray, x_samples) -> np.ndarray:
@@ -86,7 +79,7 @@ def intensity_profile(array: BeamArray, x_samples) -> np.ndarray:
     with np.errstate(over="ignore"):
         fields = np.exp(-((x[None, :] - pos) ** 2) / WAIST_RADIUS**2)
     total = (array.amplitudes[:, None] * fields).sum(axis=0)
-    return np.abs(total) ** 2
+    return total * total
 
 
 @dataclass(frozen=True)
@@ -123,21 +116,12 @@ class SiteLeakage:
 
 def site_leakage_report(array: BeamArray) -> list[SiteLeakage]:
     """Leakage at every idle site center relative to the active-site peak."""
-    pos = array.site_positions()
-    intensity = intensity_profile(array, pos)
-    peak = float(max(intensity[i] for i in array.active))
+    intensity = intensity_profile(array, array.site_positions())
+    rel = intensity / max(intensity[i] for i in array.active)
+    floor = array.measurement_floor_db
     report = []
-    for site in range(array.n_beams):
-        if site in array.active:
-            continue
-        rel = intensity[site] / peak
-        db = 10.0 * math.log10(rel) if rel > 0 else float("-inf")
-        limited = db < array.measurement_floor_db
-        report.append(
-            SiteLeakage(
-                site=site,
-                reported_db=max(db, array.measurement_floor_db),
-                floor_limited=limited,
-            )
-        )
+    for site in sorted(set(range(array.n_beams)) - array.active):
+        # Scalar math.log10: np.log10 can differ in the last bit.
+        db = 10.0 * math.log10(rel[site]) if rel[site] > 0 else float("-inf")
+        report.append(SiteLeakage(site, max(db, floor), db < floor))
     return report

@@ -6,7 +6,7 @@ or `picmod.calibration`, writes the experiment's tables and a JSON run
 report into --out, and prints the report's summary. `report` tabulates the
 run reports in a directory. Exit codes: 0 all checks passed, 1 a check
 failed, 2 a usage error, a configuration error, any other picmod error or
-an OSError writing --out.
+an OSError writing --out, 3 any other exception (an internal error).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .serialize import write_csv
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _parse_indices(option: str, spec: str, n: int) -> list[int]:
@@ -169,7 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     code. A malformed command line is argparse's: a usage block and
     SystemExit(2); --help and --version raise SystemExit(0). Every
     PicmodError, and every OSError creating or writing --out, prints one
-    `error:` line on stderr and returns 2."""
+    `error:` line on stderr and returns 2. Any other exception prints
+    `error: <type>: <message>` and returns 3, so that 1 always means a
+    failed check."""
     args = _parser().parse_args(argv)
     try:
         if args.command == "report":
@@ -178,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PicmodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _run():

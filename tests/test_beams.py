@@ -1,19 +1,53 @@
 """Free-space beam array: profiles, leakage, floor flags."""
 
+import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from picmod.beams import (
+    SiteLeakage,
     intensity_profile,
     make_beam_array,
     site_leakage_report,
     target_plane_profile,
 )
+from picmod.config import ExperimentConfig
 from picmod.errors import PicmodError
+from picmod.experiments import run_beams
 
 PITCH = 4.33
+
+
+def reference_amplitudes(n_beams, active, nn_leak_db):
+    """Oracle: one beam per active site, in ascending order, adding its
+    unit amplitude and then a leaked copy on each neighbor."""
+    amps = np.zeros(n_beams)
+    leak_amp = math.sqrt(10.0 ** (nn_leak_db / 10.0))
+    for i in sorted(active):
+        amps[i] += 1.0
+        for j in (i - 1, i + 1):
+            if 0 <= j < n_beams:
+                amps[j] += leak_amp
+    return amps
+
+
+def reference_leakage(array):
+    """Oracle: each idle site's intensity divided by the active peak on
+    its own, then clamped at the floor."""
+    intensity = intensity_profile(array, array.site_positions())
+    peak = float(max(intensity[i] for i in array.active))
+    report = []
+    for site in range(array.n_beams):
+        if site in array.active:
+            continue
+        rel = intensity[site] / peak
+        db = 10.0 * math.log10(rel) if rel > 0 else float("-inf")
+        floor = array.measurement_floor_db
+        report.append(SiteLeakage(site, max(db, floor), db < floor))
+    return report
 
 
 class TestSingleActiveChannel:
@@ -76,6 +110,26 @@ class TestPatterns:
         assert leaks[7].reported_db == pytest.approx(-50.8, abs=0.2)
 
 
+class TestReferenceLoops:
+    # At -20 dB (leak amplitude 0.1), (1 + 0.1) + 0.1 and 1 + 0.2 round
+    # apart, so a site summed in another order shows.
+    @pytest.mark.parametrize("nn_leak_db", [0.0, -6.0, -20.0, -50.8, -math.inf])
+    @pytest.mark.parametrize("pitch", [1e-3, PITCH, 1e300])
+    def test_matches_per_site_loops_bit_for_bit(self, pitch, nn_leak_db):
+        rng = np.random.default_rng(20)
+        for _ in range(25):
+            n_beams = int(rng.integers(1, 65))
+            active = set(rng.choice(n_beams, size=int(rng.integers(1, n_beams + 1)),
+                                    replace=False).tolist())
+            array = make_beam_array(n_beams, active, pitch=pitch, nn_leak_db=nn_leak_db)
+            expected = reference_amplitudes(n_beams, active, nn_leak_db)
+            assert array.amplitudes.dtype == expected.dtype
+            assert array.amplitudes.tobytes() == expected.tobytes()
+            leaks = site_leakage_report(array)
+            assert leaks == reference_leakage(array)
+            assert all(type(l.floor_limited) is bool for l in leaks)
+
+
 class TestValidation:
     def test_empty_active_set(self):
         with pytest.raises(PicmodError):
@@ -91,6 +145,59 @@ class TestValidation:
         profile = target_plane_profile(array, x)
         assert profile.intensity.max() == pytest.approx(1.0)
         assert profile.intensity_db.min() >= -65.0
+
+    @pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan, math.inf])
+    def test_pitch_not_positive_and_finite(self, pitch):
+        with pytest.raises(PicmodError, match="pitch"):
+            make_beam_array(8, [0], pitch=pitch)
+
+    def test_last_site_past_float_range(self):
+        # 7 * 1e308 overflows: site 7 would sit at inf, every distance to
+        # it NaN. One 1.7e308 step still fits.
+        with pytest.raises(PicmodError, match="8 sites"):
+            make_beam_array(8, [0, 2, 4, 6], pitch=1e308)
+        with pytest.raises(PicmodError, match="1 sites"):
+            make_beam_array(1, [0], pitch=math.inf)
+        array = make_beam_array(2, [0], pitch=1.7e308, nn_leak_db=-50.8)
+        [leak] = site_leakage_report(array)
+        assert leak.reported_db == pytest.approx(-50.8, abs=1e-9)
+
+    def test_int_pitch_past_int64(self):
+        # numpy cannot scale int64 site indices by 10**19 (an int that a
+        # YAML config may hold); the pitch is used as the float it equals.
+        by_int = make_beam_array(8, [0, 2], pitch=10**19)
+        by_float = make_beam_array(8, [0, 2], pitch=1e19)
+        assert site_leakage_report(by_int) == site_leakage_report(by_float)
+
+
+class TestBeamsConfigEdges:
+    def test_run_beams_on_schema_edges(self, config_795):
+        """Every schema-valid beams section at the edges of its ranges
+        returns a report or raises PicmodError, and raises exactly when
+        the last site lies past the float range. Warnings are errors."""
+        outcomes = []
+        for n, pitch, leak_db, floor_db, pattern in itertools.product(
+            [1, 2, 8, 64],
+            [1e-3, PITCH, 1e300, 2.8e306, 1e308, 1.7e308],
+            [0.0, -50.8, -math.inf],
+            [0.0, -65.0, -math.inf],
+            ["site 0", "evens", "all"],
+        ):
+            data = copy.deepcopy(config_795.data)
+            data["beams"].update(n_beams=n, pitch_d0=pitch, nn_leak_db=leak_db, floor_db=floor_db)
+            sites = {"site 0": [0], "evens": range(0, n, 2), "all": range(n)}[pattern]
+            overflows = not math.isfinite((n - 1) * pitch)
+            try:
+                report, tables = run_beams(ExperimentConfig(data), list(sites))
+            except PicmodError:
+                assert overflows, (n, pitch)
+                outcomes.append("error")
+                continue
+            assert not overflows, (n, pitch)
+            for column in tables["beam_profile.csv"][1]:
+                assert not np.isnan(column).any(), (n, pitch, leak_db, floor_db, pattern)
+            outcomes.append("report")
+        assert (outcomes.count("report"), outcomes.count("error")) == (540, 108)
 
 
 class TestGaussianTailDominance:

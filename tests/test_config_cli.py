@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from picmod import calibration, experiments
+from picmod import calibration, cli, experiments
 from picmod import config as config_module
 from picmod.cli import EXPERIMENTS, main
 from picmod.config import ExperimentConfig
@@ -344,8 +344,8 @@ class CliResult:
 
 
 def run_cli(*args) -> CliResult:
-    """`main(args)` in this process, with stdout and stderr captured. Any
-    exception but argparse's SystemExit propagates."""
+    """`main(args)` in this process, with stdout and stderr captured and
+    argparse's SystemExit caught."""
     stdout, stderr = io.StringIO(), io.StringIO()
     exception = None
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -415,6 +415,24 @@ class TestCli:
         assert res.stderr.splitlines() == [res.stderr.strip()]
         assert res.stderr.startswith("error: ") and str(out) in res.stderr
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [(MemoryError(), "error: MemoryError: "), (ValueError("x"), "error: ValueError: x")],
+        ids=["MemoryError", "ValueError"],
+    )
+    def test_unexpected_exception_exits_3(self, config_path_795, tmp_path, monkeypatch, exc, line):
+        # Exit 1 means a failed check only: any exception picmod does not
+        # raise itself is one `error:` line naming its type, and exit 3.
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_beams", fail)
+        res = run_cli("beams", "--config", config_path_795, "--out", str(tmp_path / "out"))
+        assert res.exit_code == cli.EXIT_INTERNAL == 3
+        assert res.stdout == ""
+        assert res.stderr == line + "\n"
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_outputs_and_summary(self, config_path_795, tmp_path):
         res = run_cli(
@@ -637,6 +655,11 @@ def balanced_ideal_sweep(data):
     data["detector"]["sweep_floor_db"] = float("-inf")
 
 
+def pitch_past_float_range(data):
+    """Site 7 of 8 at 7e308 d0, past the float range."""
+    data["beams"]["pitch_d0"] = 1.0e308
+
+
 def run_on(experiment, *args):
     return lambda path: experiment(ExperimentConfig.load(path), *args)
 
@@ -679,6 +702,10 @@ LIBRARY_ERRORS = {
     ),
     "missing_key": (["sweep"], yaml_file(drop_lock_section), ExperimentConfig.load),
     "no_site": (["beams", "--active", ","], yaml_file(), run_on(experiments.run_beams, [])),
+    "pitch_past_float_range": (
+        ["beams", "--active", "evens"], yaml_file(pitch_past_float_range),
+        run_on(experiments.run_beams, [0, 2, 4, 6]),
+    ),
     "pulse_mode": (
         ["pulse", "--mode", "fast"], yaml_file(), run_on(experiments.run_pulse, "fast")
     ),
