@@ -19,16 +19,20 @@ The root is found by `_brent_root`, Brent's bracketing root finder, which
 `dynamics` and `waveforms` also use, live here because `core` imports
 this module and `dynamics` imports `core`.
 
-The scan needs no solve per grid point. `_scan_basis` holds, for every
-grid w, an orthonormal basis of [1, cos wV, sin wV]: Gram-Schmidt
-vectorised over the grid gives a centred cos row and a sin row orthogonal
-to it. With c the centred data, the residual at w is then
+The scan needs no solve per grid point, and no basis per voltage grid.
+`fit_v_pi` takes evenly spaced voltages V_k = V_0 + k*h, and on such a
+grid [1, cos wV, sin wV] spans the same space as [1, cos(theta k),
+sin(theta k)] with theta = w*h, whatever V_0 and h are. Its w grid puts
+theta on geomspace(pi/(2(N-1)), pi, 512), to rounding, for every grid of
+N voltages, so `_scan_basis(N)` holds, for every theta, a basis of
+[1, cos(theta k), sin(theta k)] made orthonormal by Gram-Schmidt,
+vectorised over the grid: a centred cos row and a sin row orthogonal to
+it. With c the centred data, the residual at w = theta/h is then
 c.c - (q_cos.c)^2 - (q_sin.c)^2, two matrix-vector products for the whole
-grid. That basis depends only on the voltages, so it is cached per
-voltage grid: every channel of a chip is swept on one grid, and only its
-first fit builds the basis. A cached grid of N voltages holds two
-512 x N float64 arrays, 2*512*N*8 bytes (about 2 MB at N = 241), and at
-most 4 grids are kept.
+grid. The basis depends only on the sweep length, so it is cached per
+length: every channel of every chip is swept at 241 points, and only a
+process's first fit builds the basis. A cached length N holds two
+512 x N float64 arrays, 2*512*N*8 bytes (about 2 MB at N = 241).
 """
 
 from __future__ import annotations
@@ -41,9 +45,12 @@ import numpy as np
 
 from .errors import PicmodError
 
-# Voltage grids whose scan basis is kept: calibrate and sweep fit every
-# channel of a chip on one grid, and one process sees at most a few chips.
-_SCAN_BASIS_GRIDS = 4
+# Sweep lengths whose scan basis is kept: calibrate and sweep fit every
+# channel of every chip at one length, and the tests use a few more.
+_SCAN_BASIS_LENGTHS = 4
+# Points of the v_pi scan, geometric in w from half a fringe over the
+# sweep to the Nyquist limit.
+_SCAN_POINTS = 512
 # Brent root finder: relative tolerance 4 eps and at most 100 iterations,
 # the defaults of the reference implementation of the published algorithm.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
@@ -72,23 +79,22 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)[:, None]
 
 
-@functools.lru_cache(maxsize=_SCAN_BASIS_GRIDS)
-def _scan_basis(volts: bytes, omegas: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormalised cos and sin rows of the scan basis, one row per omega.
+@functools.lru_cache(maxsize=_SCAN_BASIS_LENGTHS)
+def _scan_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalised cos and sin rows of the scan basis of n evenly spaced
+    samples, one row per scan phase step theta (see the module docstring).
 
-    Takes the float64 bytes of the voltages and of the omega grid, so it can
-    be cached per grid. The cos(wV) rows are centred (orthogonal to the
-    constant column) and normalised; the sin(wV) rows are centred, made
-    orthogonal to the cos row and normalised. A row whose remaining norm is
-    below eps*N*sqrt(N) is rank-deficient, as lstsq's default cutoff would
-    treat it, and is zeroed: this happens at the Nyquist end of the grid,
-    where sin(wV) vanishes on every sample. Both arrays are read-only.
+    The cos(theta k) rows are centred (orthogonal to the constant column)
+    and normalised; the sin(theta k) rows are centred, made orthogonal to
+    the cos row and normalised. A row whose remaining norm is below
+    eps*n*sqrt(n) is rank-deficient, as lstsq's default cutoff would treat
+    it, and is zeroed: this happens at the Nyquist end of the grid,
+    theta = pi, where sin(theta k) vanishes on every sample. Both arrays
+    are read-only.
     """
-    volts = np.frombuffer(volts)
-    omegas = np.frombuffer(omegas)
-    n = volts.size
+    thetas = np.geomspace(0.5 * math.pi / (n - 1), math.pi, _SCAN_POINTS)
     tol = np.finfo(float).eps * n * math.sqrt(n)
-    phase = np.outer(omegas, volts)
+    phase = np.outer(thetas, np.arange(n, dtype=float))
     basis = []
     for col in (np.cos(phase), np.sin(phase, out=phase)):
         col -= col.mean(axis=1, keepdims=True)
@@ -102,16 +108,17 @@ def _scan_basis(volts: bytes, omegas: bytes) -> tuple[np.ndarray, np.ndarray]:
     return q_cos, q_sin
 
 
-def _scan_sse(volts: np.ndarray, trans: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of `_linear_solve` at every omega.
+def _scan_sse(trans: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of `_linear_solve` at every scan point, for
+    transmissions sampled on any evenly spaced grid of their length.
 
-    Equal to `_linear_solve(volts, trans, w)[1]` for each w up to rounding.
-    The rows of `_scan_basis` are orthonormal and orthogonal to the
-    constant column, so for the centred data c the residual at each w is
-    c.c less the squares of c's components along its cos and sin rows.
+    Equal to `_linear_solve(volts, trans, theta / h)[1]` up to rounding for
+    each scan phase step theta and voltage step h. The rows of
+    `_scan_basis` are orthonormal and orthogonal to the constant column, so
+    for the centred data c the residual at each theta is c.c less the
+    squares of c's components along its cos and sin rows.
     """
-    volts = np.asarray(volts, dtype=float)
-    q_cos, q_sin = _scan_basis(volts.tobytes(), np.asarray(omegas, dtype=float).tobytes())
+    q_cos, q_sin = _scan_basis(trans.size)
     centred = trans - trans.mean()
     return centred @ centred - (q_cos @ centred) ** 2 - (q_sin @ centred) ** 2
 
@@ -184,9 +191,12 @@ def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
 def fit_v_pi(voltages, transmissions) -> VpiFit:
     """Fit the sin^2 transfer model and return v_pi and the RMS residual.
 
-    Raises PicmodError on malformed samples, and when the data is
-    degenerate, spans less than half a fringe, or has its least residual at
-    the edge of the scan.
+    The voltages must be ascending and evenly spaced, V_k = V_0 + k*h with
+    h > 0, to within 1e-9 of their span: the scan reads the residual from
+    a basis in the sample index k (see the module docstring).
+    Raises PicmodError on malformed samples, on any other voltage grid,
+    and when the data is degenerate, spans less than half a fringe, or has
+    its least residual at the edge of the scan.
     """
     volts = np.asarray(voltages, dtype=float)
     trans = np.asarray(transmissions, dtype=float)
@@ -200,15 +210,19 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     scale = float(np.max(np.abs(trans)))
     if span <= 0 or scale <= 0 or float(np.ptp(trans)) < 1e-9 * max(scale, 1.0):
         raise PicmodError("data has no usable fringe contrast")
+    step = (volts[-1] - volts[0]) / (volts.size - 1)
+    even = volts[0] + step * np.arange(volts.size)
+    if not (step > 0 and np.max(np.abs(volts - even)) <= 1e-9 * span):
+        raise PicmodError("voltages must be ascending and evenly spaced")
 
-    dv = _median(np.diff(np.sort(volts)))
+    dv = _median(np.diff(volts))
     omega_lo = 0.5 * math.pi / span
     omega_hi = math.pi / max(dv, 1e-12 * span)
 
     # Coarse scan, then the root of the residual's slope between the best
     # grid point's neighbours.
-    grid = np.geomspace(omega_lo, omega_hi, 512)
-    sses = _scan_sse(volts, trans, grid)
+    grid = np.geomspace(omega_lo, omega_hi, _SCAN_POINTS)
+    sses = _scan_sse(trans)
     best = int(np.argmin(sses))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, grid.size - 1)])

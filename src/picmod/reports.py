@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -62,10 +63,14 @@ class RunReport:
         return lines
 
 
+# The field types of a report class, evaluated once per class.
+_type_hints = functools.cache(get_type_hints)
+
+
 def _fields(cls, /, **data) -> dict:
     """data, a JSON object (** takes no other), once each value has its field's
     type in cls; a float may also be the null, "inf" or "-inf" write_json writes."""
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     for key, value in data.items():
         hint = hints.get(key, object)  # cls() rejects a key that names no field
         if hint is float and value in (None, "inf", "-inf"):

@@ -23,7 +23,7 @@ from picmod.config import ExperimentConfig
 from picmod.core import power_split_for_er, sweep_channel
 from picmod.errors import PicmodError
 from picmod.noise import DetectorModel
-from picmod.reports import RunReport, load_report
+from picmod.reports import RunReport, _type_hints, load_report
 from picmod.serialize import _CSV_CHUNK_ROWS, config_hash, write_csv
 
 from conftest import CONFIG_DIR
@@ -949,6 +949,17 @@ class TestReportRoundTrip:
             "FAIL  k                    config h  4 metrics (2 checked)",
             "  FAIL  unbounded: inf dB (require < 0)",
         ]
+
+    def test_type_hints_evaluated_once_per_class(self, tmp_path):
+        report = RunReport("k", "h", 1)
+        for i in range(5):
+            report.add(f"m{i}", float(i), "dB", "> 0", True)
+        path = tmp_path / "k_report.json"
+        report.save(path)
+        _type_hints.cache_clear()
+        for _ in range(3):
+            load_report(path)
+        assert _type_hints.cache_info()[1:] == (2, None, 2)  # misses, maxsize, size
 
     @pytest.mark.parametrize(
         "edit",

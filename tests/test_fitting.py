@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
 from picmod.errors import PicmodError
 from picmod.fitting import (
-    _SCAN_BASIS_GRIDS,
+    _SCAN_BASIS_LENGTHS,
     _linear_solve,
     _median,
     _scan_basis,
     _scan_sse,
     fit_v_pi,
 )
+from picmod.experiments import run_sweep
 from picmod.noise import DetectorModel
 from picmod.rng import derive_rng
 
@@ -97,12 +99,35 @@ class TestDegenerateInputs:
         with pytest.raises(PicmodError, match="must be 1-D arrays of equal length"):
             fit_v_pi(np.arange(10), np.arange(9))
 
+    @pytest.mark.parametrize("order", ["descending", "unsorted", "uneven"])
+    def test_voltages_not_ascending_and_evenly_spaced(self, order):
+        volts = np.linspace(0, 160, 161)
+        trans = sin2(volts, 74.7)
+        if order == "descending":
+            volts, trans = volts[::-1], trans[::-1]
+        elif order == "unsorted":
+            perm = np.random.default_rng(0).permutation(volts.size)
+            volts, trans = volts[perm], trans[perm]
+        else:
+            volts = 160.0 * (volts / 160.0) ** 1.1
+            trans = sin2(volts, 74.7)
+        with pytest.raises(PicmodError, match="^voltages must be ascending and evenly spaced$"):
+            fit_v_pi(volts, trans)
+
 
 def scan_grid(volts):
     """fit_v_pi's coarse grid: half a fringe over the span up to Nyquist."""
     span = float(np.ptp(volts))
     dv = float(np.median(np.diff(np.sort(volts))))
     return np.geomspace(0.5 * math.pi / span, math.pi / dv, 512)
+
+
+def scan_omegas(volts):
+    """The w at which `_scan_sse` gives the residual: its phase steps
+    theta, half a fringe over the sweep up to pi, over the voltage step."""
+    n = volts.size
+    step = (volts[-1] - volts[0]) / (n - 1)
+    return np.geomspace(0.5 * math.pi / (n - 1), math.pi, 512) / step
 
 
 def basis(volts, omega):
@@ -139,36 +164,52 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps())
     def test_matches_per_point_solve(self, volts, trans):
-        grid = scan_grid(volts)
+        omegas = scan_omegas(volts)
         # Every sweep starts at 0 V, so at the Nyquist end sin(wV) vanishes on
         # every sample to rounding: the basis there is numerically singular.
-        assert np.linalg.cond(basis(volts, grid[-1])) > 1e11
-        fast = _scan_sse(volts, trans, grid)
-        slow = np.array([_linear_solve(volts, trans, w)[1] for w in grid])
+        assert np.linalg.cond(basis(volts, omegas[-1])) > 1e11
+        fast = _scan_sse(trans)
+        slow = np.array([_linear_solve(volts, trans, w)[1] for w in omegas])
         assert np.argmin(fast) == np.argmin(slow)
         assert np.max(np.abs(fast - slow)) <= 1e-9 * np.dot(trans, trans)
-
-    def test_ill_conditioned_nyquist_end_keeps_argmin(self):
-        # Off zero, cos(wV) and sin(wV) become nearly parallel at Nyquist,
-        # so the residual there depends on rounding in either solver; the
-        # comparison holds on the rest of the grid.
-        volts = np.linspace(-100, 260, 301)
-        trans = sin2(volts, 123.4, theta0=0.3, amp=0.8, floor=0.05)
+        # fit_v_pi brackets the root on its own w grid, which is the scan's
+        # to rounding: both give the same best point.
         grid = scan_grid(volts)
-        fast = _scan_sse(volts, trans, grid)
-        slow = np.array([_linear_solve(volts, trans, w)[1] for w in grid])
+        assert np.argmin(fast) == np.argmin([_linear_solve(volts, trans, w)[1] for w in grid])
+        assert np.max(np.abs(omegas / grid - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "volts",
+        [np.linspace(-100, 260, 301)]
+        + [np.linspace(0, 2 * v_pi, 241) for v_pi in (44.4, 74.7, 200.0)],
+        ids=["shifted", "vpi_44.4", "vpi_74.7", "vpi_200"],
+    )
+    def test_one_basis_serves_shifted_and_scaled_grids(self, volts):
+        # The basis is built in the sample index alone, so the same rows
+        # must give the residual on a grid that starts off zero and on each
+        # shipped chip's sweep. At the Nyquist end cos(wV) and sin(wV) are
+        # parallel to rounding, so lstsq's residual there depends on that
+        # rounding; the scan zeroes its sin row there and gives the
+        # residual of the cos column alone.
+        trans = sin2(volts, 123.4, theta0=0.3, amp=0.8, floor=0.05)
+        omegas = scan_omegas(volts)
+        fast = _scan_sse(trans)
+        slow = np.array([_linear_solve(volts, trans, w)[1] for w in omegas])
         assert np.argmin(fast) == np.argmin(slow)
-        ok = np.array([np.linalg.cond(basis(volts, w)) < 1e6 for w in grid])
+        ok = np.array([np.linalg.cond(basis(volts, w)) < 1e6 for w in omegas])
         assert not ok[-1] and ok[:-1].all()
         assert np.max(np.abs(fast - slow)[ok]) <= 1e-9 * np.dot(trans, trans)
+        cos_only = basis(volts, omegas[-1])[:, :2]
+        resid = trans - cos_only @ np.linalg.lstsq(cos_only, trans, rcond=None)[0]
+        assert abs(fast[-1] - resid @ resid) <= 1e-9 * np.dot(trans, trans)
 
 
 class TestScanBasisCache:
-    """The scan basis is built once per voltage grid and shared read-only."""
+    """The scan basis is built once per sweep length and shared read-only."""
 
     def test_cached_arrays_are_read_only(self):
         volts, _ = noisy_sweeps(1)[0]
-        q_cos, q_sin = _scan_basis(volts.tobytes(), scan_grid(volts).tobytes())
+        q_cos, q_sin = _scan_basis(volts.size)
         assert q_cos.shape == q_sin.shape == (512, volts.size)
         for q in (q_cos, q_sin):
             assert not q.flags.writeable
@@ -183,29 +224,41 @@ class TestScanBasisCache:
         fit_v_pi(volts, second)
         assert _scan_basis.cache_info()[:2] == (1, 1)
 
-    def test_equal_length_grids_each_get_their_own_basis(self):
-        # Grids of one length but different voltages, fitted in turn more
-        # times than the cache holds grids: each scan must still match the
-        # per-point solve on its own grid, whether built or taken from cache.
+    def test_equal_length_grids_share_one_basis(self):
+        # Grids of one length but different voltages, more of them than the
+        # cache holds lengths: one basis, built once, must match the
+        # per-point solve on every grid.
         v_pis = (44.4, 74.7, 99.0, 150.0, 200.0, 123.4)
         grids = [np.linspace(0.0, 2.0 * v_pi, 241) for v_pi in v_pis]
-        assert len(grids) > _SCAN_BASIS_GRIDS
+        assert len(grids) > _SCAN_BASIS_LENGTHS
         _scan_basis.cache_clear()
         for volts in grids + grids:
             trans = sin2(volts, float(volts[-1]) / 2.0, theta0=0.2, floor=1e-3)
-            grid = scan_grid(volts)
-            fast = _scan_sse(volts, trans, grid)
-            slow = np.array([_linear_solve(volts, trans, w)[1] for w in grid])
+            omegas = scan_omegas(volts)
+            fast = _scan_sse(trans)
+            slow = np.array([_linear_solve(volts, trans, w)[1] for w in omegas])
             assert np.argmin(fast) == np.argmin(slow)
             assert np.max(np.abs(fast - slow)) <= 1e-9 * np.dot(trans, trans)
-        assert _scan_basis.cache_info().currsize == _SCAN_BASIS_GRIDS
+        assert _scan_basis.cache_info()[:2] == (2 * len(grids) - 1, 1)  # (hits, misses)
+        assert _scan_basis.cache_info().currsize == 1
+
+    def test_three_shipped_chips_share_one_basis(self):
+        # Each chip has its own v_pi and so its own voltage grid; calibrate
+        # and sweep on all three build one basis between them.
+        _scan_basis.cache_clear()
+        for nm in (420, 795, 1013):
+            cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+            calibrate(cfg)
+            run_sweep(cfg, list(range(cfg.data["chip"]["n_channels"])))
+        assert _scan_basis.cache_info().misses == 1
+        assert _scan_basis.cache_info().currsize == 1
 
 
 def scipy_refined_omega(volts, trans):
     """Reference: scipy's bounded minimiser of `_linear_solve`'s residual
     between the neighbours of the best scan point, as fit_v_pi brackets it."""
     grid = scan_grid(volts)
-    best = int(np.argmin(_scan_sse(volts, trans, grid)))
+    best = int(np.argmin(_scan_sse(trans)))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
     res = minimize_scalar(lambda w: _linear_solve(volts, trans, w)[1], bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-12 * (hi - lo) + 1e-15})
