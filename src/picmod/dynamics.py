@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ModulatorChannel, channel_transmission_equal
 from .errors import PicmodError
-from .fitting import _brent_root, _median
+from .fitting import _brent_root
 
 # Kernels shorter than this use direct convolution, longer ones numpy's
 # real FFT on a zero-padded power-of-two length; both agree within 1e-10.
@@ -226,6 +226,16 @@ def step_response_trace(
     samples = np.concatenate([np.full(n_settle, v_from), np.full(n_after, v_to)])
     trace = trace_optical(channel, response, Waveform(dt, samples))
     return Waveform(dt, trace.samples[n_settle - 2:])
+
+
+def _median(x) -> float:
+    """np.median of a finite 1-D array, bit for bit: the mean of the middle
+    sorted value, or of the middle two, as np.median takes it (so a zero
+    median is +0.0). np.median's NaN check imports numpy.ma, which no
+    command needs otherwise."""
+    s = np.sort(x)
+    m = s.size // 2
+    return float(s[m - 1 + s.size % 2 : m + 1].mean())
 
 
 def measure_rise_time(trace: Waveform) -> float:

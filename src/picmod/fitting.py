@@ -1,38 +1,33 @@
 """Half-wave-voltage calibration fit, and the package's root finder.
 
-Fits T(V) = A*sin^2(pi*V/(2*v_pi) + theta0) + floor to transmission-vs-
-voltage data. For a fixed v_pi the model is linear in the equivalent basis
-[1, cos(wV), sin(wV)] with w = pi/v_pi, so the fit reduces to a 1-D search
-over w with an exact linear least-squares solve inside (`_linear_solve`).
-The search runs in two steps: one scan of the residual over a geometric
-grid of w (`_scan_sse`), then a root of the residual's slope in w between
-the best grid point's neighbours. `fit_v_pi` returns v_pi = pi/w and the
-RMS misfit at that root.
+Fits T(V) = A*sin^2(pi*V/(2*v_pi) + theta0) + floor to transmissions on an
+evenly spaced grid V_k = V_0 + k*h. For a fixed v_pi the model is linear in
+[1, cos(theta k), sin(theta k)] over the sample index k, with phase step
+theta = pi*h/v_pi, whatever V_0 and h are. The fit is a 1-D search over
+theta with one exact least-squares method inside: centre the data and the
+cos and sin columns, then make the sin column orthogonal to the cos column
+by Gram-Schmidt. A column left with a norm below eps*n*sqrt(n) gets no
+coefficient, as under lstsq's default cutoff: at the Nyquist end,
+theta = pi, sin(theta k) vanishes on every sample.
 
-The slope needs no second solve. The fitted coefficients minimise the
-residual at each w, so its derivative is that of the residual with the
-coefficients held (the envelope theorem): for residual r and fitted cos
-and sin coefficients b_cos and b_sin,
-dSSE/dw = 2 r.(V * (b_cos sin wV - b_sin cos wV)).
-The root is found by `_brent_root`, Brent's bracketing root finder, which
-`dynamics.synthesize_kernel` also uses. It and `_median`, which
-`dynamics` and `waveforms` also use, live here because `core` imports
-this module and `dynamics` imports `core`.
+A scan over theta on geomspace(pi/(2(n-1)), pi, 512), from half a fringe
+over the sweep to Nyquist, picks the best point (`_scan_sse`). Its
+Gram-Schmidt rows depend only on n and are cached per length
+(`_scan_basis`: two 512 x n float64 arrays, about 2 MB at the shipped
+n = 241), so with c the centred data the residual at every theta is
+c.c - (q_cos.c)^2 - (q_sin.c)^2. These matrix-vector products go through
+BLAS and may round as the CPU's kernel does, but they only pick the
+bracket. Brent's method (`_brent_root`, which `dynamics.synthesize_kernel`
+also uses) then finds the root of the residual's slope in theta between
+the best point's neighbours. Each step is one solve at one theta
+(`_index_solve`) in elementwise products and pairwise sums, with no BLAS
+or LAPACK call, so the fit does not depend on the kernel. `fit_v_pi`
+returns v_pi = pi*h/theta and the RMS misfit at the root.
 
-The scan needs no solve per grid point, and no basis per voltage grid.
-`fit_v_pi` takes evenly spaced voltages V_k = V_0 + k*h, and on such a
-grid [1, cos wV, sin wV] spans the same space as [1, cos(theta k),
-sin(theta k)] with theta = w*h, whatever V_0 and h are. Its w grid puts
-theta on geomspace(pi/(2(N-1)), pi, 512), to rounding, for every grid of
-N voltages, so `_scan_basis(N)` holds, for every theta, a basis of
-[1, cos(theta k), sin(theta k)] made orthonormal by Gram-Schmidt,
-vectorised over the grid: a centred cos row and a sin row orthogonal to
-it. With c the centred data, the residual at w = theta/h is then
-c.c - (q_cos.c)^2 - (q_sin.c)^2, two matrix-vector products for the whole
-grid. The basis depends only on the sweep length, so it is cached per
-length: every channel of every chip is swept at 241 points, and only a
-process's first fit builds the basis. A cached length N holds two
-512 x N float64 arrays, 2*512*N*8 bytes (about 2 MB at N = 241).
+The slope needs no second solve: the coefficients minimise the residual
+at each theta, so its derivative is that with the coefficients held (the
+envelope theorem). For residual r and cos and sin coefficients b_cos and
+b_sin, dSSE/dtheta = 2 r.(k * (b_cos sin(theta k) - b_sin cos(theta k))).
 """
 
 from __future__ import annotations
@@ -48,12 +43,13 @@ from .errors import PicmodError
 # Sweep lengths whose scan basis is kept: calibrate and sweep fit every
 # channel of every chip at one length, and the tests use a few more.
 _SCAN_BASIS_LENGTHS = 4
-# Points of the v_pi scan, geometric in w from half a fringe over the
-# sweep to the Nyquist limit.
+# Points of the v_pi scan, geometric in the phase step theta from half a
+# fringe over the sweep to the Nyquist limit.
 _SCAN_POINTS = 512
 # Brent root finder: relative tolerance 4 eps and at most 100 iterations,
 # the defaults of the reference implementation of the published algorithm.
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
+# A Python float, so that the root is one too.
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 
 
@@ -63,15 +59,40 @@ class VpiFit:
     residual: float  # RMS misfit
 
 
-def _linear_solve(volts: np.ndarray, trans: np.ndarray, omega: float):
-    """Least squares on [1, cos wV, sin wV] at one w: the coefficients, the
-    residual sum of squares and its slope in w (see the module docstring)."""
-    cos, sin = np.cos(omega * volts), np.sin(omega * volts)
-    basis = np.column_stack([np.ones_like(volts), cos, sin])
-    coef, _, _, _ = np.linalg.lstsq(basis, trans, rcond=None)
-    resid = trans - basis @ coef
-    slope = 2.0 * resid @ (volts * (coef[1] * sin - coef[2] * cos))
-    return coef, float(np.sum(resid**2)), float(slope)
+def _rank_tol(n: int) -> float:
+    """Norm below which a centred column of n samples is rank-deficient."""
+    return np.finfo(float).eps * n * math.sqrt(n)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two 1-D arrays by numpy's pairwise sum, not BLAS."""
+    return float(np.add.reduce(a * b))
+
+
+def _index_solve(centred: np.ndarray, theta: float):
+    """Least squares of centred data on [1, cos(theta k), sin(theta k)]
+    over its sample index k: the cos and sin coefficients, the residual sum
+    of squares and its slope in theta (see the module docstring)."""
+    n = centred.size
+    k = np.arange(n, dtype=float)
+    phase = theta * k
+    cos, sin = np.cos(phase), np.sin(phase)
+    a = cos - np.add.reduce(cos) / n
+    s = sin - np.add.reduce(sin) / n
+    # Gram-Schmidt: the unit cos row, the sin row less its part along it.
+    a_norm = math.sqrt(_dot(a, a))
+    inv_a = 1.0 / a_norm if a_norm > _rank_tol(n) else 0.0
+    along = _dot(a, s) * inv_a * inv_a
+    s_perp = s - along * a
+    s_norm = math.sqrt(_dot(s_perp, s_perp))
+    inv_s = 1.0 / s_norm if s_norm > _rank_tol(n) else 0.0
+    # Back-substitute the two projections into the cos and sin coefficients.
+    b_sin = _dot(s_perp, centred) * inv_s * inv_s
+    b_cos = _dot(a, centred) * inv_a * inv_a - b_sin * along
+    resid = centred - b_cos * a - b_sin * s
+    kr = k * resid
+    slope = 2.0 * (b_cos * _dot(kr, sin) - b_sin * _dot(kr, cos))
+    return b_cos, b_sin, _dot(resid, resid), slope
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,20 +101,13 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_SCAN_BASIS_LENGTHS)
-def _scan_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormalised cos and sin rows of the scan basis of n evenly spaced
-    samples, one row per scan phase step theta (see the module docstring).
-
-    The cos(theta k) rows are centred (orthogonal to the constant column)
-    and normalised; the sin(theta k) rows are centred, made orthogonal to
-    the cos row and normalised. A row whose remaining norm is below
-    eps*n*sqrt(n) is rank-deficient, as lstsq's default cutoff would treat
-    it, and is zeroed: this happens at the Nyquist end of the grid,
-    theta = pi, where sin(theta k) vanishes on every sample. Both arrays
-    are read-only.
-    """
+def _scan_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan's phase steps theta and, one row per theta, the cos and sin
+    rows of `_index_solve` on n samples, normalised; a row whose norm is
+    below `_rank_tol(n)` is zeroed. All three arrays are read-only."""
     thetas = np.geomspace(0.5 * math.pi / (n - 1), math.pi, _SCAN_POINTS)
-    tol = np.finfo(float).eps * n * math.sqrt(n)
+    thetas.flags.writeable = False
+    tol = _rank_tol(n)
     phase = np.outer(thetas, np.arange(n, dtype=float))
     basis = []
     for col in (np.cos(phase), np.sin(phase, out=phase)):
@@ -104,33 +118,15 @@ def _scan_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
         col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > tol)
         col.flags.writeable = False
         basis.append(col)
-    q_cos, q_sin = basis
-    return q_cos, q_sin
+    return thetas, *basis
 
 
-def _scan_sse(trans: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of `_linear_solve` at every scan point, for
-    transmissions sampled on any evenly spaced grid of their length.
-
-    Equal to `_linear_solve(volts, trans, theta / h)[1]` up to rounding for
-    each scan phase step theta and voltage step h. The rows of
-    `_scan_basis` are orthonormal and orthogonal to the constant column, so
-    for the centred data c the residual at each theta is c.c less the
-    squares of c's components along its cos and sin rows.
-    """
-    q_cos, q_sin = _scan_basis(trans.size)
-    centred = trans - trans.mean()
-    return centred @ centred - (q_cos @ centred) ** 2 - (q_sin @ centred) ** 2
-
-
-def _median(x) -> float:
-    """np.median of a finite 1-D array, bit for bit: the mean of the middle
-    sorted value, or of the middle two, as np.median takes it (so a zero
-    median is +0.0). np.median's NaN check imports numpy.ma, which no
-    command needs otherwise."""
-    s = np.sort(x)
-    m = s.size // 2
-    return float(s[m - 1 + s.size % 2 : m + 1].mean())
+def _scan_sse(centred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's phase steps for centred data c on any evenly spaced grid,
+    and the residual sum of squares of `_index_solve` at each: c.c less the
+    squares of c's components along the orthonormal rows of the basis."""
+    thetas, q_cos, q_sin = _scan_basis(centred.size)
+    return thetas, centred @ centred - (q_cos @ centred) ** 2 - (q_sin @ centred) ** 2
 
 
 def _brent_root(f, xa: float, xb: float, xtol: float) -> float:
@@ -192,8 +188,8 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     """Fit the sin^2 transfer model and return v_pi and the RMS residual.
 
     The voltages must be ascending and evenly spaced, V_k = V_0 + k*h with
-    h > 0, to within 1e-9 of their span: the scan reads the residual from
-    a basis in the sample index k (see the module docstring).
+    h > 0, to within 1e-9 of their span: the fit runs on the sample index
+    k (see the module docstring).
     Raises PicmodError on malformed samples, on any other voltage grid,
     and when the data is degenerate, spans less than half a fringe, or has
     its least residual at the edge of the scan.
@@ -210,35 +206,29 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     scale = float(np.max(np.abs(trans)))
     if span <= 0 or scale <= 0 or float(np.ptp(trans)) < 1e-9 * max(scale, 1.0):
         raise PicmodError("data has no usable fringe contrast")
-    step = (volts[-1] - volts[0]) / (volts.size - 1)
+    step = float(volts[-1] - volts[0]) / (volts.size - 1)
     even = volts[0] + step * np.arange(volts.size)
     if not (step > 0 and np.max(np.abs(volts - even)) <= 1e-9 * span):
         raise PicmodError("voltages must be ascending and evenly spaced")
 
-    dv = _median(np.diff(volts))
-    omega_lo = 0.5 * math.pi / span
-    omega_hi = math.pi / max(dv, 1e-12 * span)
-
-    # Coarse scan, then the root of the residual's slope between the best
-    # grid point's neighbours.
-    grid = np.geomspace(omega_lo, omega_hi, _SCAN_POINTS)
-    sses = _scan_sse(trans)
+    # Scan, then the root of the residual's slope between the best scan
+    # point's neighbours.
+    centred = trans - trans.mean()
+    thetas, sses = _scan_sse(centred)
     best = int(np.argmin(sses))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, grid.size - 1)])
+    lo = float(thetas[max(best - 1, 0)])
+    hi = float(thetas[min(best + 1, thetas.size - 1)])
     try:
-        omega = _brent_root(
-            lambda w: _linear_solve(volts, trans, w)[2], lo, hi, 1e-12 * (hi - lo)
-        )
+        theta = _brent_root(lambda t: _index_solve(centred, t)[3], lo, hi, 1e-12 * (hi - lo))
     except PicmodError as exc:
         # A slope of one sign across the bracket: the least residual is at
         # the edge of the scan, so the data holds no resolvable fringe.
         raise PicmodError(f"no residual minimum inside the v_pi scan: {exc}") from exc
-    coef, sse, _ = _linear_solve(volts, trans, omega)
+    b_cos, b_sin, sse, _ = _index_solve(centred, theta)
     # The fringe's half amplitude is the norm of its cos and sin coefficients.
-    if math.hypot(coef[1], coef[2]) < 1e-9 * max(scale, 1.0):
+    if math.hypot(b_cos, b_sin) < 1e-9 * max(scale, 1.0):
         raise PicmodError("fitted fringe amplitude is degenerate")
-    v_pi = math.pi / omega
+    v_pi = math.pi * step / theta
     if v_pi > span:
         raise PicmodError(
             f"data spans {span:.3g} V, less than half a fringe of fitted v_pi {v_pi:.3g} V"

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModulatorChannel
-from .dynamics import ActuatorResponse, Waveform, on_hold_samples, trace_optical
+from .dynamics import ActuatorResponse, Waveform, _median, on_hold_samples, trace_optical
 from .errors import PicmodError
-from .fitting import _median
 
 
 @dataclass(frozen=True)

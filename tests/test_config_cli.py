@@ -874,17 +874,21 @@ class TestShippedConfigs:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_stability_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
-    """`picmod stability` writes the same artifacts under the default BLAS
-    kernel and under OPENBLAS_CORETYPE=Prescott. The test first checks that
-    the two kernels give a plain matmul different bits, or it shows nothing."""
+def test_stability_calibrate_and_sweep_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """`picmod stability`, `calibrate` and `sweep` on the 795 nm config
+    write the same artifacts under the default BLAS kernel and under
+    OPENBLAS_CORETYPE=Prescott and Haswell. The test first checks that each
+    kernel gives a plain matmul and dot product bits of its own, or it
+    shows nothing."""
     default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     default["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    envs = {"default": default, "prescott": dict(default, OPENBLAS_CORETYPE="Prescott")}
-    matmul_bits = (
+    envs = {"default": default}
+    envs.update({core: dict(default, OPENBLAS_CORETYPE=core) for core in ("Prescott", "Haswell")})
+    blas_bits = (
         "import hashlib, numpy as np\n"
         "x = np.random.default_rng(0).standard_normal((4096, 16))\n"
-        "print(hashlib.sha256(np.matmul(x, x[:16]).tobytes()).hexdigest())\n"
+        "y = np.matmul(x, x[:16]).tobytes() + np.dot(x.ravel(), x.ravel()).tobytes()\n"
+        "print(hashlib.sha256(y).hexdigest())\n"
     )
 
     def run(env, *args):
@@ -892,18 +896,25 @@ def test_stability_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         assert child.returncode == 0, child.stderr
         return child.stdout
 
-    bits = {name: run(env, "-c", matmul_bits) for name, env in envs.items()}
-    assert bits["default"] != bits["prescott"], "the kernel does not change a matmul here"
+    bits = {name: run(env, "-c", blas_bits) for name, env in envs.items()}
+    assert len(set(bits.values())) == len(envs), "the kernels do not change BLAS bits here"
     config = str(CONFIG_DIR / "pic_795nm.yaml")
-    for name, env in envs.items():
-        run(env, "-m", "picmod.cli", "stability", "--config", config,
-            "--out", str(tmp_path / name), "--seed", "42")
-    for csv in ("lock_er_timeseries.csv", "pulse_area_histogram.csv"):
-        assert (tmp_path / "default" / csv).read_bytes() == (
-            tmp_path / "prescott" / csv).read_bytes(), csv
-    report = "stability_report.json"
-    assert strip_wall_time(tmp_path / "default" / report) == strip_wall_time(
-        tmp_path / "prescott" / report)
+    for command in ("stability", "calibrate", "sweep"):
+        outs = {name: tmp_path / command / name for name in envs}
+        for name, env in envs.items():
+            run(env, "-m", "picmod.cli", command, "--config", config,
+                "--out", str(outs[name]), "--seed", "42")
+        files = sorted(p.name for p in outs["default"].iterdir())
+        assert len(files) >= 2, files
+        for name, out in outs.items():
+            assert sorted(p.name for p in out.iterdir()) == files, name
+            for file in files:
+                if file.endswith("_report.json"):
+                    same = strip_wall_time(out / file) == strip_wall_time(
+                        outs["default"] / file)
+                else:
+                    same = (out / file).read_bytes() == (outs["default"] / file).read_bytes()
+                assert same, (command, name, file)
 
 
 class TestReportRoundTrip:

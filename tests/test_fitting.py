@@ -9,15 +9,9 @@ from scipy.optimize import minimize_scalar
 from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
+from picmod.dynamics import _median
 from picmod.errors import PicmodError
-from picmod.fitting import (
-    _SCAN_BASIS_LENGTHS,
-    _linear_solve,
-    _median,
-    _scan_basis,
-    _scan_sse,
-    fit_v_pi,
-)
+from picmod.fitting import _SCAN_BASIS_LENGTHS, _index_solve, _scan_basis, _scan_sse, fit_v_pi
 from picmod.experiments import run_sweep
 from picmod.noise import DetectorModel
 from picmod.rng import derive_rng
@@ -115,23 +109,49 @@ class TestDegenerateInputs:
             fit_v_pi(volts, trans)
 
 
-def scan_grid(volts):
-    """fit_v_pi's coarse grid: half a fringe over the span up to Nyquist."""
-    span = float(np.ptp(volts))
-    dv = float(np.median(np.diff(np.sort(volts))))
-    return np.geomspace(0.5 * math.pi / span, math.pi / dv, 512)
+def lstsq_solve(volts: np.ndarray, trans: np.ndarray, omega: float):
+    """Oracle: least squares on [1, cos wV, sin wV] at one w by LAPACK, in
+    volts: the coefficients, the residual sum of squares and its slope in w,
+    2 r.(V * (b_cos sin wV - b_sin cos wV))."""
+    cos, sin = np.cos(omega * volts), np.sin(omega * volts)
+    basis = np.column_stack([np.ones_like(volts), cos, sin])
+    coef, _, _, _ = np.linalg.lstsq(basis, trans, rcond=None)
+    resid = trans - basis @ coef
+    slope = 2.0 * resid @ (volts * (coef[1] * sin - coef[2] * cos))
+    return coef, float(np.sum(resid**2)), float(slope)
 
 
-def scan_omegas(volts):
-    """The w at which `_scan_sse` gives the residual: its phase steps
-    theta, half a fringe over the sweep up to pi, over the voltage step."""
-    n = volts.size
-    step = (volts[-1] - volts[0]) / (n - 1)
-    return np.geomspace(0.5 * math.pi / (n - 1), math.pi, 512) / step
+def voltage_step(volts):
+    return (volts[-1] - volts[0]) / (volts.size - 1)
+
+
+def scan_thetas(n):
+    """The scan's phase steps: half a fringe over n samples up to pi."""
+    return np.geomspace(0.5 * math.pi / (n - 1), math.pi, 512)
 
 
 def basis(volts, omega):
     return np.column_stack([np.ones_like(volts), np.cos(omega * volts), np.sin(omega * volts)])
+
+
+def assert_scan_matches_oracle(volts, trans):
+    """`_scan_sse` against one lstsq solve per scan point, within
+    1e-9 |t|^2 where the basis is well conditioned. At the Nyquist end
+    cos(wV) and sin(wV) are parallel to rounding, so lstsq's residual there
+    depends on that rounding; the scan zeroes its sin row there and must
+    give the residual of the cos column alone."""
+    omegas = scan_thetas(volts.size) / voltage_step(volts)
+    thetas, fast = _scan_sse(trans - trans.mean())
+    assert np.array_equal(thetas, scan_thetas(volts.size))
+    slow = np.array([lstsq_solve(volts, trans, w)[1] for w in omegas])
+    assert np.argmin(fast) == np.argmin(slow)
+    ok = np.array([np.linalg.cond(basis(volts, w)) < 1e6 for w in omegas])
+    assert not ok[-1] and ok[:-1].all()
+    bound = 1e-9 * np.dot(trans, trans)
+    assert np.max(np.abs(fast - slow)[ok]) <= bound
+    cos_only = basis(volts, omegas[-1])[:, :2]
+    resid = trans - cos_only @ np.linalg.lstsq(cos_only, trans, rcond=None)[0]
+    assert abs(fast[-1] - resid @ resid) <= bound
 
 
 def shipped_sweeps():
@@ -159,24 +179,42 @@ def noisy_sweeps(n_seeds=10):
     return cases
 
 
+def shifted_sweep():
+    """A sweep that starts at -100 V, off zero, with offset and floor."""
+    volts = np.linspace(-100, 260, 301)
+    return volts, sin2(volts, 123.4, theta0=0.3, amp=0.8, floor=0.05)
+
+
+class TestIndexSolve:
+    """The one-theta solve against the lstsq oracle at w = theta/h."""
+
+    @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps() + [shifted_sweep()])
+    def test_matches_lstsq_oracle(self, volts, trans):
+        step, sq = voltage_step(volts), np.dot(trans, trans)
+        centred = trans - trans.mean()
+        fitted = math.pi * step / fit_v_pi(volts, trans).v_pi
+        # Near the fit, and at every scan point short of the Nyquist end,
+        # where the oracle's basis is singular.
+        thetas = np.concatenate([fitted * np.array([0.9, 0.98, 0.995, 1.005, 1.02, 1.1]),
+                                 scan_thetas(volts.size)[:-1]])
+        for theta in thetas:
+            b_cos, b_sin, sse, slope = _index_solve(centred, theta)
+            coef, ref_sse, ref_slope = lstsq_solve(volts, trans, theta / step)
+            assert abs(sse - ref_sse) <= 1e-9 * sq
+            # The residual at theta is the oracle's at w = theta/h, so the
+            # oracle's slope in w is h times the slope in theta.
+            assert step * slope == pytest.approx(ref_slope, rel=1e-9, abs=1e-12 * sq * np.ptp(volts))
+            # The bases differ by a rotation of (cos, sin) through w*V_0,
+            # which keeps the fringe amplitude.
+            assert math.hypot(b_cos, b_sin) == pytest.approx(math.hypot(*coef[1:]), rel=1e-8)
+
+
 class TestBatchedScan:
     """The batched scan against one lstsq solve per grid point."""
 
     @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps())
     def test_matches_per_point_solve(self, volts, trans):
-        omegas = scan_omegas(volts)
-        # Every sweep starts at 0 V, so at the Nyquist end sin(wV) vanishes on
-        # every sample to rounding: the basis there is numerically singular.
-        assert np.linalg.cond(basis(volts, omegas[-1])) > 1e11
-        fast = _scan_sse(trans)
-        slow = np.array([_linear_solve(volts, trans, w)[1] for w in omegas])
-        assert np.argmin(fast) == np.argmin(slow)
-        assert np.max(np.abs(fast - slow)) <= 1e-9 * np.dot(trans, trans)
-        # fit_v_pi brackets the root on its own w grid, which is the scan's
-        # to rounding: both give the same best point.
-        grid = scan_grid(volts)
-        assert np.argmin(fast) == np.argmin([_linear_solve(volts, trans, w)[1] for w in grid])
-        assert np.max(np.abs(omegas / grid - 1.0)) < 1e-13
+        assert_scan_matches_oracle(volts, trans)
 
     @pytest.mark.parametrize(
         "volts",
@@ -187,21 +225,8 @@ class TestBatchedScan:
     def test_one_basis_serves_shifted_and_scaled_grids(self, volts):
         # The basis is built in the sample index alone, so the same rows
         # must give the residual on a grid that starts off zero and on each
-        # shipped chip's sweep. At the Nyquist end cos(wV) and sin(wV) are
-        # parallel to rounding, so lstsq's residual there depends on that
-        # rounding; the scan zeroes its sin row there and gives the
-        # residual of the cos column alone.
-        trans = sin2(volts, 123.4, theta0=0.3, amp=0.8, floor=0.05)
-        omegas = scan_omegas(volts)
-        fast = _scan_sse(trans)
-        slow = np.array([_linear_solve(volts, trans, w)[1] for w in omegas])
-        assert np.argmin(fast) == np.argmin(slow)
-        ok = np.array([np.linalg.cond(basis(volts, w)) < 1e6 for w in omegas])
-        assert not ok[-1] and ok[:-1].all()
-        assert np.max(np.abs(fast - slow)[ok]) <= 1e-9 * np.dot(trans, trans)
-        cos_only = basis(volts, omegas[-1])[:, :2]
-        resid = trans - cos_only @ np.linalg.lstsq(cos_only, trans, rcond=None)[0]
-        assert abs(fast[-1] - resid @ resid) <= 1e-9 * np.dot(trans, trans)
+        # shipped chip's sweep.
+        assert_scan_matches_oracle(volts, sin2(volts, 123.4, theta0=0.3, amp=0.8, floor=0.05))
 
 
 class TestScanBasisCache:
@@ -209,12 +234,15 @@ class TestScanBasisCache:
 
     def test_cached_arrays_are_read_only(self):
         volts, _ = noisy_sweeps(1)[0]
-        q_cos, q_sin = _scan_basis(volts.size)
+        thetas, q_cos, q_sin = _scan_basis(volts.size)
+        assert thetas.shape == (512,)
         assert q_cos.shape == q_sin.shape == (512, volts.size)
         for q in (q_cos, q_sin):
             assert not q.flags.writeable
             with pytest.raises(ValueError):
                 q[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            thetas[0] = 0.0
 
     def test_second_fit_on_same_grid_hits_cache(self):
         (volts, first), (_, second) = noisy_sweeps(2)
@@ -233,12 +261,8 @@ class TestScanBasisCache:
         assert len(grids) > _SCAN_BASIS_LENGTHS
         _scan_basis.cache_clear()
         for volts in grids + grids:
-            trans = sin2(volts, float(volts[-1]) / 2.0, theta0=0.2, floor=1e-3)
-            omegas = scan_omegas(volts)
-            fast = _scan_sse(trans)
-            slow = np.array([_linear_solve(volts, trans, w)[1] for w in omegas])
-            assert np.argmin(fast) == np.argmin(slow)
-            assert np.max(np.abs(fast - slow)) <= 1e-9 * np.dot(trans, trans)
+            assert_scan_matches_oracle(
+                volts, sin2(volts, float(volts[-1]) / 2.0, theta0=0.2, floor=1e-3))
         assert _scan_basis.cache_info()[:2] == (2 * len(grids) - 1, 1)  # (hits, misses)
         assert _scan_basis.cache_info().currsize == 1
 
@@ -254,29 +278,31 @@ class TestScanBasisCache:
         assert _scan_basis.cache_info().currsize == 1
 
 
-def scipy_refined_omega(volts, trans):
-    """Reference: scipy's bounded minimiser of `_linear_solve`'s residual
+def scipy_refined_theta(volts, trans):
+    """Reference: scipy's bounded minimiser of `_index_solve`'s residual
     between the neighbours of the best scan point, as fit_v_pi brackets it."""
-    grid = scan_grid(volts)
-    best = int(np.argmin(_scan_sse(trans)))
-    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
-    res = minimize_scalar(lambda w: _linear_solve(volts, trans, w)[1], bounds=(lo, hi),
+    centred = trans - trans.mean()
+    thetas = scan_thetas(volts.size)
+    best = int(np.argmin(_scan_sse(centred)[1]))
+    lo, hi = thetas[max(best - 1, 0)], thetas[min(best + 1, thetas.size - 1)]
+    res = minimize_scalar(lambda t: _index_solve(centred, t)[2], bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-12 * (hi - lo) + 1e-15})
     assert res.success
     return float(res.x)
 
 
 class TestSlopeRefinement:
-    """fit_v_pi refines w to the root of `_linear_solve`'s residual slope."""
+    """fit_v_pi refines theta to the root of `_index_solve`'s residual slope."""
 
     @pytest.mark.parametrize("volts, trans", shipped_sweeps())
     def test_slope_matches_central_difference(self, volts, trans):
-        fitted = math.pi / fit_v_pi(volts, trans).v_pi
-        for omega in fitted * np.array([0.98, 0.995, 1.005, 1.02]):
-            h = 1e-6 * omega
-            diff = (_linear_solve(volts, trans, omega + h)[1]
-                    - _linear_solve(volts, trans, omega - h)[1]) / (2.0 * h)
-            assert _linear_solve(volts, trans, omega)[2] == pytest.approx(diff, rel=1e-6)
+        fitted = math.pi * voltage_step(volts) / fit_v_pi(volts, trans).v_pi
+        centred = trans - trans.mean()
+        for theta in fitted * np.array([0.98, 0.995, 1.005, 1.02]):
+            h = 1e-6 * theta
+            diff = (_index_solve(centred, theta + h)[2]
+                    - _index_solve(centred, theta - h)[2]) / (2.0 * h)
+            assert _index_solve(centred, theta)[3] == pytest.approx(diff, rel=1e-6)
 
     @pytest.mark.parametrize("nm", [420, 795, 1013])
     def test_noise_free_sweeps_recover_configured_v_pi(self, nm):
@@ -287,13 +313,21 @@ class TestSlopeRefinement:
 
     @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps())
     def test_agrees_with_scipy_bounded_minimiser(self, volts, trans):
-        omega = math.pi / fit_v_pi(volts, trans).v_pi
-        ref = scipy_refined_omega(volts, trans)
-        assert omega == pytest.approx(ref, rel=1e-7, abs=0.0)
+        theta = math.pi * voltage_step(volts) / fit_v_pi(volts, trans).v_pi
+        ref = scipy_refined_theta(volts, trans)
+        assert theta == pytest.approx(ref, rel=1e-7, abs=0.0)
         # No larger up to the residual's own rounding: at the minimum, values
-        # one ulp of w apart scatter by up to 4e-15 relative.
-        sse, ref_sse = _linear_solve(volts, trans, omega)[1], _linear_solve(volts, trans, ref)[1]
+        # one ulp of theta apart scatter by up to 4e-15 relative.
+        centred = trans - trans.mean()
+        sse, ref_sse = _index_solve(centred, theta)[2], _index_solve(centred, ref)[2]
         assert sse <= ref_sse * (1.0 + 1e-14)
+
+    @pytest.mark.parametrize("volts, trans", shipped_sweeps()[::8] + [shifted_sweep()])
+    def test_returns_python_floats(self, volts, trans):
+        # A numpy scalar would make the report's verdicts numpy booleans,
+        # which the JSON writer rejects.
+        fit = fit_v_pi(volts, trans)
+        assert type(fit.v_pi) is float and type(fit.residual) is float
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 240, 241])

@@ -255,7 +255,7 @@ def test_scipy_click_and_numpy_ma_off_the_import_path(tmp_path):
     `picmod.cli`, and not any other subcommand. The root finder and the OU
     filter are picmod's own; scipy is only the tests' reference for them.
     The command line is parsed by the standard library's argparse. Medians
-    come from `fitting._median`, because np.median's NaN check imports
+    come from `dynamics._median`, because np.median's NaN check imports
     numpy.ma, about 10 ms on first use in a fresh process. SHA-256 comes
     from CPython's builtin module (`rng.sha256`), because importing hashlib
     loads OpenSSL, about 4 MB.
