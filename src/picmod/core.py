@@ -78,25 +78,25 @@ class MziStage:
 class ModulatorChannel:
     """One MZI stage repeated n_stages times, plus lumped insertion loss."""
 
-    stages: tuple[MziStage, ...]
+    stage: MziStage
+    n_stages: int
     insertion_loss_db: float = 0.0
     channel_index: int = 0
 
     def __post_init__(self):
-        if len(self.stages) == 0:
-            raise PicmodError("channel needs at least one stage")
-        if any(st != self.stages[0] for st in self.stages):
-            raise PicmodError("channel stages must be identical")
+        if type(self.n_stages) is not int or self.n_stages < 1:  # rejects a bool too
+            raise PicmodError(f"n_stages must be an int >= 1, got {self.n_stages!r}")
         if self.insertion_loss_db < 0:
             raise PicmodError("insertion_loss_db must be >= 0")
 
     @property
-    def n_stages(self) -> int:
-        return len(self.stages)
+    def stages(self) -> tuple[MziStage, ...]:
+        # The stage repeated n_stages times; its one reader is perfbench/warm.py:62.
+        return (self.stage,) * self.n_stages
 
     @property
     def v_pi(self) -> float:
-        return self.stages[0].v_pi
+        return self.stage.v_pi
 
     def power_at_phase(self, phi):
         """Lossless power with every stage at net phase phi (radians).
@@ -107,7 +107,7 @@ class ModulatorChannel:
         traversed; f**n rounds differently. The product is one more array
         whatever the stage count.
         """
-        floor, depth = self.stages[0].fringe
+        floor, depth = self.stage.fringe
         f = np.multiply(phi, 0.5, out=np.empty(np.shape(phi)))
         np.sin(f, out=f)
         f *= f
@@ -129,7 +129,10 @@ class ModulatorChannel:
         return float(self.power_at_phase(math.pi))
 
     def extinction_ratio_db(self) -> float:
-        return 10.0 * math.log10(self.max_transmission() / self.min_transmission())
+        null = self.min_transmission()
+        if null == 0.0:
+            raise PicmodError(f"channel {self.channel_index}'s null is 0: its ER is unbounded")
+        return 10.0 * math.log10(self.max_transmission() / null)
 
 
 def channel_transmission_equal(channel: ModulatorChannel, voltage, include_loss=True):
@@ -208,17 +211,13 @@ def make_calibrated_channel(
     insertion_loss_db: float = 0.0,
     channel_index: int = 0,
 ) -> ModulatorChannel:
-    """Build a channel with identical stages and a given coupler imbalance.
+    """Build a channel of n_stages stages with a given coupler imbalance.
 
     The monitored BAR port sits at its null at V = 0.
     """
     coupler = Coupler(power_split)
     stage = MziStage(coupler, coupler, v_pi)
-    return ModulatorChannel(
-        stages=(stage,) * n_stages,
-        insertion_loss_db=insertion_loss_db,
-        channel_index=channel_index,
-    )
+    return ModulatorChannel(stage, n_stages, insertion_loss_db, channel_index)
 
 
 def power_split_for_er(target_er_db: float, n_stages: int = 2) -> float:

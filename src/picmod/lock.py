@@ -9,7 +9,7 @@ time; reported times are physical seconds.
 
 Every stage sees the same bias error, so the channel power at a bias
 error eps is `ModulatorChannel.power_at_phase(eps)`: the stage fringe
-floor + depth*sin^2(eps/2) cascaded over the identical stages, whose
+floor + depth*sin^2(eps/2) cascaded n_stages times, whose
 values at 0 and pi are the channel's OFF and ON levels. The lock keeps no
 transfer model of its own. Only the dither/PI recurrence runs once per
 update, as a scalar loop on (floor, depth) from `MziStage.fringe` that
@@ -99,7 +99,7 @@ def _correction_path(channel, drift, peak, controller, detector) -> np.ndarray:
     Raises PicmodError at the first update whose correction leaves
     [-pi, pi].
     """
-    stage_floor, depth = channel.stages[0].fringe
+    stage_floor, depth = channel.stage.fringe
     more_stages = range(channel.n_stages - 1)
     d = controller.dither_amplitude
     half_d = 0.5 * d

@@ -71,7 +71,7 @@ def target_phase_from_power(target_power, channel: ModulatorChannel) -> np.ndarr
         raise PicmodError(
             f"target power {bad:.3g} outside achievable range [{floor:.3g}, 1]"
         )
-    stage_floor, depth = channel.stages[0].fringe
+    stage_floor, depth = channel.stage.fringe
     stage_power = (target * peak) ** (1.0 / channel.n_stages)
     sin2 = np.clip((stage_power - stage_floor) / depth, 0.0, 1.0)
     sin2[target >= 1.0] = 1.0
@@ -163,7 +163,7 @@ def _deconvolve(signal: np.ndarray, kernel: np.ndarray, relative_reg: float) -> 
     padded = np.concatenate(
         [np.full(pad, signal[0]), signal, np.full(pad, signal[-1])]
     )
-    nfft = int(2 ** math.ceil(math.log2(padded.size + kernel.size)))
+    nfft = 1 << (padded.size + kernel.size - 1).bit_length()
     h = np.fft.rfft(kernel, nfft)
     d = np.fft.rfft(padded, nfft)
     power = np.abs(h) ** 2

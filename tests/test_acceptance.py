@@ -239,7 +239,7 @@ class TestAcceptance:
             ch = make_calibrated_channel(
                 v_pi=rng.uniform(10, 300), power_split=rng.uniform(0.3, 0.7)
             )
-            m = stage_matrix(ch.stages[0], rng.uniform(-300, 300))
+            m = stage_matrix(ch.stage, rng.uniform(-300, 300))
             energy_ok &= abs(abs(m[0, 0]) ** 2 + abs(m[1, 0]) ** 2 - 1) < 1e-12
         # dB-additivity
         add_ok = True

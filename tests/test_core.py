@@ -30,7 +30,7 @@ def make_stage(split_in=0.5, split_out=0.5, v_pi=74.7):
 
 def stage_transmission(stage, volts):
     """Monitored-port power of one stage: a one-stage channel without loss."""
-    return channel_transmission_equal(ModulatorChannel((stage,)), volts, include_loss=False)
+    return channel_transmission_equal(ModulatorChannel(stage, 1), volts, include_loss=False)
 
 
 class TestCoupler:
@@ -122,18 +122,18 @@ class TestFringe:
         for _ in range(200):
             st = make_stage(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
             floor, depth = st.fringe
-            ch = ModulatorChannel((st,))
+            ch = ModulatorChannel(st, 1)
             assert (ch.min_transmission(), ch.max_transmission()) == (floor, floor + depth)
 
 
 def per_stage_product(channel, volts):
-    """Oracle: each stage's closed form evaluated on its own, multiplied in
-    order from 1.0, as the per-stage cascade once computed it. sin^2 is
+    """Oracle: the stage's closed form evaluated once per stage, multiplied
+    in order from 1.0, as the per-stage cascade once computed it. sin^2 is
     s * s, as in `per_stage_transmission` (test_lock.py)."""
+    a, b = stage_terms(channel.stage)
     out = 1.0
-    for st in channel.stages:
-        a, b = stage_terms(st)
-        s = np.sin(math.pi * np.asarray(volts, dtype=float) / st.v_pi * 0.5)
+    for _ in range(channel.n_stages):
+        s = np.sin(math.pi * np.asarray(volts, dtype=float) / channel.stage.v_pi * 0.5)
         out = out * ((a - b) * (a - b) + s * s * (4 * a * b))
     return out
 
@@ -160,10 +160,27 @@ class TestChannelTransmission:
         )
         assert 10 ** (-0.3) == pytest.approx(0.501, abs=1e-3)
 
-    def test_mixed_stages_rejected(self):
-        stages = (make_stage(0.51, 0.51), make_stage(0.52, 0.52))
-        with pytest.raises(PicmodError, match="identical"):
-            ModulatorChannel(stages=stages)
+    @pytest.mark.parametrize("n_stages", [0, -1, True, 2.0, "2", None])
+    def test_n_stages_must_be_a_positive_int(self, n_stages):
+        with pytest.raises(PicmodError, match="n_stages must be an int >= 1"):
+            ModulatorChannel(make_stage(0.51, 0.51), n_stages)
+
+    def test_a_channel_is_a_stage_and_a_count(self):
+        fields = [f.name for f in dataclasses.fields(ModulatorChannel)]
+        assert fields == ["stage", "n_stages", "insertion_loss_db", "channel_index"]
+
+    @pytest.mark.parametrize("n_stages", [1, 2, 8])
+    def test_stages_view_repeats_the_stage(self, n_stages):
+        # perfbench's `split_of` reads stages[0].input_coupler.power_split.
+        ch = make_calibrated_channel(74.7, 0.5003, n_stages)
+        assert ch.stages == (ch.stage,) * ch.n_stages
+        assert len(ch.stages) == n_stages
+        assert ch.stages[0].input_coupler.power_split == 0.5003
+
+    def test_balanced_channel_er_raises(self, ideal_channel):
+        # A null of exactly 0 has no finite ER.
+        with pytest.raises(PicmodError, match="channel 0's null is 0"):
+            ideal_channel.extinction_ratio_db()
 
     @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
     def test_cascade_equals_per_stage_product(self, n_stages):
@@ -174,7 +191,7 @@ class TestChannelTransmission:
             st = make_stage(
                 rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(10, 300)
             )
-            ch = ModulatorChannel(stages=(st,) * n_stages)
+            ch = ModulatorChannel(st, n_stages)
             volts = rng.uniform(-400, 400, 257)
             got = channel_transmission_equal(ch, volts, include_loss=False)
             assert np.array_equal(got, per_stage_product(ch, volts))
@@ -188,8 +205,8 @@ class TestChannelTransmission:
             assert (ch.min_transmission(), ch.max_transmission()) == (floor, ceiling)
 
     def test_matrix_chain_oracle(self):
-        # Complex matrix-chain product over random identical-stage channels
-        # and array drives.
+        # Complex matrix-chain product over random channels and array
+        # drives: the stage's matrix, cascaded n_stages times.
         rng = np.random.default_rng(7)
         for _ in range(1000):
             n_stages = int(rng.integers(1, 5))
@@ -198,12 +215,12 @@ class TestChannelTransmission:
                 split_out=rng.uniform(0.3, 0.7),
                 v_pi=rng.uniform(10, 300),
             )
-            ch = ModulatorChannel(stages=(stage,) * n_stages)
+            ch = ModulatorChannel(stage, n_stages)
             volts = rng.uniform(-200, 200, 4)
             got = channel_transmission_equal(ch, volts, include_loss=False)
-            m = stage_matrix(stage, volts)
+            m = stage_matrix(ch.stage, volts)
             expected = np.abs(m[:, 0, 0]) ** 2
-            expected = np.prod([expected] * n_stages, axis=0)
+            expected = np.prod([expected] * ch.n_stages, axis=0)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -216,7 +233,7 @@ class TestShippedChannelLevels:
         assert len(shipped_channels) == 24
         worst = 0.0
         for ch in shipped_channels:
-            a, b = stage_terms(ch.stages[0])
+            a, b = stage_terms(ch.stage)
             for phi in self.PHASES:
                 with mpmath.workdps(50):
                     a_, b_ = mpmath.mpf(a), mpmath.mpf(b)

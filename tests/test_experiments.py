@@ -1,13 +1,17 @@
 """Experiments as library functions: a report and tables, and no files."""
 
+import collections
 import copy
+import itertools
+import math
 
 import numpy as np
 import pytest
 
+from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.errors import PicmodError
-from picmod.experiments import run_crosstalk, run_pulse, run_sweep
+from picmod.experiments import run_crosstalk, run_pulse, run_stability, run_sweep
 from picmod.dynamics import Waveform, on_hold_samples, trace_optical
 from picmod.waveforms import dynamic_extinction, simulate_switch_off, switch_off_target_phase
 
@@ -102,3 +106,60 @@ def test_optimized_verdict_is_the_solutions_convergence(config_795):
     t_floor = next(m.value for m in report.metrics if m.name == "time_to_target")
     assert t_floor > 47.0 and t_floor == pytest.approx(47.0)
     assert report.passed
+
+
+class TestChipConfigEdges:
+    EXPERIMENTS = {
+        "calibrate": lambda cfg: calibrate(cfg)[1],
+        "sweep": lambda cfg: run_sweep(cfg, [0])[0],
+        "pulse naive": lambda cfg: run_pulse(cfg, "naive")[0],
+        "pulse optimized": lambda cfg: run_pulse(cfg, "optimized")[0],
+        "crosstalk A": lambda cfg: run_crosstalk(cfg, "A")[0],
+        "crosstalk C": lambda cfg: run_crosstalk(cfg, "C")[0],
+        "stability": lambda cfg: run_stability(cfg)[0],
+    }
+
+    def test_experiments_on_schema_edges(self, config_795):
+        """Every schema-valid chip section at the edges of its ranges runs
+        each experiment to a report of finite metrics or raises
+        PicmodError. Warnings are errors. A short lock and two pulse
+        blocks keep stability fast."""
+        base = copy.deepcopy(config_795.data)
+        base["lock"]["duration_hours"] = 0.01
+        base["pulse"]["n_blocks"] = 2
+        outcomes = collections.Counter()
+        for n_stages, v_pi, er, split, n in itertools.product(
+            [1, 8], [1e-3, 1e300], [1.0, 71.4, 300.0], [None, 0.5, 1 - 1e-16, 1.0], [1, 2]
+        ):
+            data = copy.deepcopy(base)
+            data["chip"].update(
+                n_stages=n_stages,
+                v_pi_volts=v_pi,
+                target_er_db=[er] * n,
+                coupler_power_splits=None if split is None else [split] * n,
+                n_channels=n,
+            )
+            cfg = ExperimentConfig(data)
+            for name, run in self.EXPERIMENTS.items():
+                try:
+                    report = run(cfg)
+                except PicmodError:
+                    outcomes[name, "error"] += 1
+                    continue
+                values = [m.value for m in report.metrics]
+                assert all(map(math.isfinite, values)), (name, n_stages, v_pi, er, split, n)
+                outcomes[name, "report"] += 1
+        # Of the 96 sections: a split of 1.0 is no coupler; ER targets of
+        # 1 dB, and of 300 dB on one stage, have no split, which calibrate
+        # always solves for and the others when none is configured; a split
+        # of 1 - 1e-16 leaves no fringe to sweep or switch; and one channel
+        # has no neighbor to leak into.
+        assert outcomes == {
+            ("calibrate", "report"): 48, ("calibrate", "error"): 48,
+            ("sweep", "report"): 36, ("sweep", "error"): 60,
+            ("pulse naive", "report"): 36, ("pulse naive", "error"): 60,
+            ("pulse optimized", "report"): 36, ("pulse optimized", "error"): 60,
+            ("crosstalk A", "report"): 48, ("crosstalk A", "error"): 48,
+            ("crosstalk C", "report"): 48, ("crosstalk C", "error"): 48,
+            ("stability", "report"): 60, ("stability", "error"): 36,
+        }

@@ -1,7 +1,8 @@
 """Every module under src/picmod and tests references each name it
 imports, the package references each module-level private name it
 defines, another module or the benchmark references each public function
-it defines, the package defines one exception class, neither importing
+it defines, no package module reads a channel's `stages` view, the
+package defines one exception class, neither importing
 picmod nor running any subcommand loads scipy, click or numpy.ma, and only
 `stability` loads OpenSSL (`_hashlib`)."""
 
@@ -138,6 +139,30 @@ def test_package_functions_have_callers():
     package = {p.stem: p.read_text() for p in MODULES}
     perfbench = [p.read_text() for p in (TESTS.parent / "perfbench").glob("*.py")]
     assert unreferenced_functions(package, perfbench) == []
+
+
+def attribute_reads(source: str, attr: str) -> list[int]:
+    """Line numbers at which `source` reads attribute `attr` of anything."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    )
+
+
+def test_checker_finds_attribute_reads():
+    source = (
+        "class C:\n    @property\n    def stages(self):\n        return ()\n"
+        "x = C().stages[0]\ny = getattr(C(), 'stages')\nz = C().stage\n"
+    )
+    assert attribute_reads(source, "stages") == [5]
+
+
+def test_package_reads_no_stages_view():
+    """A channel is `stage` and `n_stages`. `ModulatorChannel.stages`, the
+    stage repeated n_stages times, is a view only the benchmark reads."""
+    reads = {p.name: attribute_reads(p.read_text(), "stages") for p in MODULES}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 def exception_classes(sources: dict[str, str]) -> list[str]:

@@ -39,7 +39,8 @@ def per_stage_transmission(channel, phase):
     with libm's pow, which misrounds some squares by one ulp.
     """
     out = 1.0
-    for a, b in map(stage_terms, channel.stages):
+    a, b = stage_terms(channel.stage)
+    for _ in range(channel.n_stages):
         s = np.sin(phase * 0.5)
         out = out * ((a - b) * (a - b) + s * s * (4 * a * b))
     return out

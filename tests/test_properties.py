@@ -35,7 +35,7 @@ def build_stage(split_in, split_out, v_pi=50.0):
 
 
 def stage_transmission(stage, v):
-    return channel_transmission_equal(ModulatorChannel((stage,)), v, include_loss=False)
+    return channel_transmission_equal(ModulatorChannel(stage, 1), v, include_loss=False)
 
 
 class TestEnergyConservation:
@@ -69,7 +69,7 @@ class TestDbAdditivity:
     @settings(max_examples=100)
     def test_cascade_er_is_n_times_stage_er(self, split, n_stages):
         stage = build_stage(split, split)
-        ch = ModulatorChannel(stages=(stage,) * n_stages)
+        ch = ModulatorChannel(stage, n_stages)
         floor, depth = stage.fringe
         stage_er = 10 * math.log10((floor + depth) / floor)
         assert ch.extinction_ratio_db() == pytest.approx(n_stages * stage_er, abs=0.1)

@@ -40,7 +40,7 @@ def identical_stage_channel(n_stages, split_in=None):
     """n stages at a 71.4 dB ER; ``split_in`` sets the input split."""
     split = power_split_for_er(71.4, n_stages)
     stage = MziStage(Coupler(split_in or split), Coupler(split), 74.7)
-    return ModulatorChannel(stages=(stage,) * n_stages)
+    return ModulatorChannel(stage, n_stages)
 
 
 def phase_by_root_finding(target, channel):
