@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Each experiment subcommand loads a YAML configuration (--config, with
---seed overriding its seed), runs one experiment from `picmod.experiments`
-or `picmod.calibration`, writes the experiment's tables and a JSON run
-report into --out, and prints the report's summary. `report` tabulates the
-run reports in a directory. Exit codes: 0 all checks passed, 1 a check
-failed, 2 a usage error, a configuration error, any other picmod error or
-an OSError writing --out, 3 any other exception (an internal error).
+--seed overriding its seed), runs one experiment from `picmod.experiments`,
+writes the experiment's tables and a JSON run report into --out, and
+prints the report's summary. `report` tabulates the run reports in a
+directory. Only an experiment subcommand imports the model (numpy, PyYAML
+and `picmod.experiments`); --version, --help and `report` do not. Exit
+codes: 0 all checks passed, 1 a check failed, 2 a usage error, a
+configuration error, any other picmod error or an OSError writing --out,
+3 any other exception (an internal error).
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibration import calibrate as run_calibrate
-from .config import ExperimentConfig
 from .errors import PicmodError
-from .experiments import run_beams, run_crosstalk, run_pulse, run_stability, run_sweep
-from .reports import load_report
-from .serialize import write_csv
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -49,44 +46,43 @@ def _parse_active(spec: str, n: int) -> list[int]:
     return _parse_indices("--active", spec, n)
 
 
-def _calibrate(cfg, args):
-    calibrated, report = run_calibrate(cfg)
-    return report, {"calibrated_config.yaml": calibrated}
-
-
-# Experiment subcommand -> (help, run(cfg, args) -> (report, tables), its
-# options besides --config, --out and --seed as {flag: (default, help)}).
-# Each run looks its experiment function up when called, so a function
-# rebound on this module after import is the one that runs.
+# Experiment subcommand -> (help, run(experiments, cfg, args) -> (report,
+# tables), its options besides --config, --out and --seed as {flag: (default,
+# help)}). `_experiment` imports `picmod.experiments` only when a subcommand
+# runs, and each run looks its function up on that module when called.
 EXPERIMENTS = {
     "calibrate": (
-        "Solve coupler splits from ER targets and write a calibrated config.", _calibrate, {}
+        "Solve coupler splits from ER targets and write a calibrated config.",
+        lambda ex, cfg, args: ex.run_calibrate(cfg),
+        {},
     ),
     "sweep": (
         "DC voltage sweeps: per-channel fringe CSV, fitted v_pi, and ER.",
-        lambda cfg, args: run_sweep(
+        lambda ex, cfg, args: ex.run_sweep(
             cfg, _parse_indices("--channels", args.channels, cfg.data["chip"]["n_channels"])
         ),
         {"--channels": ("all", "Channels to sweep: all | comma-separated indices.")},
     ),
     "pulse": (
         "Time-resolved switch-off: optical trace and dynamic extinction.",
-        lambda cfg, args: run_pulse(cfg, args.mode),
+        lambda ex, cfg, args: ex.run_pulse(cfg, args.mode),
         {"--mode": ("naive", "Switch-off drive: naive (square) or optimized (pre-distorted).")},
     ),
     "stability": (
         "Long-run bias-lock ER statistics and pulse-area noise.",
-        lambda cfg, args: run_stability(cfg),
+        lambda ex, cfg, args: ex.run_stability(cfg),
         {},
     ),
     "crosstalk": (
         "Pairwise inter-channel leakage matrix for one measurement scenario.",
-        lambda cfg, args: run_crosstalk(cfg, args.scenario),
+        lambda ex, cfg, args: ex.run_crosstalk(cfg, args.scenario),
         {"--scenario": ("A", "Victim configuration: A dark/OFF, B dark/ON, C lit/OFF.")},
     ),
     "beams": (
         "Target-plane intensity profile and per-site leakage for a pattern.",
-        lambda cfg, args: run_beams(cfg, _parse_active(args.active, cfg.data["beams"]["n_beams"])),
+        lambda ex, cfg, args: ex.run_beams(
+            cfg, _parse_active(args.active, cfg.data["beams"]["n_beams"])
+        ),
         {"--active": ("all", "Active sites: all | evens | odds | comma-separated indices.")},
     ),
 }
@@ -121,10 +117,13 @@ def _experiment(args) -> int:
     PicmodError raised before the experiment returns (a bad config, an
     unparsable or out-of-range index, an unreachable target) leaves --out
     uncreated."""
+    from . import experiments
+    from .config import ExperimentConfig
+    from .serialize import write_csv
     cfg = ExperimentConfig.load(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    report, tables = EXPERIMENTS[args.command][1](cfg, args)
+    report, tables = EXPERIMENTS[args.command][1](experiments, cfg, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in tables.items():
@@ -140,6 +139,7 @@ def _experiment(args) -> int:
 
 def _report(target: Path) -> int:
     """Tabulate the reports at target; one `error:` line per unreadable one."""
+    from .reports import load_report
     files = sorted(target.glob("*_report.json")) if target.is_dir() else [target]
     if not files:
         raise PicmodError(f"no run reports found in {target}")

@@ -1,6 +1,7 @@
 """The experiments behind the CLI subcommands. Each `run_<name>(cfg, ...)`
-returns the RunReport and the CSV tables of one experiment and writes no
-file; the calibrate experiment is `picmod.calibration.calibrate`."""
+returns the RunReport and the tables of one experiment and writes no file.
+The CLI imports this module, and with it numpy and the model, only when an
+experiment subcommand runs; --version, --help and `report` never do."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from .config import ExperimentConfig
 from .core import sweep_channel
 from .crosstalk import Scenario, crosstalk_matrix, nn_mean_db, predict_scenario_c_db
 from .beams import make_beam_array, site_leakage_report, target_plane_profile
+from .calibration import calibrate
 from .dynamics import Waveform, measure_rise_time, on_hold_samples, step_response_trace
 from .errors import PicmodError
 from .lock import noisy_pulse_experiment, run_lock
@@ -22,6 +24,13 @@ from .waveforms import (
 )
 
 Tables = dict[str, tuple[list[str], list]]  # CSV file name -> (header, columns)
+
+
+def run_calibrate(cfg: ExperimentConfig) -> tuple[RunReport, dict[str, ExperimentConfig]]:
+    """Coupler splits solved from the ER targets (`calibration.calibrate`);
+    the one table is the calibrated config, which the CLI saves as YAML."""
+    calibrated, report = calibrate(cfg)
+    return report, {"calibrated_config.yaml": calibrated}
 
 
 def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Tables]:

@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .errors import PicmodError
-from .serialize import write_json
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,7 @@ class RunReport:
         return {**data, "passed": self.passed}
 
     def save(self, path) -> None:
+        from .serialize import write_json  # it loads numpy, which `picmod report` never needs
         write_json(path, self.to_dict())
 
     def summary_lines(self) -> list[str]:

@@ -427,7 +427,7 @@ class TestCli:
         def fail(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "run_beams", fail)
+        monkeypatch.setattr(experiments, "run_beams", fail)
         res = run_cli("beams", "--config", config_path_795, "--out", str(tmp_path / "out"))
         assert res.exit_code == cli.EXIT_INTERNAL == 3
         assert res.stdout == ""
@@ -689,7 +689,9 @@ def mixed_type_keys(data, path):
 # (CLI arguments, how the config file is made from the 795 nm config data,
 # the library call on that file that raises the error the CLI must report).
 LIBRARY_ERRORS = {
-    "unreachable_er": (["calibrate"], yaml_file(target_er_300_db), run_on(calibration.calibrate)),
+    "unreachable_er": (
+        ["calibrate"], yaml_file(target_er_300_db), run_on(experiments.run_calibrate)
+    ),
     "channel_out_of_range": (
         ["sweep", "--channels", "99"], yaml_file(), run_on(experiments.run_sweep, [99])
     ),

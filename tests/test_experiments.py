@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.errors import PicmodError
-from picmod.experiments import run_crosstalk, run_pulse, run_stability, run_sweep
+from picmod.experiments import run_calibrate, run_crosstalk, run_pulse, run_stability, run_sweep
 from picmod.dynamics import Waveform, on_hold_samples, trace_optical
 from picmod.waveforms import dynamic_extinction, simulate_switch_off, switch_off_target_phase
 
@@ -110,7 +109,7 @@ def test_optimized_verdict_is_the_solutions_convergence(config_795):
 
 class TestChipConfigEdges:
     EXPERIMENTS = {
-        "calibrate": lambda cfg: calibrate(cfg)[1],
+        "calibrate": lambda cfg: run_calibrate(cfg)[0],
         "sweep": lambda cfg: run_sweep(cfg, [0])[0],
         "pulse naive": lambda cfg: run_pulse(cfg, "naive")[0],
         "pulse optimized": lambda cfg: run_pulse(cfg, "optimized")[0],

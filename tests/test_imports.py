@@ -3,8 +3,9 @@ imports, the package references each module-level private name it
 defines, another module or the benchmark references each public function
 it defines, no package module reads a channel's `stages` view, the
 package defines one exception class, neither importing
-picmod nor running any subcommand loads scipy, click or numpy.ma, and only
-`stability` loads OpenSSL (`_hashlib`)."""
+picmod nor running any subcommand loads scipy, click or numpy.ma, only
+`stability` loads OpenSSL (`_hashlib`), and `import picmod` and the CLI
+commands that run no experiment load neither numpy nor PyYAML."""
 
 import ast
 import builtins
@@ -19,7 +20,7 @@ import pytest
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "picmod"
 
-# __init__.py imports its submodules only to bind them as package attributes.
+# __init__.py only binds the submodules as package attributes, on first access.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
@@ -227,6 +228,58 @@ def test_import_picmod_binds_its_submodules():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.split() == []
+
+
+# Runs in a fresh interpreter; prints the numpy, PyYAML and picmod modules
+# loaded after `import picmod` and after the CLI commands that run no
+# experiment, and the exit code of each command.
+LIGHT_PROBE = """
+import contextlib, io, json, sys
+
+def model_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "yaml", "picmod"))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return picmod.cli.main(list(argv))
+        except SystemExit as exc:
+            return exc.code
+
+import picmod
+loaded = {"import": model_modules()}
+import picmod.cli
+commands = [["--version"], ["--help"], ["frobnicate"], ["report", sys.argv[1]]]
+exit_codes = {" ".join(argv): run(*argv) for argv in commands}
+loaded["commands"] = model_modules()
+print(json.dumps({"loaded": loaded, "exit_codes": exit_codes}))
+"""
+
+
+def test_commands_without_an_experiment_load_no_model(tmp_path):
+    """`import picmod`, `--version`, `--help`, an unknown subcommand and
+    `report` load neither numpy nor PyYAML, and no picmod module but the
+    package, `cli`, `errors` and `reports`: the CLI imports the experiments
+    only when a subcommand runs one."""
+    from picmod.reports import RunReport
+
+    for kind, passed in [("sweep", True), ("beams", False)]:
+        report = RunReport(kind, "0123abcd", 42)
+        report.add("er_mean", 71.4, "dB", threshold=">= 70 dB", passed=passed)
+        report.save(tmp_path / f"{kind}_report.json")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIGHT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["loaded"] == {
+        "import": ["picmod"],
+        "commands": ["picmod", "picmod.cli", "picmod.errors", "picmod.reports"],
+    }
+    assert result["exit_codes"] == {
+        "--version": 0, "--help": 0, "frobnicate": 2, f"report {tmp_path}": 1,
+    }
 
 
 # Runs in a fresh interpreter; prints the scipy, click, numpy.ma and _hashlib
