@@ -22,7 +22,8 @@ also uses) then finds the root of the residual's slope in theta between
 the best point's neighbours. Each step is one solve at one theta
 (`_index_solve`) in elementwise products and pairwise sums, with no BLAS
 or LAPACK call, so the fit does not depend on the kernel. `fit_v_pi`
-returns v_pi = pi*h/theta and the RMS misfit at the root.
+returns v_pi = pi*h/theta and the RMS misfit at the root, from the solve
+Brent's method already made there.
 
 The slope needs no second solve: the coefficients minimise the residual
 at each theta, so its derivative is that with the coefficients held (the
@@ -218,13 +219,20 @@ def fit_v_pi(voltages, transmissions) -> VpiFit:
     best = int(np.argmin(sses))
     lo = float(thetas[max(best - 1, 0)])
     hi = float(thetas[min(best + 1, thetas.size - 1)])
+    # Brent returns a theta it evaluated, so the solve there is kept, not redone.
+    solves = {}
+
+    def slope(t):
+        solves[t] = _index_solve(centred, t)
+        return solves[t][3]
+
     try:
-        theta = _brent_root(lambda t: _index_solve(centred, t)[3], lo, hi, 1e-12 * (hi - lo))
+        theta = _brent_root(slope, lo, hi, 1e-12 * (hi - lo))
     except PicmodError as exc:
         # A slope of one sign across the bracket: the least residual is at
         # the edge of the scan, so the data holds no resolvable fringe.
         raise PicmodError(f"no residual minimum inside the v_pi scan: {exc}") from exc
-    b_cos, b_sin, sse, _ = _index_solve(centred, theta)
+    b_cos, b_sin, sse, _ = solves[theta]
     # The fringe's half amplitude is the norm of its cos and sin coefficients.
     if math.hypot(b_cos, b_sin) < 1e-9 * max(scale, 1.0):
         raise PicmodError("fitted fringe amplitude is degenerate")

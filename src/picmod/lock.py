@@ -32,11 +32,14 @@ drift paths at full length: it folds them into one array of per-pulse
 phases, over which each chunk writes its areas. The trace path, whose
 trains are short, holds the bias error, the v_pi drift and the areas
 apart. Either way the areas are divided by their nonzero mean, and the
-block statistics are taken a slice of blocks at a time.
+block statistics are taken a slice of blocks at a time. The areas'
+histogram is computed when it is first read, so a train whose histogram
+no one reads never bins its areas.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -212,12 +215,25 @@ def run_lock(
 
 @dataclass(frozen=True)
 class PulseStats:
+    """Pulse-area statistics of a train; its 50-bin area histogram is
+    computed on first read and kept."""
+
     areas: np.ndarray  # all pulse areas, normalized to the global mean
     block_stds: np.ndarray  # per-block std of block-normalized areas
     mean_block_std: float
     area_std: float  # std of the first block
-    histogram_counts: np.ndarray
-    histogram_edges: np.ndarray
+
+    @functools.cached_property
+    def _histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.histogram(self.areas, bins=50)
+
+    @property
+    def histogram_counts(self) -> np.ndarray:
+        return self._histogram[0]
+
+    @property
+    def histogram_edges(self) -> np.ndarray:
+        return self._histogram[1]
 
 
 # Residual bias motion under an engaged lock, which pulse experiments
@@ -259,7 +275,8 @@ def noisy_pulse_experiment(
     the same bits. Any other run given a response raises
     PicmodError. Without one, areas come from the per-pulse closed form
     (the pulse shape is common to all pulses, so areas scale exactly with
-    the per-pulse factors).
+    the per-pulse factors). The histogram of the areas is computed on its
+    first read, not here.
     """
     if n_pulses < 1 or n_blocks < 1:
         raise PicmodError("need n_pulses >= 1 and n_blocks >= 1")
@@ -359,12 +376,9 @@ def noisy_pulse_experiment(
     for start in range(0, n_blocks, step):
         b = blocks[start : start + step]
         block_stds[start : start + step] = (b / b.mean(axis=1, keepdims=True)).std(axis=1)
-    counts, edges = np.histogram(areas, bins=50)
     return PulseStats(
         areas=areas,
         block_stds=block_stds,
         mean_block_std=float(block_stds.mean()),
         area_std=float(block_stds[0]),
-        histogram_counts=counts,
-        histogram_edges=edges,
     )

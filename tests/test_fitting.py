@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from picmod import fitting
 from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
 from picmod.dynamics import _median
 from picmod.errors import PicmodError
-from picmod.fitting import _SCAN_BASIS_LENGTHS, _index_solve, _scan_basis, _scan_sse, fit_v_pi
+from picmod.fitting import (
+    _SCAN_BASIS_LENGTHS,
+    _brent_root,
+    _index_solve,
+    _scan_basis,
+    _scan_sse,
+    fit_v_pi,
+)
 from picmod.experiments import run_sweep
 from picmod.noise import DetectorModel
 from picmod.rng import derive_rng
@@ -328,6 +336,40 @@ class TestSlopeRefinement:
         # which the JSON writer rejects.
         fit = fit_v_pi(volts, trans)
         assert type(fit.v_pi) is float and type(fit.residual) is float
+
+
+class TestSolveAtRoot:
+    """fit_v_pi takes the coefficients and residual at the root from the
+    solve Brent's method made there, with no solve of its own."""
+
+    @pytest.mark.parametrize("volts, trans", shipped_sweeps() + noisy_sweeps(3) + [shifted_sweep()])
+    def test_one_solve_per_brent_evaluation(self, monkeypatch, volts, trans):
+        solved, evaluated, roots = [], [], []
+
+        def counting_solve(centred, theta):
+            solved.append(theta)
+            return _index_solve(centred, theta)
+
+        def recording_root(f, xa, xb, xtol):
+            def counted(t):
+                evaluated.append(t)
+                return f(t)
+
+            roots.append(_brent_root(counted, xa, xb, xtol))
+            return roots[-1]
+
+        monkeypatch.setattr(fitting, "_index_solve", counting_solve)
+        monkeypatch.setattr(fitting, "_brent_root", recording_root)
+        fit = fit_v_pi(volts, trans)
+        (theta,) = roots
+        assert solved == evaluated and theta in solved
+        # Every sweep here, the shipped 241-point ones included, takes 7 solves.
+        assert len(solved) == 7
+        # The same bits as a fresh solve at the root.
+        sse = _index_solve(trans - trans.mean(), theta)[2]
+        assert fit.residual == math.sqrt(sse / volts.size)
+        step = float(volts[-1] - volts[0]) / (volts.size - 1)
+        assert fit.v_pi == math.pi * step / theta
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 240, 241])

@@ -12,6 +12,7 @@ from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er
 from picmod.dynamics import DIRECT_KERNEL_LIMIT, Waveform, convolve_causal, trace_optical
 from picmod.errors import PicmodError
+from picmod.experiments import run_stability
 from picmod.lock import (
     _TRACE_CHUNK_SAMPLES,
     ER_SAMPLE_EVERY,
@@ -509,6 +510,16 @@ def reference_trace_areas(channel, spec, noise, n_pulses, response):
     return pulse_areas(Waveform(dt, power), spec)
 
 
+def shipped_train(nm, train, seed=42):
+    """The config and the `stability` arguments of its short or block train."""
+    cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
+    pl = cfg.data["pulse"]
+    block = train == "block"
+    n_pulses = pl["block_n_pulses"] if block else pl["n_pulses"]
+    args = (cfg.channels()[0], cfg.pulse_spec(block=block), cfg.noise_model(seed=seed), n_pulses)
+    return cfg, args, pl["n_blocks"] if block else 1
+
+
 class TestClosedPathOracle:
     """The closed form, run chunk by chunk, must return what the whole
     train held at once returns."""
@@ -517,14 +528,9 @@ class TestClosedPathOracle:
     @pytest.mark.parametrize("seed", [5, 42])
     @pytest.mark.parametrize("nm", [420, 795, 1013])
     def test_shipped_configs(self, nm, seed, train):
-        cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
-        pl = cfg.data["pulse"]
-        block = train == "block"
-        n_pulses = pl["block_n_pulses"] if block else pl["n_pulses"]
-        n_blocks = pl["n_blocks"] if block else 1
-        args = (cfg.channels()[0], cfg.pulse_spec(block=block), cfg.noise_model(seed=seed))
-        got = noisy_pulse_experiment(*args, n_pulses, n_blocks=n_blocks)
-        assert np.array_equal(got.areas, reference_closed_areas(*args, n_pulses, n_blocks))
+        _, args, n_blocks = shipped_train(nm, train, seed)
+        got = noisy_pulse_experiment(*args, n_blocks=n_blocks)
+        assert np.array_equal(got.areas, reference_closed_areas(*args, n_blocks))
 
     @pytest.mark.parametrize(
         "n_pulses",
@@ -539,8 +545,9 @@ class TestClosedPathOracle:
         # 500 blocks of 1000 pulses: each full-length array is 4 MB. The
         # train holds only the two drift paths at full length, which the
         # filter fills in place and the closed form folds into one array of
-        # phases, then areas: 9.42 MB traced. Holding eps, delta and the
-        # areas apart peaks at 14.6 MB, the whole train at once above 24 MB.
+        # phases, then areas: 8.23 MB traced, with the histogram not yet
+        # read. Holding eps, delta and the areas apart peaks at 14.6 MB, the
+        # whole train at once above 24 MB.
         cfg = ExperimentConfig.load(CONFIG_DIR / "pic_795nm.yaml")
         pl = cfg.data["pulse"]
         channel, spec = cfg.channels()[0], cfg.pulse_spec(block=True)
@@ -555,6 +562,46 @@ class TestClosedPathOracle:
         finally:
             tracemalloc.stop()
         assert peak < 9.6e6
+
+
+@pytest.fixture
+def histogram_calls(monkeypatch):
+    """The size of the array each np.histogram call bins, in call order."""
+    calls, histogram = [], np.histogram
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.size(a))
+        return histogram(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "histogram", counted)
+    return calls
+
+
+class TestLazyHistogram:
+    """A train's area histogram is computed on its first read, and once."""
+
+    def test_block_train_bins_only_when_read(self, histogram_calls):
+        _, args, n_blocks = shipped_train(795, "block")
+        stats = noisy_pulse_experiment(*args, n_blocks=n_blocks)
+        assert histogram_calls == []
+        counts, edges = stats.histogram_counts, stats.histogram_edges
+        assert stats.histogram_counts is counts and stats.histogram_edges is edges
+        assert histogram_calls == [stats.areas.size]
+
+    def test_stability_bins_only_the_short_train(self, histogram_calls):
+        # The short train's histogram is the CSV; the block train's is never read.
+        cfg, args, _ = shipped_train(795, "short")
+        run_stability(cfg)
+        assert histogram_calls == [args[-1]]
+
+    @pytest.mark.parametrize("train", ["short", "block"])
+    @pytest.mark.parametrize("nm", [420, 795, 1013])
+    def test_equals_numpys_histogram(self, nm, train):
+        _, args, n_blocks = shipped_train(nm, train)
+        stats = noisy_pulse_experiment(*args, n_blocks=n_blocks)
+        counts, edges = np.histogram(stats.areas, bins=50)
+        for got, want in ((stats.histogram_counts, counts), (stats.histogram_edges, edges)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 CHUNK_ROWS = _TRACE_CHUNK_SAMPLES // 1000  # pulses per chunk at SPEC's 1000 samples
