@@ -7,11 +7,12 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = {"beams", "calibration", "config", "core", "crosstalk", "dynamics", "errors",
-               "fitting", "lock", "noise", "reports", "serialize", "waveforms"}
-
 
 def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")  # binds it on the package
+    if name.isidentifier():  # "a.b" or "" names no submodule
+        try:
+            return importlib.import_module(f"{__name__}.{name}")  # binds it on the package
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise  # a submodule that exists failed to import a module of its own
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

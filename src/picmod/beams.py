@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import db
 from .errors import PicmodError
 
 WAIST_RADIUS = 0.5  # 1/e^2 field radius in units of d0
@@ -101,10 +102,8 @@ def target_plane_profile(array: BeamArray, x_samples) -> BeamProfile:
     if peak <= 0:
         raise PicmodError("profile has no power")
     norm = intensity / peak
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(norm)
-    db = np.maximum(db, array.measurement_floor_db)
-    return BeamProfile(x_over_d0=x, intensity=norm, intensity_db=db)
+    level = np.maximum(db(norm), array.measurement_floor_db)
+    return BeamProfile(x_over_d0=x, intensity=norm, intensity_db=level)
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,6 @@ def site_leakage_report(array: BeamArray) -> list[SiteLeakage]:
     floor = array.measurement_floor_db
     report = []
     for site in sorted(set(range(array.n_beams)) - array.active):
-        # Scalar math.log10: np.log10 can differ in the last bit.
-        db = 10.0 * math.log10(rel[site]) if rel[site] > 0 else float("-inf")
-        report.append(SiteLeakage(site, max(db, floor), db < floor))
+        level = db(rel[site])
+        report.append(SiteLeakage(site, max(level, floor), level < floor))
     return report

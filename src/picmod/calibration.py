@@ -12,9 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import power_split_for_er, sweep_channel
+from .core import ModulatorChannel, SweepResult, power_split_for_er, sweep_channel
 from .noise import DetectorModel
 from .reports import RunReport
+
+
+def sweep_v_pi(report: RunReport, channel: ModulatorChannel, detector) -> SweepResult:
+    """Sweep the channel from 0 to 2*v_pi at 241 points through the detector,
+    report its fitted v_pi, checked within 1% of v_pi, and return the sweep."""
+    v_pi = channel.v_pi
+    sweep = sweep_channel(channel, 0.0, 2.0 * v_pi, 241, detector)
+    report.add(
+        f"channel_{channel.channel_index}_v_pi",
+        sweep.fitted_v_pi,
+        "V",
+        threshold="within 1% of configured v_pi",
+        passed=abs(sweep.fitted_v_pi - v_pi) / v_pi <= 0.01,
+    )
+    return sweep
 
 
 def calibrate(config: ExperimentConfig) -> tuple[ExperimentConfig, RunReport]:
@@ -38,10 +53,8 @@ def calibrate(config: ExperimentConfig) -> tuple[ExperimentConfig, RunReport]:
     data["chip"]["coupler_power_splits"] = [float(s) for s in splits]
     calibrated = ExperimentConfig(data)
 
-    v_pi = chip_cfg["v_pi_volts"]
     for ch, target in zip(calibrated.channels(), chip_cfg["target_er_db"]):
         achieved = ch.extinction_ratio_db()
-        sweep = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, DetectorModel())
         report.add(
             f"channel_{ch.channel_index}_er",
             achieved,
@@ -49,14 +62,7 @@ def calibrate(config: ExperimentConfig) -> tuple[ExperimentConfig, RunReport]:
             threshold=f"|ER - {target}| <= 0.1 dB",
             passed=abs(achieved - target) <= 0.1,
         )
-        vpi_err = abs(sweep.fitted_v_pi - v_pi) / v_pi
-        report.add(
-            f"channel_{ch.channel_index}_v_pi",
-            sweep.fitted_v_pi,
-            "V",
-            threshold="fit within 1% of configured v_pi",
-            passed=vpi_err <= 0.01,
-        )
+        sweep_v_pi(report, ch, DetectorModel())
 
     report.add("link_budget_mean", calibrated.link_budget_db(), "dB")
     report.add("er_mean", float(np.mean(chip_cfg["target_er_db"])), "dB")

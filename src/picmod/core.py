@@ -34,6 +34,17 @@ from .fitting import fit_v_pi
 MIN_IMBALANCE = 1e-4
 
 
+def db(ratio):
+    """10*log10 of a power ratio, or of each ratio in an array (same shape),
+    by scalar math.log10: numpy's array log10 can round the last bit apart
+    from it, and differently on different CPUs. A ratio of 0 gives -inf."""
+    flat = np.ravel(ratio).tolist()
+    levels = np.fromiter(
+        (-math.inf if r == 0.0 else 10.0 * math.log10(r) for r in flat), float, len(flat)
+    ).reshape(np.shape(ratio))
+    return levels if isinstance(ratio, np.ndarray) else float(levels)
+
+
 @dataclass(frozen=True)
 class Coupler:
     """2x2 directional coupler with power split ratio in (0, 1)."""
@@ -132,7 +143,7 @@ class ModulatorChannel:
         null = self.min_transmission()
         if null == 0.0:
             raise PicmodError(f"channel {self.channel_index}'s null is 0: its ER is unbounded")
-        return 10.0 * math.log10(self.max_transmission() / null)
+        return db(self.max_transmission() / null)
 
 
 def channel_transmission_equal(channel: ModulatorChannel, voltage, include_loss=True):
@@ -189,7 +200,7 @@ def sweep_channel(
             f"channel {channel.channel_index}'s sweep null reads 0: "
             "it needs a positive relative_floor"
         )
-    er_db = 10.0 * math.log10(np.max(trans) / low)
+    er_db = db(np.max(trans) / low)
     # The cascade fringe is the per-stage sin^2 raised to the stage
     # count; fit the per-stage fringe on the n-th root.
     fitted = fit_v_pi(volts, trans ** (1.0 / channel.n_stages))

@@ -17,11 +17,11 @@ as its reference.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import db
 from .errors import PicmodError
 
 class Scenario(enum.Enum):
@@ -94,10 +94,7 @@ def crosstalk_matrix(
     }[scenario]
     leak = graph.coupling_before * t_v + graph.coupling_after
     out_v = in_v * t_v + leak
-    rel = detector.measure(out_v / t_on)
-    out = np.array(
-        [-math.inf if r == 0.0 else 10.0 * math.log10(r) for r in rel.ravel().tolist()]
-    ).reshape(rel.shape)
+    out = db(detector.measure(out_v / t_on))
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -116,4 +113,4 @@ def nn_mean_db(matrix: np.ndarray) -> float:
 def predict_scenario_c_db(er_db: float, after_nn_db: float) -> float:
     """Scenario-C NN level composed from the victim's own ER and the
     downstream coupling alone (incoherent sum)."""
-    return 10.0 * math.log10(10.0 ** (-er_db / 10.0) + 10.0 ** (after_nn_db / 10.0))
+    return db(10.0 ** (-er_db / 10.0) + 10.0 ** (after_nn_db / 10.0))

@@ -8,10 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import sweep_channel
 from .crosstalk import Scenario, crosstalk_matrix, nn_mean_db, predict_scenario_c_db
 from .beams import make_beam_array, site_leakage_report, target_plane_profile
-from .calibration import calibrate
+from .calibration import calibrate, sweep_v_pi
 from .dynamics import Waveform, measure_rise_time, on_hold_samples, step_response_trace
 from .errors import PicmodError
 from .lock import noisy_pulse_experiment, run_lock
@@ -39,23 +38,14 @@ def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Ta
     if not channels or any(not 0 <= i < n for i in channels):
         raise PicmodError(f"channels must be a non-empty list of indices in [0, {n - 1}]")
     detector = cfg.sweep_detector()
-    v_pi = cfg.data["chip"]["v_pi_volts"]
     report = RunReport("sweep", cfg.hash, cfg.seed)
     tables, ers = {}, []
     for ch in (c for c in cfg.channels() if c.channel_index in channels):
         i = ch.channel_index
-        result = sweep_channel(ch, 0.0, 2.0 * v_pi, 241, detector=detector)
+        result = sweep_v_pi(report, ch, detector)
         tables[f"sweep_channel_{i}.csv"] = (
             ["voltage_v", "transmission"],
             [result.voltages, result.transmissions],
-        )
-        vpi_err = abs(result.fitted_v_pi - v_pi) / v_pi
-        report.add(
-            f"channel_{i}_v_pi",
-            result.fitted_v_pi,
-            "V",
-            threshold="within 1% of configured v_pi",
-            passed=vpi_err <= 0.01,
         )
         suffix = " (detector floor)" if result.detector_limited else ""
         report.add(f"channel_{i}_er{suffix}", result.er_db, "dB")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModulatorChannel
+from .core import ModulatorChannel, db
 from .dynamics import convolve_causal
 from .errors import PicmodError
 from .noise import DetectorModel, NoiseModel, OuParams, sample_ou_path
@@ -186,7 +186,7 @@ def run_lock(
     off_static = detector.measure(channel.min_transmission() / peak)
     if off_static == 0.0:
         raise PicmodError("the channel's null reads 0: it needs a positive relative_floor")
-    er_static = 10.0 * math.log10(on_static / off_static)
+    er_static = db(on_static / off_static)
     if engaged:
         correction = _correction_path(channel, drift, peak, controller, detector)
     else:
@@ -199,8 +199,7 @@ def run_lock(
     off_meas = detector.measure(channel.power_at_phase(eps) / peak)
     on_meas = detector.measure(channel.power_at_phase(math.pi + eps) / peak)
     limited = int(np.count_nonzero(off_meas <= detector.relative_floor))
-    # Scalar log10: numpy's array log10 differs from it in the last bit.
-    ers = np.array([10.0 * math.log10(r) for r in (on_meas / off_meas).tolist()])
+    ers = db(on_meas / off_meas)
     locked_fraction = float(np.mean(ers >= er_static - LOCKED_MARGIN_DB))
     return LockRunResult(
         times=ks * dt,
@@ -215,8 +214,8 @@ def run_lock(
 
 @dataclass(frozen=True)
 class PulseStats:
-    """Pulse-area statistics of a train; its 50-bin area histogram is
-    computed on first read and kept."""
+    """Pulse-area statistics of a train; the counts and the edges of its
+    50-bin area histogram are each computed on first read and kept."""
 
     areas: np.ndarray  # all pulse areas, normalized to the global mean
     block_stds: np.ndarray  # per-block std of block-normalized areas
@@ -224,16 +223,12 @@ class PulseStats:
     area_std: float  # std of the first block
 
     @functools.cached_property
-    def _histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.histogram(self.areas, bins=50)
-
-    @property
     def histogram_counts(self) -> np.ndarray:
-        return self._histogram[0]
+        return np.histogram(self.areas, bins=50)[0]
 
-    @property
+    @functools.cached_property
     def histogram_edges(self) -> np.ndarray:
-        return self._histogram[1]
+        return np.histogram_bin_edges(self.areas, bins=50)
 
 
 # Residual bias motion under an engaged lock, which pulse experiments

@@ -130,6 +130,22 @@ class TestReferenceLoops:
             assert all(type(l.floor_limited) is bool for l in leaks)
 
 
+class TestProfileAtSiteCentres:
+    def test_profile_db_equals_site_report(self):
+        # The profile sampled at the site centres holds the site report's
+        # ratios, so its dB must be the report's bit for bit.
+        rng = np.random.default_rng(38)
+        for _ in range(2000):
+            n_beams = int(rng.integers(2, 33))
+            active = rng.choice(n_beams, size=int(rng.integers(1, n_beams)), replace=False)
+            array = make_beam_array(n_beams, active.tolist(), pitch=PITCH,
+                                    nn_leak_db=float(rng.uniform(-60.0, -20.0)),
+                                    measurement_floor_db=-300.0)
+            profile = target_plane_profile(array, array.site_positions())
+            for leak in site_leakage_report(array):
+                assert profile.intensity_db[leak.site] == leak.reported_db, (array, leak)
+
+
 class TestValidation:
     def test_empty_active_set(self):
         with pytest.raises(PicmodError):

@@ -14,6 +14,7 @@ from picmod.core import (
     ModulatorChannel,
     MziStage,
     channel_transmission_equal,
+    db,
     make_calibrated_channel,
     power_split_for_er,
     sweep_channel,
@@ -393,3 +394,38 @@ class TestPowerSplitForEr:
     def test_nonpositive_target_rejected(self):
         with pytest.raises(PicmodError, match="target ER must be positive"):
             power_split_for_er(-5.0)
+
+
+def scalar_db(ratio):
+    """Oracle: 10*log10 of one ratio, -inf at 0."""
+    return -math.inf if ratio == 0.0 else 10 * math.log10(ratio)
+
+
+class TestDb:
+    def test_float_gives_a_float(self):
+        for ratio in (1.0, 2.0, 1e-7, 0.0, np.float64(3.5)):
+            got = db(ratio)
+            assert type(got) is float and got == scalar_db(float(ratio))
+        assert db(0.0) == -math.inf
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (2, 0)])
+    def test_array_keeps_its_shape(self, shape):
+        ratios = np.random.default_rng(38).uniform(0.0, 2.0, shape)
+        got = db(ratios)
+        assert type(got) is np.ndarray and got.shape == shape and got.dtype == float
+        want = [scalar_db(r) for r in ratios.ravel().tolist()]
+        assert got.ravel().tolist() == want
+
+    def test_zeros_are_minus_inf(self):
+        got = db(np.array([[0.0, 1.0], [10.0, 0.0]]))
+        assert got.tolist() == [[-math.inf, 0.0], [10.0, -math.inf]]
+
+    def test_random_ratios_bit_equal_to_math_log10(self):
+        # Log-uniform over 600 decades, where numpy's array log10 and the
+        # scalar one can round the last bit apart.
+        rng = np.random.default_rng(3801)
+        ratios = 10.0 ** rng.uniform(-300.0, 300.0, 10_000)
+        got = db(ratios)
+        want = np.array([10 * math.log10(r) for r in ratios.tolist()])
+        assert got.tobytes() == want.tobytes()
+        assert [db(r) for r in ratios.tolist()] == want.tolist()

@@ -27,6 +27,19 @@ def test_experiments_return_tables_and_write_no_files(config_1013, tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("nm", [420, 795, 1013])
+def test_calibrate_and_sweep_check_v_pi_alike(nm, request):
+    # The same check, whichever detector reads the sweep.
+    cfg = request.getfixturevalue(f"config_{nm}")
+    n = cfg.data["chip"]["n_channels"]
+    rows = [
+        [(m.name, m.units, m.threshold) for m in report.metrics if m.name.endswith("_v_pi")]
+        for report in (run_calibrate(cfg)[0], run_sweep(cfg, list(range(n)))[0])
+    ]
+    assert rows[0] == rows[1]
+    assert [name for name, _, _ in rows[0]] == [f"channel_{i}_v_pi" for i in range(n)]
+
+
 @pytest.mark.parametrize("channels", [[], [99], [0, 8], [-1]])
 def test_sweep_rejects_channels_outside_the_chip(config_795, channels):
     with pytest.raises(PicmodError, match="indices in"):

@@ -1,8 +1,9 @@
 """Every module under src/picmod and tests references each name it
 imports, the package references each module-level private name it
 defines, another module or the benchmark references each public function
-it defines, no package module reads a channel's `stages` view, the
-package defines one exception class, neither importing
+it defines, no package module reads a channel's `stages` view, only
+`core` reads a log10, the package defines one exception class, a bare
+`import picmod` reaches every submodule, neither importing
 picmod nor running any subcommand loads scipy, click or numpy.ma, only
 `stability` loads OpenSSL (`_hashlib`), and `import picmod` and the CLI
 commands that run no experiment load neither numpy nor PyYAML."""
@@ -166,6 +167,37 @@ def test_package_reads_no_stages_view():
     assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
+def log10_reads(source: str) -> list[tuple[str, int]]:
+    """(spelling, line) of each read of a `log10`, as an attribute of
+    anything (`np.log10`, `math.log10`) or as a bare name."""
+    return sorted(
+        (ast.unparse(node), node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "log10"
+        or isinstance(node, ast.Name) and node.id == "log10"
+    )
+
+
+def test_checker_finds_log10_reads():
+    source = (
+        "import math\nimport numpy as np\nfrom math import log10\n"
+        "a = np.log10(2.0)\nb = math.log10(3.0)\nc = log10\nd = np.emath.log10\nlog10e = 0\n"
+    )
+    assert log10_reads(source) == [
+        ("log10", 6), ("math.log10", 5), ("np.emath.log10", 7), ("np.log10", 4),
+    ]
+
+
+def test_package_takes_every_db_from_core_db():
+    """`core.db` is the one rule that turns a power ratio into dB, through
+    scalar math.log10; numpy's array log10 can round the last bit apart
+    from it. The only other log10 is `power_split_for_er`'s bracket."""
+    reads = {p.name: [spelling for spelling, _ in log10_reads(p.read_text())] for p in MODULES}
+    assert {name: found for name, found in reads.items() if found} == {
+        "core.py": ["math.log10", "math.log10"],
+    }
+
+
 def exception_classes(sources: dict[str, str]) -> list[str]:
     """`module:name` for each class, at any depth, of `sources` (module name
     -> source) that derives from a built-in exception, directly or through
@@ -209,25 +241,35 @@ def test_package_has_one_exception_class():
     assert exception_classes(sources) == ["errors:PicmodError"]
 
 
-# The submodules the benchmark reads as `picmod.<name>` after a bare
-# `import picmod`.
-SUBMODULES = [
-    "beams", "calibration", "config", "core", "crosstalk", "dynamics", "errors",
-    "fitting", "lock", "noise", "reports", "serialize", "waveforms",
-]
+def run_fresh(code: str, *args: str) -> str:
+    """Stdout of `code` run with `args` in a fresh interpreter, where no
+    picmod submodule has been imported yet."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout
 
 
 def test_import_picmod_binds_its_submodules():
-    """A bare `import picmod` makes each submodule an attribute of the
-    package. It runs in a fresh interpreter, because in this one the other
-    tests have already imported every submodule."""
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    missing = "import sys, picmod\nprint(*(m for m in sys.argv[1:] if not hasattr(picmod, m)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", missing, *SUBMODULES],
-        capture_output=True, text=True, env=env, check=True,
+    """After a bare `import picmod`, each submodule is an attribute of the
+    package, and any other name raises AttributeError (`hasattr` lets
+    nothing else through)."""
+    missing = "import sys, picmod\nprint([m for m in sys.argv[1:] if not hasattr(picmod, m)])"
+    names = [p.stem for p in MODULES]
+    assert len(names) == 16
+    found = run_fresh(missing, *names, "no_such_module", "core.db", "")
+    assert ast.literal_eval(found) == ["no_such_module", "core.db", ""]
+
+
+def test_submodule_import_error_propagates():
+    """A submodule that fails to import a module of its own raises that
+    ModuleNotFoundError, not AttributeError."""
+    probe = (
+        "import sys\nsys.modules['yaml'] = None  # `import yaml` now fails\nimport picmod\n"
+        "try:\n    picmod.config\nexcept ModuleNotFoundError as exc:\n    print(exc.name)\n"
     )
-    assert proc.stdout.split() == []
+    assert run_fresh(probe).split() == ["yaml"]
 
 
 # Runs in a fresh interpreter; prints the numpy, PyYAML and picmod modules
