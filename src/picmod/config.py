@@ -43,13 +43,24 @@ def _number(lo=None, hi=None, integer=False):
                 raise PicmodError(f"{path}: expected a number that fits a float") from None
             if math.isnan(number):
                 raise PicmodError(f"{path}: expected a number, got NaN")
-            if number == math.inf:
-                raise PicmodError(f"{path}: expected a finite number, got +inf")
+            if math.isinf(number):
+                raise PicmodError(f"{path}: expected a finite number, got {number:+}")
         if lo is not None and value < lo:
             raise PicmodError(f"{path}: {value} below minimum {lo}")
         if hi is not None and value > hi:
             raise PicmodError(f"{path}: {value} above maximum {hi}")
         return value
+
+    return check
+
+
+def _db_level():
+    """A power level in dB: a number at most 0, or -inf for no power at all,
+    the one infinite value a config may hold (an ideal detector's floor)."""
+    at_most_0 = _number(hi=0.0)
+
+    def check(value, path):
+        return value if value == -math.inf else at_most_0(value, path)
 
     return check
 
@@ -104,8 +115,8 @@ SCHEMA = {
         "sample_period_ns": _number(lo=1e-6),
     },
     "detector": {
-        "sweep_floor_db": _number(hi=0.0),
-        "onchip_floor_db": _number(hi=0.0),
+        "sweep_floor_db": _db_level(),
+        "onchip_floor_db": _db_level(),
     },
     "noise": {
         "bias_drift_sigma_rad": _number(lo=0.0),
@@ -124,17 +135,17 @@ SCHEMA = {
         "duration_hours": _number(lo=1e-6),
     },
     "crosstalk": {
-        "nn_before_db": _number(hi=0.0),
-        "nn_after_db": _number(hi=0.0),
-        "nnn_before_db": _number(hi=0.0),
-        "nnn_after_db": _number(hi=0.0),
-        "scenario_c_target_db": _number(hi=0.0),
+        "nn_before_db": _db_level(),
+        "nn_after_db": _db_level(),
+        "nnn_before_db": _db_level(),
+        "nnn_after_db": _db_level(),
+        "scenario_c_target_db": _db_level(),
     },
     "beams": {
         "n_beams": _number(1, 64, integer=True),
         "pitch_d0": _number(lo=1e-3),
-        "nn_leak_db": _number(hi=0.0),
-        "floor_db": _number(hi=0.0),
+        "nn_leak_db": _db_level(),
+        "floor_db": _db_level(),
     },
     "pulse": {
         "period_us": _number(lo=1e-6),
@@ -223,15 +234,14 @@ class ExperimentConfig:
 
     # -- factories -------------------------------------------------------
 
-    def power_splits(self) -> list[float]:
+    def solved_splits(self) -> list[float]:
+        """Each channel's coupler power split solved from its ER target,
+        whether or not the config holds frozen splits."""
         chip = self.data["chip"]
-        if chip["coupler_power_splits"] is not None:
-            return list(chip["coupler_power_splits"])
-        return [
-            power_split_for_er(er, chip["n_stages"]) for er in chip["target_er_db"]
-        ]
+        return [power_split_for_er(er, chip["n_stages"]) for er in chip["target_er_db"]]
 
     def channels(self) -> list[ModulatorChannel]:
+        """One channel per split: the frozen splits, else the solved ones."""
         chip = self.data["chip"]
         return [
             make_calibrated_channel(
@@ -240,7 +250,7 @@ class ExperimentConfig:
                 n_stages=chip["n_stages"],
                 channel_index=i,
             )
-            for i, split in enumerate(self.power_splits())
+            for i, split in enumerate(chip["coupler_power_splits"] or self.solved_splits())
         ]
 
     def link_budget_db(self) -> float:

@@ -38,11 +38,10 @@ def db(ratio):
     """10*log10 of a power ratio, or of each ratio in an array (same shape),
     by scalar math.log10: numpy's array log10 can round the last bit apart
     from it, and differently on different CPUs. A ratio of 0 gives -inf."""
-    flat = np.ravel(ratio).tolist()
-    levels = np.fromiter(
-        (-math.inf if r == 0.0 else 10.0 * math.log10(r) for r in flat), float, len(flat)
-    ).reshape(np.shape(ratio))
-    return levels if isinstance(ratio, np.ndarray) else float(levels)
+    levels = [-math.inf if r == 0.0 else 10.0 * math.log10(r) for r in np.ravel(ratio).tolist()]
+    if not isinstance(ratio, np.ndarray):
+        return levels[0]
+    return np.fromiter(levels, float, len(levels)).reshape(ratio.shape)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ import numpy as np
 from .config import ExperimentConfig
 from .crosstalk import Scenario, crosstalk_matrix, nn_mean_db, predict_scenario_c_db
 from .beams import make_beam_array, site_leakage_report, target_plane_profile
-from .calibration import calibrate, sweep_v_pi
+from .core import ModulatorChannel, SweepResult, sweep_channel
 from .dynamics import Waveform, measure_rise_time, on_hold_samples, step_response_trace
 from .errors import PicmodError
 from .lock import noisy_pulse_experiment, run_lock
+from .noise import DetectorModel
 from .reports import RunReport
 from .waveforms import (
     PredistortionProblem,
@@ -26,10 +27,47 @@ Tables = dict[str, tuple[list[str], list]]  # CSV file name -> (header, columns)
 
 
 def run_calibrate(cfg: ExperimentConfig) -> tuple[RunReport, dict[str, ExperimentConfig]]:
-    """Coupler splits solved from the ER targets (`calibration.calibrate`);
-    the one table is the calibrated config, which the CLI saves as YAML."""
-    calibrated, report = calibrate(cfg)
+    """Coupler splits solved from the ER targets, frozen into a calibrated
+    config, then checked: each channel's ER and fitted v_pi through the
+    forward model, plus the link budget, the same for every channel. A
+    missed ER target fails its check; it does not stop the calibration.
+    The sweep is read through the ideal detector, `DetectorModel()`, so the
+    check is against the chip itself, not the measurement floor. The one
+    table is the calibrated config, which the CLI saves as YAML."""
+    chip = cfg.data["chip"]
+    report = RunReport("calibrate", cfg.hash, cfg.seed)
+    data = {**cfg.data, "chip": {**chip, "coupler_power_splits": cfg.solved_splits()}}
+    calibrated = ExperimentConfig(data)
+
+    for ch, target in zip(calibrated.channels(), chip["target_er_db"]):
+        achieved = ch.extinction_ratio_db()
+        report.add(
+            f"channel_{ch.channel_index}_er",
+            achieved,
+            "dB",
+            threshold=f"|ER - {target}| <= 0.1 dB",
+            passed=abs(achieved - target) <= 0.1,
+        )
+        sweep_v_pi(report, ch, DetectorModel())
+
+    report.add("link_budget_mean", calibrated.link_budget_db(), "dB")
+    report.add("er_mean", float(np.mean(chip["target_er_db"])), "dB")
     return report, {"calibrated_config.yaml": calibrated}
+
+
+def sweep_v_pi(report: RunReport, channel: ModulatorChannel, detector) -> SweepResult:
+    """Sweep the channel from 0 to 2*v_pi at 241 points through the detector,
+    report its fitted v_pi, checked within 1% of v_pi, and return the sweep."""
+    v_pi = channel.v_pi
+    sweep = sweep_channel(channel, 0.0, 2.0 * v_pi, 241, detector)
+    report.add(
+        f"channel_{channel.channel_index}_v_pi",
+        sweep.fitted_v_pi,
+        "V",
+        threshold="within 1% of configured v_pi",
+        passed=abs(sweep.fitted_v_pi - v_pi) / v_pi <= 0.01,
+    )
+    return sweep
 
 
 def run_sweep(cfg: ExperimentConfig, channels: list[int]) -> tuple[RunReport, Tables]:

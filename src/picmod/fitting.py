@@ -96,11 +96,6 @@ def _index_solve(centred: np.ndarray, theta: float):
     return b_cos, b_sin, _dot(resid, resid), slope
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b, as a column."""
-    return np.einsum("ij,ij->i", a, b)[:, None]
-
-
 @functools.lru_cache(maxsize=_SCAN_BASIS_LENGTHS)
 def _scan_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scan's phase steps theta and, one row per theta, the cos and sin
@@ -114,8 +109,8 @@ def _scan_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for col in (np.cos(phase), np.sin(phase, out=phase)):
         col -= col.mean(axis=1, keepdims=True)
         for q in basis:
-            col -= _row_dot(q, col) * q
-        norm = np.sqrt(_row_dot(col, col))
+            col -= np.add.reduce(q * col, axis=1, keepdims=True) * q
+        norm = np.sqrt(np.add.reduce(col * col, axis=1, keepdims=True))
         col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > tol)
         col.flags.writeable = False
         basis.append(col)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from picmod import calibration, cli, experiments
+from picmod import cli, experiments
 from picmod import config as config_module
 from picmod.cli import EXPERIMENTS, main
 from picmod.config import ExperimentConfig
@@ -93,7 +93,7 @@ class TestConfigSchema:
         # and dumper must read the same data and write the same bytes.
         cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
         if calibrated:
-            cfg, _ = calibration.calibrate(cfg)
+            cfg = experiments.run_calibrate(cfg)[1]["calibrated_config.yaml"]
         cfg.save(tmp_path / "c.yaml")
         loaded = ExperimentConfig.load(tmp_path / "c.yaml")
         monkeypatch.setattr(config_module, "_YAML_LOADER", yaml.SafeLoader)
@@ -152,6 +152,34 @@ class TestConfigSchema:
         assert res.exit_code == 2
         assert message in res.output
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("key", ["gain_p", "gain_i"])
+    def test_minus_inf_gain_rejected_at_load(self, base_data, tmp_path, key):
+        # A gain has no lower bound, so only the finite rule stops -inf.
+        base_data["lock"][key] = -math.inf
+        path = tmp_path / "gain.yaml"
+        path.write_text(yaml.safe_dump(base_data))
+        message = f"lock.{key}: expected a finite number, got -inf"
+        with pytest.raises(PicmodError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.load(path)
+        res = run_cli("calibrate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert res.exit_code == 2
+        assert message in res.output
+
+    def test_every_db_level_loads_minus_inf(self, base_data, tmp_path):
+        # A dB level is the one number that may be -inf: no power at all.
+        levels = [
+            ("detector", "sweep_floor_db"), ("detector", "onchip_floor_db"),
+            ("crosstalk", "nn_before_db"), ("crosstalk", "nn_after_db"),
+            ("crosstalk", "nnn_before_db"), ("crosstalk", "nnn_after_db"),
+            ("crosstalk", "scenario_c_target_db"), ("beams", "nn_leak_db"), ("beams", "floor_db"),
+        ]
+        for section, key in levels:
+            base_data[section][key] = -math.inf
+        path = tmp_path / "levels.yaml"
+        path.write_text(yaml.safe_dump(base_data))
+        loaded = ExperimentConfig.load(path)
+        assert all(loaded.data[section][key] == -math.inf for section, key in levels)
 
     @pytest.mark.parametrize(
         "section, key, value, message",
@@ -382,7 +410,7 @@ class TestCli:
             targets.append(er_db)
             return power_split_for_er(er_db + (0.5 if len(targets) == 1 else 0.0), n_stages)
 
-        monkeypatch.setattr(calibration, "power_split_for_er", split_missing_channel_0)
+        monkeypatch.setattr(config_module, "power_split_for_er", split_missing_channel_0)
         res = run_cli("calibrate", "--config", config_path_795, "--out", str(tmp_path))
         assert res.exit_code == 1, res.output
         assert (tmp_path / "calibrated_config.yaml").exists()

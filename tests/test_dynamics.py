@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import channel_transmission_equal
 from picmod.dynamics import (
@@ -25,6 +24,7 @@ from picmod.dynamics import (
     trace_optical,
 )
 from picmod.errors import PicmodError
+from picmod.experiments import run_calibrate
 from picmod.fitting import _brent_root
 
 from conftest import CONFIG_DIR
@@ -140,7 +140,7 @@ class TestBrentRoot:
     def test_equals_brentq_in_v_pi_fit(self, nm, monkeypatch):
         calls = record_roots(monkeypatch, "picmod.fitting._brent_root")
         cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
-        calibrate(cfg)
+        run_calibrate(cfg)
         assert len(calls) == cfg.data["chip"]["n_channels"]
         for root, want in calls:
             assert root == want

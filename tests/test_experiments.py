@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from picmod import calibration
 from picmod.config import ExperimentConfig
 from picmod.errors import PicmodError
 from picmod.experiments import run_calibrate, run_crosstalk, run_pulse, run_stability, run_sweep
@@ -38,6 +39,18 @@ def test_calibrate_and_sweep_check_v_pi_alike(nm, request):
     ]
     assert rows[0] == rows[1]
     assert [name for name, _, _ in rows[0]] == [f"channel_{i}_v_pi" for i in range(n)]
+
+
+@pytest.mark.parametrize("nm", [420, 795, 1013])
+def test_calibration_adapter_returns_run_calibrate(nm, request):
+    # The benchmark calls `calibration.calibrate`, which is `run_calibrate`
+    # with its (report, tables) reordered as (calibrated config, report).
+    cfg = request.getfixturevalue(f"config_{nm}")
+    calibrated, report = calibration.calibrate(cfg)
+    want_report, tables = run_calibrate(cfg)
+    want = tables["calibrated_config.yaml"]
+    assert (calibrated.data, calibrated.hash) == (want.data, want.hash)
+    assert report.to_dict() == want_report.to_dict()
 
 
 @pytest.mark.parametrize("channels", [[], [99], [0, 8], [-1]])

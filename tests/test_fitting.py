@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from picmod import fitting
-from picmod.calibration import calibrate
 from picmod.config import ExperimentConfig
 from picmod.core import make_calibrated_channel, power_split_for_er, sweep_channel
 from picmod.dynamics import _median
@@ -20,7 +19,7 @@ from picmod.fitting import (
     _scan_sse,
     fit_v_pi,
 )
-from picmod.experiments import run_sweep
+from picmod.experiments import run_calibrate, run_sweep
 from picmod.noise import DetectorModel
 from picmod.rng import derive_rng
 
@@ -280,7 +279,7 @@ class TestScanBasisCache:
         _scan_basis.cache_clear()
         for nm in (420, 795, 1013):
             cfg = ExperimentConfig.load(CONFIG_DIR / f"pic_{nm}nm.yaml")
-            calibrate(cfg)
+            run_calibrate(cfg)
             run_sweep(cfg, list(range(cfg.data["chip"]["n_channels"])))
         assert _scan_basis.cache_info().misses == 1
         assert _scan_basis.cache_info().currsize == 1

@@ -1,10 +1,10 @@
 """Every module under src/picmod and tests references each name it
 imports, the package references each module-level private name it
 defines, another module or the benchmark references each public function
-it defines, no package module reads a channel's `stages` view, only
-`core` reads a log10, the package defines one exception class, a bare
-`import picmod` reaches every submodule, neither importing
-picmod nor running any subcommand loads scipy, click or numpy.ma, only
+it defines, no package module reads a channel's `stages` view or imports
+`calibration`, only `core` reads a log10, the package defines one
+exception class, a bare `import picmod` reaches every submodule, neither
+importing picmod nor running any subcommand loads scipy, click or numpy.ma, only
 `stability` loads OpenSSL (`_hashlib`), and `import picmod` and the CLI
 commands that run no experiment load neither numpy nor PyYAML."""
 
@@ -165,6 +165,44 @@ def test_package_reads_no_stages_view():
     stage repeated n_stages times, is a view only the benchmark reads."""
     reads = {p.name: attribute_reads(p.read_text(), "stages") for p in MODULES}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Names of the picmod modules that `source`, a module of the package,
+    imports: `import picmod.x`, `from picmod.x import ...`, `from picmod
+    import x`, and the relative `from .x import ...` and `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("picmod."))
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:  # absolute: drop "picmod", which "." stands for
+                if parts[0] != "picmod":
+                    continue
+                parts = parts[1:]
+            found.update(parts[:1] or (a.name for a in node.names))
+    return found
+
+
+def test_checker_finds_imported_modules():
+    source = (
+        "import os, picmod.core\nimport numpy.linalg\nfrom . import config, lock as lk\n"
+        "from .calibration import calibrate\nfrom picmod import beams\n"
+        "from picmod.noise.sub import x\nfrom .. import other\nfrom numpy import ndarray\n"
+        "def f():\n    from .rng import derive_rng\n"
+    )
+    assert imported_modules(source) == {
+        "core", "config", "lock", "calibration", "beams", "noise", "rng",
+    }
+
+
+def test_package_imports_no_calibration():
+    """`calibration` is the `(calibrated, report)` form of
+    `experiments.run_calibrate` that only the benchmark calls; the
+    experiment and its split rule live in `experiments` and `config`."""
+    importers = [p.name for p in MODULES if "calibration" in imported_modules(p.read_text())]
+    assert importers == []
 
 
 def log10_reads(source: str) -> list[tuple[str, int]]:
